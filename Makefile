@@ -31,15 +31,14 @@ bench-smoke:
 		--benchmark-only --benchmark-min-rounds=1 \
 		--benchmark-json=BENCH_prepared.json
 
-# planner ablation (planned vs unplanned full checks, batched vs
-# sequential update checking) across all sizes; emits
-# BENCH_planner.json and gates on the acceptance floors
+# planner ablation (planned vs unplanned full checks) across all
+# sizes; emits BENCH_planner.json and gates on the acceptance floors
 bench-planner:
 	REPRO_BENCH_SIZES_KIB=$(BENCH_SIZES) \
 		$(PYTHON) -m pytest benchmarks/test_planner_ablation.py \
 		--benchmark-only --benchmark-min-rounds=3 \
 		--benchmark-json=BENCH_planner.json
-	$(PYTHON) scripts/check_planner_gate.py BENCH_planner.json
+	$(PYTHON) scripts/check_ablation_gate.py BENCH_planner.json
 
 # one-round CI smoke at the smallest size, gated against the committed
 # BENCH_planner.json baseline ratios (>20% regression fails)
@@ -48,19 +47,19 @@ bench-planner-smoke:
 		$(PYTHON) -m pytest benchmarks/test_planner_ablation.py \
 		--benchmark-only --benchmark-min-rounds=1 \
 		--benchmark-json=BENCH_planner_smoke.json
-	$(PYTHON) scripts/check_planner_gate.py BENCH_planner_smoke.json \
+	$(PYTHON) scripts/check_ablation_gate.py BENCH_planner_smoke.json \
 		--baseline BENCH_planner.json
 
-# columnar backend ablation (vectorized plan steps vs the same plan
-# walking the DOM, batched updates with/without column stores) across
-# all sizes; emits BENCH_columnar.json and gates on the >=2x
-# acceptance floors at the largest size
+# columnar backend ablation (vectorized frontier steps vs the same
+# plan searched tuple-at-a-time) across all sizes; emits
+# BENCH_columnar.json and gates on the >=2x acceptance floor at the
+# largest size
 bench-columnar:
 	REPRO_BENCH_SIZES_KIB=$(BENCH_SIZES) \
 		$(PYTHON) -m pytest benchmarks/test_columnar_ablation.py \
 		--benchmark-only --benchmark-min-rounds=3 \
 		--benchmark-json=BENCH_columnar.json
-	$(PYTHON) scripts/check_columnar_gate.py BENCH_columnar.json
+	$(PYTHON) scripts/check_ablation_gate.py BENCH_columnar.json
 
 # one-round CI smoke at the smallest size, gated against the committed
 # BENCH_columnar.json baseline ratios (>20% regression fails)
@@ -69,7 +68,7 @@ bench-columnar-smoke:
 		$(PYTHON) -m pytest benchmarks/test_columnar_ablation.py \
 		--benchmark-only --benchmark-min-rounds=1 \
 		--benchmark-json=BENCH_columnar_smoke.json
-	$(PYTHON) scripts/check_columnar_gate.py BENCH_columnar_smoke.json \
+	$(PYTHON) scripts/check_ablation_gate.py BENCH_columnar_smoke.json \
 		--baseline BENCH_columnar.json
 
 # service load harness: closed-loop readers + paced writer against

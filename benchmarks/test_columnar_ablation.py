@@ -1,39 +1,30 @@
-"""Columnar backend ablation — vectorized vs. DOM-walking plan steps.
+"""Columnar backend ablation — frontier- vs. tuple-at-a-time search.
 
-Two question sets, emitted as ``BENCH_columnar.json`` by
-``make bench-columnar``:
+Emitted as ``BENCH_columnar.json`` by ``make bench-columnar``:
+**columnar vs. planned-DOM full checks** on the fig1a conflict
+constraint — the same cost-based plan evaluated with its quantifier
+steps lowered to column operations (per-level frontier expansion and
+key-set filtering) and with that lowering ablated
+(``without_columns``), searching tuple-at-a-time.  The plan, the
+statistics, the documents and the value indexes are identical — both
+arms probe the stores' :class:`~repro.relational.columns.PathIndex`
+buckets — so the gap is purely the frontier lowering.
 
-* **columnar vs. planned-DOM full checks** on the fig1a conflict
-  constraint: the same cost-based plan evaluated with its quantifier
-  steps lowered to column operations (hash-join probes against
-  :class:`~repro.relational.columns.PathIndex` buckets, per-level
-  frontier filtering) and with the columnar backend ablated
-  (``without_columns``), walking the DOM tuple-at-a-time.  The plan,
-  the statistics, and the documents are identical; the gap is purely
-  the columnar lowering.
-* **batched update checking**: 32 same-pattern submissions through
-  :meth:`IntegrityGuard.check_batch` with live column stores
-  (incremental delta maintenance, warmed indexes, columnar select
-  resolution) against the same batch with the backend ablated.  Each
-  round runs on a freshly generated corpus and a fresh guard, built in
-  un-timed setup.
+Update checking has no arm here: the optimized checks are probes of
+those same indexes under either setting.  Batched writes are measured
+end to end by ``batch_write_128k`` in ``BENCHMARK.json``.
 
-``scripts/check_columnar_gate.py`` turns the JSON into a regression
-gate: both ratios must stay >= 2x at the largest benchmarked size.
+``scripts/check_ablation_gate.py`` turns the JSON into a regression
+gate: the ratio must stay >= 2x at the largest benchmarked size.
 """
 
 from __future__ import annotations
 
-from repro.core import IntegrityGuard
-from repro.datagen import generate_corpus, spec_for_size
-from repro.datagen.running_example import submission_xupdate
 from repro.xquery.planner import (
     clear_caches,
     query_truth_planned,
     without_columns,
 )
-
-BATCH_SIZE = 32
 
 
 def _full_planned(scenario) -> bool:
@@ -62,53 +53,3 @@ def test_fig1a_planned_dom(benchmark, conflict_scenario, size_kib):
 
     violated = benchmark(run, conflict_scenario)
     assert violated is False
-
-
-# -- batch32: columnar stores vs. ablated backend ------------------------
-
-
-def _batch_updates() -> list[str]:
-    """32 same-pattern submissions, one per (track, rev) target."""
-    return [
-        submission_xupdate(1 + index % 4, 1 + (index // 4) % 8,
-                           f"Batch paper {index}",
-                           f"Batch Author {index}")
-        for index in range(BATCH_SIZE)]
-
-
-def _fresh_guard(schema, size_kib):
-    """A new guard over a new corpus; attaches and warms the column
-    stores in un-timed setup, exactly like production construction."""
-    documents = list(generate_corpus(spec_for_size(size_kib * 1024)))
-    return IntegrityGuard(schema, documents)
-
-
-def test_batch32_columnar(benchmark, schema, size_kib):
-    benchmark.group = f"columnar-batch{BATCH_SIZE}-{size_kib}KiB"
-    updates = _batch_updates()
-
-    def setup():
-        return (_fresh_guard(schema, size_kib),), {}
-
-    def run(guard):
-        decisions = guard.check_batch(updates)
-        assert len(decisions) == BATCH_SIZE
-        return decisions
-
-    benchmark.pedantic(run, setup=setup, rounds=5, warmup_rounds=0)
-
-
-def test_batch32_planned_dom(benchmark, schema, size_kib):
-    benchmark.group = f"columnar-batch{BATCH_SIZE}-{size_kib}KiB"
-    updates = _batch_updates()
-
-    def setup():
-        return (_fresh_guard(schema, size_kib),), {}
-
-    def run(guard):
-        with without_columns():
-            decisions = guard.check_batch(updates)
-        assert len(decisions) == BATCH_SIZE
-        return decisions
-
-    benchmark.pedantic(run, setup=setup, rounds=5, warmup_rounds=0)

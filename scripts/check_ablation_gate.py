@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""Regression gate over the columnar backend ablation benchmarks.
+"""Regression gate over the evaluation-backend ablation benchmarks.
 
-Reads a pytest-benchmark JSON (``BENCH_columnar.json``) and enforces:
+Reads a pytest-benchmark JSON (``BENCH_planner.json`` or
+``BENCH_columnar.json``) and enforces, for every ablation pair in
+:data:`PAIRS` the file contains:
 
-* **acceptance floors** — at the largest paper size (128 KiB groups),
-  the columnar backend must beat the ablated planned-DOM arm by
-  >= 2x median on both the fig1a full check and the 32-update batch;
-* **baseline comparison** — with ``--baseline`` (the committed
-  ``BENCH_columnar.json``), every ablation pair present in both files
-  must not regress: the columnar/planned-DOM median *fraction* (a
-  machine-independent measure — both arms run on the same box) may not
-  exceed the baseline fraction by more than ``--tolerance`` (default
-  20%) plus a small absolute slack that keeps sub-millisecond noise
-  from tripping the gate.
+* **acceptance floors** — at the largest paper size (128 KiB groups)
+  the fast arm must beat the slow arm by the pair's floor in median:
+  planned evaluation vs the unplanned engine on the figure 1 full
+  checks, and the vectorized frontier lowering vs the same plan
+  searched tuple-at-a-time (``without_columns``) on fig1a;
+* **baseline comparison** — with ``--baseline`` (the committed JSON
+  of the same name), every pair present in both files must not
+  regress: the fast/slow median *fraction* (a machine-independent
+  measure — both arms run on the same box) may not exceed the
+  baseline fraction by more than ``--tolerance`` (default 20%) plus a
+  small absolute slack that keeps sub-millisecond noise from tripping
+  the gate.
 
 Exit code 1 on any violation, with one line per failed check.
 """
@@ -23,26 +27,22 @@ import argparse
 import json
 import sys
 
-#: group-prefix → minimum required median speedup (slow / fast) at the
-#: largest benchmarked size
-FLOORS = {
-    "columnar-fig1a": 2.0,
-    "columnar-batch32": 2.0,
+#: group prefix → (minimum median speedup slow / fast at
+#: :data:`FLOOR_SIZE`, substring naming the fast arm's benchmark,
+#: substring naming the slow arm's).  The slow marker is tested first:
+#: "planned" is a substring of "unplanned".
+PAIRS = {
+    "planner-fig1a": (2.0, "planned", "unplanned"),
+    "planner-fig1b": (2.0, "planned", "unplanned"),
+    "columnar-fig1a": (2.0, "columnar", "planned_dom"),
 }
 FLOOR_SIZE = "128KiB"
 
-#: substrings identifying the fast / slow arm of each ablation pair
-FAST_MARKERS = ("columnar",)
-SLOW_MARKERS = ("planned_dom",)
 
-
-def _arm(name: str) -> str | None:
-    for marker in SLOW_MARKERS:
-        if marker in name:
-            return "slow"
-    for marker in FAST_MARKERS:
-        if marker in name:
-            return "fast"
+def _pair_of(group: str) -> tuple[float, str, str] | None:
+    for prefix, pair in PAIRS.items():
+        if group.startswith(prefix):
+            return pair
     return None
 
 
@@ -54,8 +54,15 @@ def load_fractions(path: str) -> dict[str, float]:
     medians: dict[str, dict[str, float]] = {}
     for bench in report["benchmarks"]:
         group = bench.get("group") or ""
-        arm = _arm(bench["name"])
-        if not group.startswith("columnar-") or arm is None:
+        pair = _pair_of(group)
+        if pair is None:
+            continue
+        _, fast, slow = pair
+        if slow in bench["name"]:
+            arm = "slow"
+        elif fast in bench["name"]:
+            arm = "fast"
+        else:
             continue
         medians.setdefault(group, {})[arm] = bench["stats"]["median"]
     fractions: dict[str, float] = {}
@@ -72,8 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="committed baseline JSON to compare against")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed relative regression of the "
-                             "columnar/planned-DOM fraction "
-                             "(default 0.20)")
+                             "fast/slow fraction (default 0.20)")
     parser.add_argument("--slack", type=float, default=0.02,
                         help="absolute fraction slack added on top of "
                              "the tolerance (default 0.02)")
@@ -81,22 +87,20 @@ def main(argv: list[str] | None = None) -> int:
 
     current = load_fractions(args.current)
     if not current:
-        print("gate: no columnar ablation pairs found in "
+        print("gate: no ablation pairs found in "
               f"{args.current}", file=sys.stderr)
         return 1
     failures: list[str] = []
 
     for group, fraction in current.items():
         speedup = 1.0 / fraction if fraction > 0 else float("inf")
-        print(f"gate: {group}: columnar/planned-DOM fraction "
+        print(f"gate: {group}: fast/slow fraction "
               f"{fraction:.4f} (speedup {speedup:.2f}x)")
-        if not group.endswith(FLOOR_SIZE):
-            continue
-        for prefix, floor in FLOORS.items():
-            if group.startswith(prefix) and speedup < floor:
-                failures.append(
-                    f"{group}: speedup {speedup:.2f}x below the "
-                    f"{floor:.1f}x acceptance floor")
+        floor = _pair_of(group)[0]
+        if group.endswith(FLOOR_SIZE) and speedup < floor:
+            failures.append(
+                f"{group}: speedup {speedup:.2f}x below the "
+                f"{floor:.1f}x acceptance floor")
 
     if args.baseline:
         baseline = load_fractions(args.baseline)

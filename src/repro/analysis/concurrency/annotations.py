@@ -50,8 +50,6 @@ LOCK_ORDER: tuple[str, ...] = (
     "service.persistence",    # DurableLog file/sequence lock
     "core.update_cache",      # guard._UPDATE_CACHE_LOCK
     "xupdate.select_cache",   # apply._SELECT_CACHE_LOCK
-    "xquery.index_cache",     # engine._IndexLRU._lru_lock
-    "xquery.dependency_cache",  # optimizer._DEPENDENCY_LOCK
     "xquery.plan_cache",      # optimizer._PLAN_LOCK
     "planner.plan_cache",     # planner._PLAN_LOCK
     "planner.priors",         # planner._PRIORS_LOCK

@@ -380,9 +380,9 @@ def store_of(document: Document) -> ColumnStore | None:
 def settle_batch(documents: Iterable[Document]) -> None:
     """Batch-boundary settling: eagerly rebuild dirty stores.
 
-    Called from ``IntegrityGuard.check_batch`` after the batch scope
-    settles, so a batch whose deltas crashed mid-maintenance pays its
-    rebuild once here instead of on the first post-batch check.  The
+    Called from ``IntegrityGuard.check_batch`` after every update, so
+    a batch whose deltas crashed mid-maintenance pays its rebuild here
+    instead of on the next check's critical path.  The
     ``columns.batch.settle`` failpoint injects crashes at this
     boundary; a fault simply leaves the store dirty (self-healing).
     """

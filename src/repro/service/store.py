@@ -540,8 +540,8 @@ class CheckingService:
         """Check and apply a batch of updates under one lock round.
 
         Exactly :meth:`~repro.core.guard.IntegrityGuard.check_batch`
-        (shared, incrementally repaired check indexes) with the writer
-        lock acquired *once* for the whole batch; applied updates enter
+        with the writer lock acquired (and one snapshot published)
+        *once* for the whole batch; applied updates enter
         the commit log in batch order.  Decisions match the sequential
         :meth:`try_execute` loop update for update.
         """

@@ -2,8 +2,8 @@
 
 The transactional machinery grown around the paper's checkers —
 :class:`~repro.xupdate.apply.TransactionLog`, the guard's probe paths,
-the :class:`~repro.service.CheckingService` commit log, the planner's
-batch-repaired indexes — claims to keep the store consistent under
+the :class:`~repro.service.CheckingService` commit log, the column
+stores' delta maintenance — claims to keep the store consistent under
 *any* mid-flight failure.  This module makes that claim testable: the
 instrumented modules call :meth:`fail.point(name) <FailPointRegistry.
 point>` at every seam of the update/check/commit path, and a test (or
@@ -116,7 +116,7 @@ SITES: dict[str, str] = {
         "consistency check — the probe must still roll back",
     "core.guard.batch.settle":
         "IntegrityGuard.check_batch, after an update settled and "
-        "before the batch indexes are repaired/re-filed",
+        "before the column stores are settled for the next one",
     "service.locks.post_read_acquire":
         "ReadWriteLock.read_locked, after acquisition — the reader "
         "dies while holding the lock",
@@ -131,12 +131,6 @@ SITES: dict[str, str] = {
         "a (re)plan",
     "planner.plan_cache.insert":
         "check planner, before a fresh plan enters the plan cache",
-    "planner.batch.announce":
-        "planner batch scope, when the guard announces an imminent "
-        "mid-update mutation",
-    "planner.batch.repair":
-        "planner batch scope, before a settled update's value indexes "
-        "are incrementally repaired",
     "columns.delta.apply":
         "column store mutation listener, after the store is marked "
         "dirty and before the delta patches any column — the store "

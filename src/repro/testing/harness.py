@@ -90,9 +90,8 @@ SCHEDULES: dict[str, str] = {
     "service": ("service.store.pre_commit_append=count:2;"
                 "service.locks.post_write_acquire=count:4;"
                 "service.locks.post_read_acquire=count:2"),
-    "batch": ("planner.batch.announce=count:2;"
-              "planner.batch.repair=count:1;"
-              "core.guard.batch.settle=count:1"),
+    "batch": ("core.guard.batch.settle=count:1;"
+              "columns.batch.settle=count:2"),
     "columnar": ("columns.delta.apply=count:2;"
                  "columns.delta.settle=count:5;"
                  "columns.rebuild=count:1;"
@@ -114,8 +113,6 @@ SCHEDULES: dict[str, str] = {
               "service.locks.post_read_acquire=prob:0.03:19;"
               "planner.stats.refresh=prob:0.03:20;"
               "planner.plan_cache.insert=prob:0.03:21;"
-              "planner.batch.announce=prob:0.03:22;"
-              "planner.batch.repair=prob:0.03:23;"
               "columns.delta.apply=prob:0.03:24;"
               "columns.delta.settle=prob:0.03:25;"
               "columns.rebuild=prob:0.03:26;"

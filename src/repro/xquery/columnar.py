@@ -380,9 +380,9 @@ class _Const:
 class _Join:
     """An uncorrelated ``//tag`` source probed through a value index.
 
-    The vectorized form of the planner's ``_HashJoinStep``: instead of
-    building a hash index per check (or per cache miss), probe the
-    store's incrementally-maintained index directly.
+    The vectorized form of the planner's ``_HashJoinStep``: both probe
+    the store's delta-maintained index; this one answers a whole
+    frontier column per call.
     """
 
     __slots__ = ("name", "tag", "steps", "probe")
@@ -558,10 +558,12 @@ class VectorSome:
     def ready(self, rt: _Runtime) -> str | None:
         """``None`` when runnable, else the reason it is not."""
         if not _planner.columnar_enabled():
-            return "columnar evaluation disabled"
+            return ("frontier lowering disabled; "
+                    "value indexes still store-served")
         for document in rt.documents:
             if document.column_store is None:
-                return "no column store attached"
+                return ("no column store attached; "
+                        "value indexes built per evaluation")
         return None
 
     def run(self, rt: _Runtime) -> bool:

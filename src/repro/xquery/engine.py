@@ -7,11 +7,9 @@ the roots of every document in the collection, in collection order.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterator
 
-from repro.analysis.concurrency import guarded_by, make_lock
 from repro.errors import XQueryEvaluationError
 from repro.xquery import functions
 from repro.xquery.ast import (
@@ -56,6 +54,13 @@ class QueryContext:
     item: object | None = None
     position: int = 1
     size: int = 1
+    #: per-evaluation memo of document-only hash-join indexes
+    #: (:func:`_hash_index`); ``replace`` hands every derived context
+    #: the same dict, so nested ``not(some ...)`` anti-joins build each
+    #: index once per top-level evaluation instead of once per outer
+    #: tuple
+    indexes: dict = field(default_factory=dict, compare=False,
+                          repr=False)
 
     def with_variable(self, name: str, value: Sequence) -> "QueryContext":
         variables = dict(self.variables)
@@ -164,8 +169,8 @@ def _indexed_tag_step(step: AxisStep, sequence: Sequence,
     elements with that tag, which
     :meth:`repro.xtree.node.Document.elements_by_tag` maintains
     incrementally — documents whose tag bucket is empty contribute
-    nothing, so a step whose ``index_dependencies`` only one document
-    can satisfy never walks the others.  Predicates are allowed when
+    nothing, so a step only one document can satisfy never walks the
+    others.  Predicates are allowed when
     they filter purely by effective boolean value
     (:func:`repro.xquery.optimizer.boolean_filter_safe`): those are
     insensitive to the per-parent candidate partitioning of the generic
@@ -445,137 +450,37 @@ def _evaluate_quantified(expression: Quantified,
     return [_evaluate_every(expression, context)]
 
 
-@guarded_by("self._lru_lock", "_entries")
-class _IndexLRU:
-    """Bounded LRU cache for value indexes.
-
-    Entries are keyed by (source, key expression, dependency tags,
-    per-document tag revisions), so an index survives every update that
-    does not touch the node types it was built from, and eviction
-    retires one cold entry at a time instead of dumping the whole
-    cache.  ``hits``/``misses`` are observability hooks for tests and
-    benchmarks.
-
-    All access runs under an internal lock: the cache is process-global
-    and concurrent read-only checks (``verify_consistency`` under a
-    :class:`repro.service.DocumentStore` reader lock) hit it from many
-    threads at once, and even ``get`` reorders the underlying
-    ``OrderedDict``.
-    """
-
-    __slots__ = ("capacity", "_entries", "hits", "misses", "_lru_lock")
-
-    def __init__(self, capacity: int = 256) -> None:
-        self.capacity = capacity
-        self._entries: "OrderedDict[tuple, dict[tuple, list]]" = \
-            OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self._lru_lock = make_lock("xquery.index_cache")
-
-    def get(self, key: tuple) -> "dict[tuple, list] | None":
-        with self._lru_lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def put(self, key: tuple, value: "dict[tuple, list]") -> None:
-        with self._lru_lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lru_lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def __len__(self) -> int:
-        with self._lru_lock:
-            return len(self._entries)
-
-
-#: value indexes for hash joins — the stand-in for a native XML
-#: database's value index (see :func:`_hash_index`)
-_INDEX_CACHE = _IndexLRU()
-
-#: installed by :mod:`repro.xquery.planner`: receives every cacheable
-#: hash-join index so an active batch scope can repair it incrementally
-#: across the updates of a batch instead of rebuilding it per update.
-#: ``None`` (no planner imported / no batch active) is a no-op.
-_batch_index_sink = None
-
-
-def _index_cache_key(source: "Expression", key_side: "Expression",
-                     context: QueryContext) -> tuple:
-    """Cache key whose revision component is as narrow as possible.
-
-    When the dependency tags of both expressions are statically known,
-    the key carries only those tags' revision counters; otherwise it
-    falls back to the documents' global revisions.
-    """
-    from repro.xquery.optimizer import index_dependencies
-
-    tags = index_dependencies(source)
-    if tags is not None:
-        key_tags = index_dependencies(key_side)
-        tags = None if key_tags is None else frozenset(tags | key_tags)
-    if tags is None:
-        # document.uid, not id(): the cache outlives documents, and a
-        # recycled address must not revive a dead document's entries
-        state = tuple((document.uid, document.revision)
-                      for document in context.documents)
-        return (source, key_side, None, state)
-    ordered = tuple(sorted(tags))
-    state = tuple(
-        (document.uid,
-         tuple(document.tag_revision(tag) for tag in ordered))
-        for document in context.documents)
-    return (source, key_side, ordered, state)
-
-
 def _hash_index(name: str, source: "Expression", key_side: "Expression",
                 context: QueryContext) -> dict[tuple, list]:
     """Hash index of a binding source by an equality key expression.
 
-    When the source depends only on the documents (no variables), the
-    index is cached across evaluations and invalidated by the
-    revision counters embedded in the cache key — per-tag counters when
-    the dependency analysis can bound the tags, the whole-document
-    counter otherwise.  This is what makes nested ``not(some ...)``
-    anti-joins linear instead of quadratic.
+    When the index depends on the documents alone — no variables in
+    the source, none but ``$name`` in the key, no use of the focus —
+    it is built once per top-level evaluation and shared through
+    :attr:`QueryContext.indexes`; documents cannot change mid-query,
+    so nothing invalidates it.  This is what makes nested
+    ``not(some ...)`` anti-joins linear instead of quadratic.
     """
     from repro.xquery.optimizer import (
+        focus_free,
         free_variables,
         hash_keys,
     )
 
-    cacheable = not free_variables(source) \
-        and free_variables(key_side) <= {name}
-    cache_key: tuple | None = None
-    if cacheable:
-        cache_key = _index_cache_key(source, key_side, context)
-        cached = _INDEX_CACHE.get(cache_key)
-        if cached is not None:
-            if _batch_index_sink is not None:
-                _batch_index_sink(name, source, key_side, context, cached)
-            return cached
+    memo_key = (source, key_side)
+    cached = context.indexes.get(memo_key)
+    if cached is not None:
+        return cached
     index_map: dict[tuple, list] = {}
     for item in _evaluate(source, context):
         item_context = context.with_variable(name, [item])
         for value in atomize(_evaluate(key_side, item_context)):
             for key in hash_keys(value):
                 index_map.setdefault(key, []).append(item)
-    if cache_key is not None:
-        _INDEX_CACHE.put(cache_key, index_map)
-        if _batch_index_sink is not None:
-            _batch_index_sink(name, source, key_side, context, index_map)
+    if not free_variables(source) \
+            and free_variables(key_side) <= {name} \
+            and focus_free(source) and focus_free(key_side):
+        context.indexes[memo_key] = index_map
     return index_map
 
 

@@ -125,117 +125,6 @@ def _collect_shadowed(expression: Expression, names: set[str],
     names.update(inner - shadowed)
 
 
-def index_dependencies(expression: Expression) -> frozenset[str] | None:
-    """The element tags an expression's value can depend on.
-
-    Used to key cached value indexes by *per-tag* document revisions
-    (:meth:`repro.xtree.node.Document.tag_revision`) so an index
-    survives updates that do not touch its tags.  Returns ``None`` when
-    the dependency set cannot be bounded statically (wildcard steps,
-    ``position()`` over mixed-tag siblings, ...); callers must then fall
-    back to the whole-document revision.
-
-    The analysis leans on the mutation model of :mod:`repro.xtree`:
-    subtrees are attached/detached atomically (every element of the
-    subtree bumps its own tag, text bumps its parent's tag) and
-    attributes never change while a node is attached.  Under that
-    model attribute and ``text()`` steps add no tags of their own — the
-    owning element's tag, contributed by the preceding step or by the
-    source the context node ranges over, already covers them — and
-    numeric predicates are covered by the step tag, because candidate
-    lists contain same-tag siblings only.  Explicit ``position()`` /
-    ``last()`` uses are treated as unbounded.
-    """
-    with _DEPENDENCY_LOCK:
-        cached = _DEPENDENCY_CACHE.get(expression, _MISSING)
-    if cached is not _MISSING:
-        return cached
-    tags = _dependencies(expression)
-    with _DEPENDENCY_LOCK:
-        if len(_DEPENDENCY_CACHE) > 4096:
-            _DEPENDENCY_CACHE.clear()
-        _DEPENDENCY_CACHE[expression] = tags
-    return tags
-
-
-_MISSING = object()
-_DEPENDENCY_CACHE: dict[Expression, frozenset[str] | None] = \
-    {}  # guarded-by: _DEPENDENCY_LOCK
-#: the analysis caches are process-global and hit by concurrent readers
-#: (see repro.service); dict mutation is guarded, recomputation is
-#: idempotent so it may race outside the lock
-_DEPENDENCY_LOCK = make_lock("xquery.dependency_cache")
-
-_UNBOUNDED_NODETESTS = {"*", "node()", "position()"}
-_UNBOUNDED_FUNCTIONS = {"position", "last"}
-
-
-def _dependencies(expression: Expression) -> frozenset[str] | None:
-    if isinstance(expression, (Literal, TextLiteral, VarRef, ContextItem)):
-        return frozenset()
-    if isinstance(expression, PathExpr):
-        tags: set[str] = set()
-        if expression.start is not None:
-            start = _dependencies(expression.start)
-            if start is None:
-                return None
-            tags |= start
-        for step in expression.steps:
-            if step.nodetest in _UNBOUNDED_NODETESTS:
-                return None
-            if step.axis in ("child", "descendant"):
-                if step.nodetest != "text()":
-                    tags.add(step.nodetest)
-            elif step.axis not in ("attribute", "parent", "self"):
-                return None
-            for predicate in step.predicates:
-                inner = _dependencies(predicate)
-                if inner is None:
-                    return None
-                tags |= inner
-        return frozenset(tags)
-    if isinstance(expression, FunctionCall):
-        if expression.name in _UNBOUNDED_FUNCTIONS:
-            return None
-        return _union(expression.args)
-    if isinstance(expression, SequenceExpr):
-        return _union(expression.items)
-    if isinstance(expression, BinaryOp):
-        return _union((expression.left, expression.right))
-    if isinstance(expression, UnaryOp):
-        return _dependencies(expression.operand)
-    if isinstance(expression, IfExpr):
-        return _union((expression.condition, expression.then_branch,
-                       expression.else_branch))
-    if isinstance(expression, Quantified):
-        return _union([source for _, source in expression.bindings]
-                      + [expression.condition])
-    if isinstance(expression, FLWOR):
-        parts: list[Expression] = []
-        for clause in expression.clauses:
-            if isinstance(clause, (ForClause, LetClause)):
-                parts.append(clause.source)
-            else:
-                assert isinstance(clause, WhereClause)
-                parts.append(clause.condition)
-        parts.append(expression.result)
-        return _union(parts)
-    if isinstance(expression, ElementConstructor):
-        return _union([value for _, value in expression.attributes]
-                      + list(expression.children))
-    return None
-
-
-def _union(expressions) -> frozenset[str] | None:
-    tags: set[str] = set()
-    for expression in expressions:
-        inner = _dependencies(expression)
-        if inner is None:
-            return None
-        tags |= inner
-    return frozenset(tags)
-
-
 #: functions whose value depends on the dynamic focus position
 _FOCUS_FUNCTIONS = {"position", "last"}
 #: functions/operators whose result is statically a singleton boolean

@@ -34,16 +34,7 @@ This module plans and compiles each prepared check instead:
 * **caching** — plans are cached per (query, document set) and
   revalidated against the documents' revision vector; the compiled
   closures are shared per (query, strategy), so a statistics refresh
-  that does not change the chosen order costs only the re-estimate;
-* **batching** — :func:`batch_scope` installs a per-thread overlay
-  that keeps the cacheable value indexes (hash joins and predicate
-  probes) *incrementally repaired* across the updates of a batch:
-  after each applied update the affected entries are patched (inserted
-  elements added, re-keyed ancestors fixed) and re-registered under
-  the new revision state, instead of being rebuilt from scratch on the
-  next check.  This is what :meth:`repro.core.guard.IntegrityGuard.
-  check_batch` uses to make N same-pattern updates cheaper than N
-  sequential ``try_execute`` calls.
+  that does not change the chosen order costs only the re-estimate.
 
 Planned evaluation serves *truth* (effective-boolean-value) queries —
 the form every integrity check takes.  Sequence order is not part of
@@ -63,7 +54,7 @@ from typing import Callable, Iterator
 
 from repro.analysis.concurrency import make_lock
 from repro.errors import XQueryEvaluationError
-from repro.testing.failpoints import fail
+from repro.testing.failpoints import FailPointError, fail
 from repro.xquery import engine, functions
 from repro.xquery.ast import (
     AxisStep,
@@ -92,7 +83,6 @@ from repro.xquery.optimizer import (
     focus_free,
     free_variables,
     hash_keys,
-    index_dependencies,
     probe_keys,
 )
 from repro.xquery.values import (
@@ -106,12 +96,10 @@ from repro.xtree.node import Document, Element, Node, Text
 
 __all__ = [
     "Statistics",
-    "batch_scope",
     "columnar_enabled",
     "enabled",
     "explain_query",
     "install_priors",
-    "note_batch_mutation",
     "query_truth_planned",
     "unplanned",
     "without_columns",
@@ -130,10 +118,6 @@ def enabled() -> bool:
     return getattr(_STATE, "enabled", True)
 
 
-def set_enabled(flag: bool) -> None:
-    _STATE.enabled = bool(flag)
-
-
 @contextmanager
 def unplanned():
     """Temporarily route checks through the unplanned engine.
@@ -150,23 +134,22 @@ def unplanned():
 
 
 def columnar_enabled() -> bool:
-    """Whether columnar (vectorized) evaluation is active on this
-    thread.  Orthogonal to :func:`enabled`: planned evaluation can run
-    with the columnar backend ablated (:func:`without_columns`), and
-    :func:`unplanned` disables both."""
+    """Whether ``some`` quantifiers may run as vectorized frontier
+    plans (:class:`repro.xquery.columnar.VectorSome`) on this thread.
+
+    Read by the frontier lowering only: probe steps and hash joins are
+    served from the attached column stores' value indexes either way
+    (:func:`_columnar_probe_map`)."""
     return getattr(_STATE, "columnar", True)
-
-
-def set_columnar(flag: bool) -> None:
-    _STATE.columnar = bool(flag)
 
 
 @contextmanager
 def without_columns():
-    """Temporarily ablate the columnar backend (keep planned DOM).
+    """Temporarily ablate the vectorized frontier lowering.
 
-    The second ablation switch: benchmarks compare columnar against
-    planned-DOM evaluation with plans, caches and corpus held equal.
+    The second ablation switch: benchmarks compare frontier-at-a-time
+    against tuple-at-a-time search with plans, value indexes and
+    corpus held equal.
     """
     previous = columnar_enabled()
     _STATE.columnar = False
@@ -420,8 +403,9 @@ def _downpath_steps(
     The shape a per-element key evaluator (:func:`_eval_downpath`)
     supports: child/attribute steps, named or ``text()``, no
     predicates, no descendant jumps.  These paths read only the
-    element's own subtree, which is what makes the derived value
-    indexes incrementally repairable.
+    element's own subtree, which is what lets a column store's
+    :class:`~repro.relational.columns.PathIndex` maintain the derived
+    keys from mutation deltas.
     """
     if not isinstance(expression, PathExpr) \
             or not isinstance(expression.start, ContextItem):
@@ -469,9 +453,30 @@ def _eval_downpath(steps: tuple[tuple[str, str], ...],
     return current
 
 
-def _downpath_tags(steps: tuple[tuple[str, str], ...]) -> frozenset[str]:
-    return frozenset(nodetest for axis, nodetest in steps
-                     if axis == "child" and nodetest != "text()")
+def _simple_descendant_tag(source: Expression) -> str | None:
+    """The tag of a bare ``//tag`` source, else None."""
+    if not isinstance(source, PathExpr) or source.start is not None:
+        return None
+    if len(source.steps) != 1 or source.descendant_flags != (True,):
+        return None
+    step = source.steps[0]
+    if step.axis != "child" or step.predicates \
+            or step.nodetest in _SIMPLE_STEP_NODETESTS:
+        return None
+    return step.nodetest
+
+
+def _var_downpath(
+        key_side: Expression,
+        name: str) -> tuple[tuple[str, str], ...] | None:
+    """``key_side`` as a downward path rooted at ``$name``, else None."""
+    if not isinstance(key_side, PathExpr) \
+            or not isinstance(key_side.start, VarRef) \
+            or key_side.start.name != name:
+        return None
+    relative = PathExpr(ContextItem(), key_side.steps,
+                        key_side.descendant_flags)
+    return _downpath_steps(relative)
 
 
 def _probe_spec(
@@ -562,12 +567,12 @@ class _Runtime:
         self.backends: list[tuple[int, str, str | None]] | None = None
         #: per-evaluation memo (hash-join/probe indexes): documents
         #: cannot change mid-check, so one lookup per plan node is
-        #: enough — the revision-keyed cache is consulted only once
+        #: enough; shared with the engine through :meth:`context`
         self.cache: dict = {}
 
     def context(self) -> QueryContext:
         return QueryContext(self.documents, self.env, self.item,
-                            self.position, self.size)
+                            self.position, self.size, self.cache)
 
 
 Closure = Callable[[_Runtime], Sequence]
@@ -1025,10 +1030,6 @@ def _compile_step(step: AxisStep, descendant: bool,
     if probe is not None:
         downpath, probe_expr = probe
         probe_fn = _compile(probe_expr, pl)
-        deps = tuple(sorted(
-            {tag} | _downpath_tags(downpath)
-            | _path_dependency_tags(probe_expr)))
-
         memo_token = object()
 
         def probe_step(rt: _Runtime, items: Sequence) -> Sequence:
@@ -1037,11 +1038,7 @@ def _compile_step(step: AxisStep, descendant: bool,
                 return generic(rt, items)
             index_map = rt.cache.get(memo_token)
             if index_map is None:
-                index_map = _columnar_probe_map(tag, downpath,
-                                                documents)
-                if index_map is None:
-                    index_map = _predicate_index(tag, downpath, deps,
-                                                 documents, rt)
+                index_map = _value_index(tag, downpath, documents)
                 rt.cache[memo_token] = index_map
             matched: Sequence = []
             seen: set[int] = set()
@@ -1078,11 +1075,6 @@ def _documents_only(items: Sequence) -> "list[Document] | None":
             seen.add(id(item))
             documents.append(item)
     return documents
-
-
-def _path_dependency_tags(expression: Expression) -> frozenset[str]:
-    tags = index_dependencies(expression)
-    return tags if tags is not None else frozenset()
 
 
 def _compile_ebv_filter(
@@ -1220,26 +1212,17 @@ def _parent_step(rt: _Runtime, items: Sequence) -> Sequence:
 
 
 # ---------------------------------------------------------------------------
-# Predicate value indexes
+# Value indexes
 # ---------------------------------------------------------------------------
-
-def _tag_state(documents: "list[Document] | tuple[Document, ...]",
-               tags: tuple[str, ...]) -> tuple:
-    return tuple(
-        (document.uid,
-         tuple(document.tag_revision(tag) for tag in tags))
-        for document in documents)
-
 
 class _MergedIndex:
     """Dict-shaped facade over per-document column-store value indexes.
 
-    Serves the planner's probe steps and hash joins with the same
-    ``.get(key) → elements`` contract as a built index map, but backed
-    by the stores' hook-maintained
+    Serves the planner's probe steps and hash joins with the
+    ``.get(key) → elements`` contract of a built index map, backed by
+    the stores' delta-maintained
     :class:`~repro.relational.columns.PathIndex` buckets — always
-    current, never rebuilt per check, never registered for batch
-    repair.
+    current, never rebuilt per check.
     """
 
     __slots__ = ("indexes",)
@@ -1263,14 +1246,12 @@ def _columnar_probe_map(
         tag: str, downpath: tuple[tuple[str, str], ...],
         documents: "list[Document] | tuple[Document, ...]"
 ) -> "_MergedIndex | None":
-    """A store-served index for ``//tag`` keyed by ``downpath``.
+    """The store-served index for ``//tag`` keyed by ``downpath``.
 
-    ``None`` when the columnar backend is ablated, any document lacks
-    a store, or a store cannot serve (e.g. a crashed rebuild) — the
-    caller then builds the index the pre-columnar way.
+    ``None`` when a document has no store attached (reads never attach
+    one) or an injected ``columns.*`` fault kills a dirty store's
+    rebuild; the store stays dirty and heals on a later read.
     """
-    if not columnar_enabled():
-        return None
     indexes = []
     for document in documents:
         store = document.column_store
@@ -1278,59 +1259,29 @@ def _columnar_probe_map(
             return None
         try:
             indexes.append(store.value_index(tag, downpath))
-        except Exception:
+        except FailPointError:
             return None
     return _MergedIndex(indexes)
 
 
-def _predicate_index(tag: str, downpath: tuple[tuple[str, str], ...],
-                     deps: tuple[str, ...],
-                     documents: list[Document],
-                     rt: _Runtime) -> dict[tuple, list]:
-    """Cached index of all ``tag`` elements keyed by downpath values.
+def _value_index(tag: str, downpath: tuple[tuple[str, str], ...],
+                 documents: "list[Document] | tuple[Document, ...]"):
+    """``key → //tag elements`` for one evaluation's probes.
 
-    Lives in the engine's bounded :data:`~repro.xquery.engine._INDEX_CACHE`
-    next to the hash-join indexes, keyed by the same per-tag revision
-    state, and registered with the active batch scope for incremental
-    repair.
+    The stores' index when every document has one; otherwise a
+    throw-away map the caller memoises in :attr:`_Runtime.cache` — it
+    is never kept past the evaluation, so nothing has to invalidate it.
     """
-    base = ("predindex", tag, downpath, tuple(d.uid for d in documents))
-    cache_key = base + (deps, _tag_state(documents, deps))
-    cached = engine._INDEX_CACHE.get(cache_key)
-    if cached is not None:
-        _register_pred_entry(base, tag, downpath, deps, documents, cached)
-        return cached
+    served = _columnar_probe_map(tag, downpath, documents)
+    if served is not None:
+        return served
     index_map: dict[tuple, list] = {}
     for document in documents:
         for element in document.elements_by_tag(tag):
             for value in atomize(_eval_downpath(downpath, element)):
                 for key in hash_keys(value):
                     index_map.setdefault(key, []).append(element)
-    engine._INDEX_CACHE.put(cache_key, index_map)
-    _register_pred_entry(base, tag, downpath, deps, documents, index_map)
     return index_map
-
-
-def _register_pred_entry(base: tuple, tag: str,
-                         downpath: tuple[tuple[str, str], ...],
-                         deps: tuple[str, ...],
-                         documents: list[Document],
-                         index_map: dict[tuple, list]) -> None:
-    scope = active_batch()
-    if scope is None:
-        return
-
-    def key_of(element: Element) -> list[tuple]:
-        keys: list[tuple] = []
-        for value in atomize(_eval_downpath(downpath, element)):
-            keys.extend(hash_keys(value))
-        return keys
-
-    def make_key() -> tuple:
-        return base + (deps, _tag_state(documents, deps))
-
-    scope.register(base, tag, tuple(documents), index_map, key_of,
-                   make_key)
 
 
 # ---------------------------------------------------------------------------
@@ -1374,17 +1325,18 @@ class _HashJoinStep:
             if tag is not None and steps is not None else None
 
     def items(self, rt: _Runtime) -> Iterator:
-        index_map = rt.cache.get(id(self))
-        if index_map is None:
-            if self.columnar_spec is not None:
-                index_map = _columnar_probe_map(
-                    self.columnar_spec[0], self.columnar_spec[1],
-                    rt.documents)
+        spec = self.columnar_spec
+        if spec is None:
+            # the engine memoises in the shared context when the index
+            # depends on the documents alone, and rebuilds it per call
+            # when the source ranges over an outer variable or the focus
+            index_map = engine._hash_index(
+                self.name, self.source, self.new_side, rt.context())
+        else:
+            index_map = rt.cache.get(id(self))
             if index_map is None:
-                index_map = engine._hash_index(
-                    self.name, self.source, self.new_side,
-                    rt.context())
-            rt.cache[id(self)] = index_map
+                index_map = _value_index(spec[0], spec[1], rt.documents)
+                rt.cache[id(self)] = index_map
         seen: set[int] = set()
         for key in probe_keys(self.bound_fn(rt)):
             for item in index_map.get(key, ()):
@@ -1879,333 +1831,3 @@ def render(expression: Expression) -> str:
                 f"{render(expression.then_branch)} else "
                 f"{render(expression.else_branch)}")
     return repr(expression)
-
-
-# ---------------------------------------------------------------------------
-# Batch scope: incrementally repaired value indexes
-# ---------------------------------------------------------------------------
-
-class _BatchEntry:
-    """One repairable value index shared across a batch's checks."""
-
-    __slots__ = ("tag", "documents", "index_map", "key_of", "make_key",
-                 "reverse", "mutation_mark")
-
-    def __init__(self, tag: str, documents: tuple[Document, ...],
-                 index_map: dict[tuple, list],
-                 key_of: Callable[[Element], list],
-                 make_key: Callable[[], tuple],
-                 mutation_mark: int) -> None:
-        self.tag = tag
-        self.documents = documents
-        self.index_map = index_map
-        self.key_of = key_of
-        self.make_key = make_key
-        #: id(element) → keys it is filed under; built on first repair
-        self.reverse: dict[int, list[tuple]] | None = None
-        #: the scope's mutation counter when the index was registered;
-        #: an entry registered after the in-flight update started
-        #: mutating documents already reflects part of that update and
-        #: must not be repaired or re-filed (see :meth:`BatchScope
-        #: ._drop_unsettled`)
-        self.mutation_mark = mutation_mark
-
-    def _ensure_reverse(self) -> dict[int, list[tuple]]:
-        if self.reverse is None:
-            reverse: dict[int, list[tuple]] = {}
-            for key, elements in self.index_map.items():
-                for element in elements:
-                    reverse.setdefault(id(element), []).append(key)
-            self.reverse = reverse
-        return self.reverse
-
-    def add_element(self, element: Element) -> None:
-        keys = self.key_of(element)
-        reverse = self._ensure_reverse()
-        for key in keys:
-            self.index_map.setdefault(key, []).append(element)
-        reverse[id(element)] = list(keys)
-
-    def rekey_element(self, element: Element) -> None:
-        reverse = self._ensure_reverse()
-        old_keys = reverse.get(id(element), [])
-        new_keys = self.key_of(element)
-        if old_keys == new_keys:
-            return
-        for key in old_keys:
-            bucket = self.index_map.get(key)
-            if bucket is not None:
-                for index, item in enumerate(bucket):
-                    if item is element:
-                        del bucket[index]
-                        break
-        for key in new_keys:
-            self.index_map.setdefault(key, []).append(element)
-        reverse[id(element)] = list(new_keys)
-
-
-class BatchScope:
-    """Per-thread registry of incrementally repairable value indexes.
-
-    Installed by :func:`batch_scope` around a batch of updates.  The
-    engine and the predicate-probe machinery register every cacheable
-    index they build or hit; after each applied update the scope is
-    told what changed (:meth:`note_applied`) and patches the affected
-    entries in place, re-filing them in the engine's index cache under
-    the post-update revision state — so the next check of the batch
-    hits a warm, current index instead of rebuilding from scratch.
-
-    Repairs apply only to indexes registered against the *settled*
-    between-updates state: the guard announces every mid-update apply
-    via :meth:`note_mutation`, and entries registered after that point
-    (an index rebuilt while checking operation k of a multi-operation
-    update, or inside an apply-check-rollback probe) are discarded at
-    the next :meth:`note_applied`/:meth:`note_rejected` instead of
-    being patched — they already reflect part of the in-flight update.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple, _BatchEntry] = {}
-        #: observability for tests/benchmarks
-        self.repairs = 0
-        self.registered = 0
-        self.dropped = 0
-        #: mutations the guard has announced (:meth:`note_mutation`)
-        self.mutations = 0
-        #: :attr:`mutations` at the last *settled* point — batch start
-        #: or the end of the previous update's
-        #: :meth:`note_applied`/:meth:`note_rejected`.  Entries
-        #: registered while ``mutations > _settled`` were built from a
-        #: mid-update document state.
-        self._settled = 0
-
-    def note_mutation(self) -> None:
-        """The guard is about to mutate a document mid-update.
-
-        Called before *every* operation application inside the
-        in-flight update — the per-operation path, deferred transaction
-        applies and apply-check-rollback probes alike.  Indexes
-        registered after this point already contain (or, post-probe,
-        once contained) part of the update and are dropped instead of
-        repaired when the update settles.
-        """
-        self.mutations += 1
-
-    def register(self, identity: tuple, tag: str,
-                 documents: tuple[Document, ...],
-                 index_map: dict[tuple, list],
-                 key_of: Callable[[Element], list],
-                 make_key: Callable[[], tuple]) -> None:
-        entry = self._entries.get(identity)
-        if entry is not None and entry.index_map is index_map:
-            return
-        self._entries[identity] = _BatchEntry(
-            tag, documents, index_map, key_of, make_key,
-            self.mutations)
-        self.registered += 1
-
-    def register_join(self, name: str, source: Expression,
-                      key_side: Expression, context: QueryContext,
-                      index_map: dict[tuple, list]) -> None:
-        """Adopt a hash-join index built by the engine, if repairable.
-
-        Repairable means: the source is a plain ``//tag`` fetch and the
-        key expression reads only the element's own subtree (a downward
-        path from the binding variable), so the only elements whose
-        keys an insertion can change are ancestors of the insert point.
-        Anything else is simply not registered — the engine rebuilds it
-        per revision change, which is always correct.
-        """
-        tag = _simple_descendant_tag(source)
-        if tag is None:
-            return
-        downpath = _var_downpath(key_side, name)
-        if downpath is None:
-            return
-        documents = context.documents
-
-        def key_of(element: Element) -> list[tuple]:
-            keys: list[tuple] = []
-            for value in atomize(_eval_downpath(downpath, element)):
-                keys.extend(hash_keys(value))
-            return keys
-
-        def make_key() -> tuple:
-            return engine._index_cache_key(
-                source, key_side, QueryContext(documents, {}))
-
-        self.register(("join", source, key_side,
-                       tuple(d.uid for d in documents)),
-                      tag, documents, index_map, key_of, make_key)
-
-    def note_applied(self, records: list) -> None:
-        """Repair entries after a committed update's operations.
-
-        ``records`` are the transaction's
-        :class:`repro.xupdate.apply.AppliedOperation` items.  Removals
-        drop the affected entries (rebuild-on-miss is the correct
-        fallback); insertions add new same-tag elements and re-key
-        ancestor elements whose downward key paths now see the inserted
-        content.  Finally every entry over a mutated document is
-        re-filed under its post-update cache key.
-
-        Only entries registered while the documents were *settled*
-        (before the update's first apply) are repaired.  An index
-        rebuilt mid-update — operation k's check runs after operations
-        1..k−1 of the same update applied, and probes apply, check and
-        roll back — already contains part of ``records``, so repairing
-        it would double-file the inserted elements.  Those entries are
-        dropped instead; rebuild-on-miss is the correct fallback.
-        """
-        self._drop_unsettled()
-        fail.point("planner.batch.repair")
-        touched_documents: set[int] = set()
-        for record in records:
-            document = record.document
-            touched_documents.add(id(document))
-            if record.removed:
-                self._drop_for_document(document)
-            for node in record.inserted:
-                self._repair_insert(document, node)
-        self._settled = self.mutations
-        if not touched_documents:
-            return
-        for entry in self._entries.values():
-            if any(id(document) in touched_documents
-                   for document in entry.documents):
-                engine._INDEX_CACHE.put(entry.make_key(),
-                                        entry.index_map)
-                self.repairs += 1
-
-    def note_rejected(self) -> None:
-        """Re-file entries after a rolled-back (illegal) update.
-
-        The rollback restored the exact pre-update structure, so every
-        *settled* index map is still correct — only the revision
-        counters moved.  Entries registered after the update started
-        mutating documents (mid-update rebuilds, probe-time rebuilds)
-        still index the now-detached inserted nodes, so they are
-        dropped rather than re-filed.
-        """
-        self._drop_unsettled()
-        for entry in self._entries.values():
-            engine._INDEX_CACHE.put(entry.make_key(), entry.index_map)
-        self._settled = self.mutations
-
-    def _drop_unsettled(self) -> None:
-        """Forget entries registered during the in-flight update's
-        mutation window — they reflect a partially applied state."""
-        stale = [identity for identity, entry in self._entries.items()
-                 if entry.mutation_mark > self._settled]
-        for identity in stale:
-            del self._entries[identity]
-        self.dropped += len(stale)
-
-    def abandon(self) -> None:
-        """Drop every registered entry (a repair died mid-way).
-
-        A half-patched index re-filed under the post-update cache key
-        would serve wrong buckets; forgetting everything instead means
-        the next check simply misses the cache and rebuilds — always
-        correct, merely cold.  :meth:`~repro.core.guard.IntegrityGuard.
-        check_batch` calls this when settling an update fails.
-        """
-        self.dropped += len(self._entries)
-        self._entries.clear()
-        self._settled = self.mutations
-
-    def _drop_for_document(self, document: Document) -> None:
-        dropped = [identity for identity, entry in self._entries.items()
-                   if any(d is document for d in entry.documents)]
-        for identity in dropped:
-            del self._entries[identity]
-
-    def _repair_insert(self, document: Document, node: Node) -> None:
-        entries = [entry for entry in self._entries.values()
-                   if any(d is document for d in entry.documents)]
-        if not entries:
-            return
-        inserted_by_tag: dict[str, list[Element]] = {}
-        if isinstance(node, Element):
-            for element in node.iter_elements():
-                inserted_by_tag.setdefault(element.tag, []).append(
-                    element)
-        ancestors: list[Element] = []
-        anchor = node.parent
-        while anchor is not None:
-            ancestors.append(anchor)
-            anchor = anchor.parent
-        for entry in entries:
-            for element in inserted_by_tag.get(entry.tag, ()):
-                entry.add_element(element)
-            for ancestor in ancestors:
-                if ancestor.tag == entry.tag:
-                    entry.rekey_element(ancestor)
-
-
-def _simple_descendant_tag(source: Expression) -> str | None:
-    if not isinstance(source, PathExpr) or source.start is not None:
-        return None
-    if len(source.steps) != 1 or source.descendant_flags != (True,):
-        return None
-    step = source.steps[0]
-    if step.axis != "child" or step.predicates \
-            or step.nodetest in _SIMPLE_STEP_NODETESTS:
-        return None
-    return step.nodetest
-
-
-def _var_downpath(
-        key_side: Expression,
-        name: str) -> tuple[tuple[str, str], ...] | None:
-    """``key_side`` as a downward path rooted at ``$name``, else None."""
-    if not isinstance(key_side, PathExpr) \
-            or not isinstance(key_side.start, VarRef) \
-            or key_side.start.name != name:
-        return None
-    relative = PathExpr(ContextItem(), key_side.steps,
-                        key_side.descendant_flags)
-    return _downpath_steps(relative)
-
-
-_BATCH = threading.local()
-
-
-def active_batch() -> BatchScope | None:
-    return getattr(_BATCH, "scope", None)
-
-
-def note_batch_mutation() -> None:
-    """Record an imminent document mutation with the active batch scope.
-
-    The guard calls this before every operation application — per-
-    operation applies, deferred transaction applies and apply-check-
-    rollback probes.  No-op outside a batch.
-    """
-    fail.point("planner.batch.announce")
-    scope = active_batch()
-    if scope is not None:
-        scope.note_mutation()
-
-
-@contextmanager
-def batch_scope():
-    """Install a :class:`BatchScope` for the current thread."""
-    previous = active_batch()
-    scope = BatchScope()
-    _BATCH.scope = scope
-    try:
-        yield scope
-    finally:
-        _BATCH.scope = previous
-
-
-def _batch_join_sink(name: str, source: Expression,
-                     key_side: Expression, context: QueryContext,
-                     index_map: dict[tuple, list]) -> None:
-    scope = active_batch()
-    if scope is not None:
-        scope.register_join(name, source, key_side, context, index_map)
-
-
-engine._batch_index_sink = _batch_join_sink

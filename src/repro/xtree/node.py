@@ -27,7 +27,7 @@ from repro.errors import FrozenDocumentError
 
 #: process-wide document identity counter; ``id()`` can be reused by a
 #: new document after the original dies, so caches that key on
-#: document identity (plan cache, value-index cache) use ``uid``
+#: document identity (the planner's plan cache) use ``uid``
 #: instead — unique for the lifetime of the process
 _DOCUMENT_UIDS = itertools.count(1)
 

@@ -191,12 +191,8 @@ def _columnar_resolve(document: Document,
     with integer positional predicates (``/review/track[2]/rev[5]``) —
     by walking the store's per-tag child groups and ``Pos`` columns
     instead of the generic engine.  Returns ``None`` (engine fallback)
-    for anything outside that fragment, when no store is attached, or
-    when the columnar backend is disabled.
+    for anything outside that fragment or when no store is attached.
     """
-    from repro.xquery import planner as _planner
-    if not _planner.columnar_enabled():
-        return None
     store = document.column_store
     if store is None:
         return None

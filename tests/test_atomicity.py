@@ -113,9 +113,13 @@ class TestSeededFailures:
     def test_rollback_never_runs_twice_per_record(self, checker,
                                                   monkeypatch):
         counts: dict[int, int] = {}
+        #: counted records stay referenced: a freed record's id() can
+        #: be handed to the next update's record and read as a repeat
+        alive: list[AppliedOperation] = []
         original = AppliedOperation.rollback
 
         def counting(self):
+            alive.append(self)
             counts[id(self)] = counts.get(id(self), 0) + 1
             return original(self)
 

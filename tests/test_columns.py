@@ -38,7 +38,10 @@ from repro.relational.incremental import attach, detach, store_of
 from repro.relational.shredder import iter_facts
 from repro.testing import harness
 from repro.testing.failpoints import fail
+from repro.xquery import parse_query
+from repro.xquery.engine import query_truth
 from repro.xquery.optimizer import hash_keys
+from repro.xquery.planner import query_truth_planned
 from repro.xtree.node import Document, Element, Text
 from repro.xtree.parser import parse_document
 
@@ -288,6 +291,29 @@ class TestCrashConsistency:
                                "columns.rebuild")
         assert store.dirty  # swap never happened
         store.table("rev")  # second read succeeds
+        assert store.verify() == []
+
+    def test_value_index_fault_degrades_to_per_evaluation_map(
+            self, documents):
+        # a planned probe whose store crashes while rebuilding answers
+        # from a throw-away map over the DOM — the unplanned engine's
+        # verdict — and leaves the store dirty to heal on a later read
+        pub, rev = documents
+        store = store_of(rev)
+        assert store is not None
+        probe = parse_query("exists(//rev[name/text() = 'Ghost'])")
+        assert query_truth_planned(probe, [pub, rev]) is False
+        ghost = Element("rev")
+        ghost.append(_text_el("name", "Ghost"))
+        with fail.armed({"columns.delta.apply": "count:1",
+                         "columns.rebuild": "count:1"}) as armed:
+            rev.elements_by_tag("track")[0].append(ghost)
+            assert query_truth_planned(probe, [pub, rev]) is True
+            armed.assert_fired("columns.delta.apply", "columns.rebuild")
+        assert query_truth(probe, [pub, rev]) is True
+        assert store.dirty
+        assert query_truth_planned(probe, [pub, rev]) is True
+        assert not store.dirty
         assert store.verify() == []
 
     def test_unmaterialized_store_stays_trivially_synced(self):

@@ -21,18 +21,16 @@ from repro.core.guard import IntegrityGuard
 from repro.datagen import CorpusSpec, generate_corpus
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.datagen.workload import legal_submission
+from repro.relational.incremental import store_of
 from repro.service.store import CheckingService
 from repro.xquery import parse_query
 from repro.xquery.engine import query_truth
 from repro.xquery.planner import (
     Statistics,
-    batch_scope,
     clear_caches,
     explain_query,
-    note_batch_mutation,
     query_truth_planned,
     unplanned,
-    without_columns,
 )
 from repro.xtree.node import Document, Element, Text
 from repro.xtree.parser import parse_document
@@ -230,9 +228,8 @@ class TestDifferentialUpdates:
 
     def test_check_batch_multi_operation_updates_match_sequential(self):
         # multi-operation updates check operation k after operations
-        # 1..k-1 of the same update applied, so mid-batch index
-        # rebuilds happen against a partially applied state — the
-        # scenario the batch scope's settled-state bookkeeping guards
+        # 1..k-1 of the same update applied, so mid-batch checks
+        # probe indexes over a partially applied state
         def updates():
             return [
                 _multi_submission([(1, 2, "A", "Nobody A"),
@@ -414,6 +411,31 @@ class TestPlannedErrorFallback:
             query_truth_planned(query, documents)
 
 
+class TestHashJoinScope:
+    """A hash-join index is shared across an evaluation only when it
+    depends on the documents alone."""
+
+    @pytest.mark.parametrize("xml, query, expected", [
+        # $c ranges over the outer $a: the first a's index (k=5) must
+        # not answer for the second a (k=2, the witness)
+        ("<r><a><z><k>5</k></z></a><a><z><k>2</k></z></a>"
+         "<y><k>2</k></y></r>",
+         "some $a in //a satisfies (some $b in //y, $c in $a/z "
+         "satisfies $b/k/text() = $c/k/text())", True),
+        # ./c ranges over the focus: the first a's c (t=2) must not
+        # match the second a's b (t=2)
+        ("<r><a><b><t>1</t></b><c><t>2</t></c></a>"
+         "<a><b><t>2</t></b><c><t>9</t></c></a></r>",
+         "exists(//a[some $x in ./b, $y in ./c satisfies "
+         "$x/t/text() = $y/t/text()])", False),
+    ], ids=["outer-variable", "focus"])
+    def test_correlated_index_is_rebuilt_per_binding(
+            self, xml, query, expected):
+        document = parse_document(xml)
+        assert query_truth(query, document) is expected
+        assert query_truth_planned(query, document) is expected
+
+
 class TestExplain:
     def test_explain_shows_order_and_cardinalities(self, documents):
         text = explain_query(QUERIES[0], documents)
@@ -446,84 +468,94 @@ class TestExplain:
         assert "est~" in out
 
 
-class TestBatchScope:
-    def test_batch_scope_repairs_indexes(self):
-        documents = _fresh_documents()
-        guard = IntegrityGuard(SCHEMA, documents)
-        updates = [submission_xupdate(1 + i % 3, 1 + i % 4,
-                                      f"T{i}", f"Author {i}")
-                   for i in range(8)]
-        # the columnar backend serves hash joins from the attached
-        # stores; disable it so the engine builds (and registers) the
-        # legacy per-check index this test observes
-        with without_columns(), batch_scope() as scope:
-            for update in updates:
-                guard.try_execute(update)
-                # mirror check_batch's bookkeeping by hand: we drive
-                # try_execute directly to observe the scope
-                scope.note_rejected()
-        # the conflict check's //aut hash join is registered once the
-        # engine builds it inside the scope
-        assert scope.registered >= 1
+#: the key path both mid-update expressions probe ``//sub`` by
+_SUB_TITLE = (("child", "title"), ("child", "text()"))
 
-    def test_rejected_mid_update_rebuild_is_dropped(self):
-        # an index rebuilt while an update is partially applied indexes
+
+def _mid_update_expressions(title):
+    """The same witness question as a quantifier and as a value-index
+    probe step."""
+    return [
+        parse_query("some $x in //sub satisfies "
+                    f"$x/title/text() = '{title}'"),
+        parse_query(f"exists(//sub[title/text() = '{title}'])"),
+    ]
+
+
+def _mid_update_documents(attached):
+    documents = _fresh_documents()
+    if attached:
+        IntegrityGuard(SCHEMA, documents)
+    return documents
+
+
+def _assert_indexes_settled(documents, attached):
+    """Guard-attached: the served ``PathIndex`` equals a cold rebuild
+    and files every element once, attached to its document.  Bare:
+    evaluating attached nothing."""
+    for document in documents:
+        store = store_of(document)
+        if not attached:
+            assert store is None
+            continue
+        assert store.verify() == []
+        index = store.value_index("sub", _SUB_TITLE)
+        for bucket in index.buckets.values():
+            elements = list(bucket.values())
+            assert len({id(element) for element in elements}) \
+                == len(elements)
+            assert all(element.document is document
+                       for element in elements)
+
+
+@pytest.mark.parametrize("attached", [True, False],
+                         ids=["guard-attached", "bare"])
+class TestMidUpdateIndexes:
+    def test_rejected_mid_update_rebuild_is_dropped(self, attached):
+        # a check evaluated while an update is partially applied sees
         # the inserted nodes; after the update rolls back those nodes
-        # are detached, so re-filing that index would resurrect them as
-        # phantom witnesses for the rest of the batch
-        documents = _fresh_documents()
+        # are detached, and no index may resurrect them as phantom
+        # witnesses
+        documents = _mid_update_documents(attached)
         rev_doc = documents[1]
-        expression = parse_query(
-            "some $x in //sub satisfies $x/title/text() = 'Phantom'")
         operation = parse_modifications(
             submission_xupdate(1, 1, "Phantom", "Nobody Known"))[0]
-        with batch_scope() as scope:
+        for expression in _mid_update_expressions("Phantom"):
             assert query_truth_planned(expression, documents) is False
             with TransactionLog() as log:
-                note_batch_mutation()
                 log.apply(rev_doc, operation)
-                # mid-update rebuild: the sub tag revision moved, so
-                # this check misses the cache and indexes the
-                # half-applied state
                 assert query_truth_planned(expression, documents) \
                     is True
                 log.rollback()
-            scope.note_rejected()
-            assert scope.dropped >= 1
             assert query_truth(expression, documents) is False
             assert query_truth_planned(expression, documents) is False
+        _assert_indexes_settled(documents, attached)
 
-    def test_applied_mid_update_rebuild_is_dropped(self):
-        # an index rebuilt after the update's first operation already
-        # contains that operation's elements; repairing it with the
-        # full record list on commit would file them twice, breaking
-        # the remove-first-occurrence re-key repair later on
-        documents = _fresh_documents()
+    def test_applied_mid_update_rebuild_is_dropped(self, attached):
+        # a check evaluated after the update's first operation already
+        # saw that operation's elements; committing the whole update
+        # must not file them twice
+        documents = _mid_update_documents(attached)
         rev_doc = documents[1]
-        expression = parse_query(
-            "some $x in //sub satisfies $x/title/text() = 'Dup'")
         operations = parse_modifications(_multi_submission([
             (1, 2, "Dup", "Nobody A"), (2, 1, "Dup", "Nobody B")]))
-        with batch_scope() as scope:
+        expressions = _mid_update_expressions("Dup")
+        for expression in expressions:
             assert query_truth_planned(expression, documents) is False
-            with TransactionLog() as log:
-                note_batch_mutation()
-                log.apply(rev_doc, operations[0])
+        with TransactionLog() as log:
+            log.apply(rev_doc, operations[0])
+            for expression in expressions:
                 assert query_truth_planned(expression, documents) \
                     is True
-                note_batch_mutation()
-                log.apply(rev_doc, operations[1])
-                records = log.records
-                log.commit()
-            scope.note_applied(records)
-            assert scope.dropped >= 1
-            for entry in scope._entries.values():
-                for bucket in entry.index_map.values():
-                    identities = [id(element) for element in bucket]
-                    assert len(identities) == len(set(identities))
+            log.apply(rev_doc, operations[1])
+            log.commit()
+        for expression in expressions:
             assert query_truth_planned(expression, documents) is True
             assert query_truth(expression, documents) is True
+        _assert_indexes_settled(documents, attached)
 
+
+class TestIndexedSteps:
     def test_indexed_descendant_step_matches_walk(self, documents):
         from repro.xquery.engine import evaluate_query
         indexed = evaluate_query("//rev", documents)

@@ -30,10 +30,11 @@ from repro.datagen.workload import (
     legal_submission,
 )
 from repro.errors import CompilationError
-from repro.xquery import engine, parser
-from repro.xquery.engine import _IndexLRU
+from repro.relational.incremental import store_of
+from repro.xquery import parser, planner
 from repro.xquery.translate import PARAM_VARIABLE_PREFIX
 from repro.xtree import parse_document, serialize
+from repro.xtree.node import Document
 from repro.xupdate import parse_modifications
 from repro.xupdate.analyze import signature_of
 from repro.xupdate.apply import apply_text
@@ -270,47 +271,81 @@ class TestTagIndex:
         assert document.tag_revision("track") == track_revision
 
 
-class TestIndexCache:
-    def test_lru_is_bounded_and_recency_ordered(self):
-        cache = _IndexLRU(capacity=4)
-        for number in range(8):
-            cache.put(("key", number), {})
-        assert len(cache) == 4
-        assert cache.get(("key", 0)) is None   # evicted
-        assert cache.get(("key", 4)) is not None
-        # touching an entry protects it from the next eviction
-        cache.get(("key", 5))
-        cache.put(("key", 8), {})
-        assert cache.get(("key", 5)) is not None
-        assert cache.get(("key", 6)) is None
+_TITLE_APPEND = """<xupdate:modifications version="1.0"
+    xmlns:xupdate="http://www.xmldb.org/xupdate">
+  <xupdate:append select="/review/track[1]/rev[1]/sub[1]">
+    <xupdate:element name="title">Extra</xupdate:element>
+  </xupdate:append>
+</xupdate:modifications>"""
 
-    def test_value_index_survives_unrelated_updates(self):
+#: the coauthor denial hash-joins ``//aut`` by ``aut/name/text()``
+_AUT_NAME = (("child", "name"), ("child", "text()"))
+
+
+class TestValueIndex:
+    """The column store's ``PathIndex`` is the one value index that
+    outlives an evaluation."""
+
+    def _attached(self):
         schema = make_schema()
         documents = list(generate_corpus(spec_for_size(32 * 1024)))
-        # the coauthor denial hash-joins //aut by aut/name/text()
+        IntegrityGuard(schema, documents)
         query = schema.constraint("conflict_of_interest").full_queries[1]
-        engine._INDEX_CACHE.clear()
+        return documents, query
+
+    def _served(self, documents):
+        return [store_of(document).value_index("aut", _AUT_NAME)
+                for document in documents]
+
+    def test_value_index_survives_unrelated_updates(self):
+        documents, query = self._attached()
         assert query.truth(documents) is False
-        misses = engine._INDEX_CACHE.misses
-        assert misses > 0
+        served = self._served(documents)
+        # an update touching only <title> elements keeps the same
+        # index objects serving
+        apply_text(documents[1], _TITLE_APPEND)
         assert query.truth(documents) is False
-        assert engine._INDEX_CACHE.misses == misses
-        hits = engine._INDEX_CACHE.hits
-        assert hits > 0
-        # an update touching only <title> elements keeps the index warm
-        apply_text(documents[1], """<xupdate:modifications version="1.0"
-            xmlns:xupdate="http://www.xmldb.org/xupdate">
-          <xupdate:append select="/review/track[1]/rev[1]/sub[1]">
-            <xupdate:element name="title">Extra</xupdate:element>
-          </xupdate:append>
-        </xupdate:modifications>""")
-        assert query.truth(documents) is False
-        assert engine._INDEX_CACHE.misses == misses
-        assert engine._INDEX_CACHE.hits > hits
-        # touching a dependency tag (aut/name) rebuilds it
+        assert all(after is before for after, before
+                   in zip(self._served(documents), served))
+        # a new aut/name key is probe-visible right after the update
+        # that adds it, through the same objects
+        merged = planner._columnar_probe_map("aut", _AUT_NAME, documents)
+        assert merged.get(("str", "Brand New")) == ()
         apply_text(documents[0], _PUB_APPEND)
+        (added,) = merged.get(("str", "Brand New"))
+        assert added.tag == "aut" and added.document is documents[0]
         assert query.truth(documents) is False
-        assert engine._INDEX_CACHE.misses > misses
+        assert all(store_of(document).rebuilds == 0
+                   for document in documents)
+
+    def test_ablated_check_probes_the_store_after_a_write(
+            self, monkeypatch):
+        # with the frontier lowering ablated the hash join still
+        # probes the store's index: a submission (new sub/auts/name
+        # elements, no aut) triggers no O(|aut|) index build
+        documents, query = self._attached()
+        fetched: list[str] = []
+        elements_by_tag = Document.elements_by_tag
+
+        def counting(document, tag):
+            fetched.append(tag)
+            return elements_by_tag(document, tag)
+
+        with planner.without_columns():
+            assert query.truth(documents) is False
+            served = self._served(documents)
+            apply_text(documents[1], submission_xupdate(
+                1, 1, "Fresh paper", "Nobody Known"))
+            with monkeypatch.context() as patch:
+                patch.setattr(Document, "elements_by_tag", counting)
+                assert query.truth(documents) is False
+            merged = planner._columnar_probe_map(
+                "aut", _AUT_NAME, documents)
+        assert "aut" not in fetched
+        assert all(after is before for after, before
+                   in zip(merged.indexes, served))
+        assert all(store_of(document).rebuilds == 0
+                   for document in documents)
 
 
 class TestDeletionSafety:

@@ -163,8 +163,8 @@ class TestJoinSemantics:
 
 
 class TestIndexCache:
-    """The document-revision-keyed hash-index cache must never serve
-    stale data."""
+    """A hash index must never serve stale data across
+    evaluations."""
 
     def test_cache_invalidated_by_mutation(self):
         from repro.xquery.engine import query_truth
