@@ -1,8 +1,8 @@
 PYTHON ?= python3
 BENCH_SIZES ?= 32,64,128
 
-.PHONY: install test bench bench-smoke bench-planner \
-	bench-planner-smoke bench-columnar bench-columnar-smoke \
+.PHONY: install test bench bench-smoke \
+	bench-columnar bench-columnar-smoke \
 	bench-service bench-service-smoke \
 	examples lint lint-concurrency stress faultcheck \
 	faultcheck-restart serve-check clean
@@ -30,25 +30,6 @@ bench-smoke:
 		$(PYTHON) -m pytest benchmarks/test_prepared_queries.py \
 		--benchmark-only --benchmark-min-rounds=1 \
 		--benchmark-json=BENCH_prepared.json
-
-# planner ablation (planned vs unplanned full checks) across all
-# sizes; emits BENCH_planner.json and gates on the acceptance floors
-bench-planner:
-	REPRO_BENCH_SIZES_KIB=$(BENCH_SIZES) \
-		$(PYTHON) -m pytest benchmarks/test_planner_ablation.py \
-		--benchmark-only --benchmark-min-rounds=3 \
-		--benchmark-json=BENCH_planner.json
-	$(PYTHON) scripts/check_ablation_gate.py BENCH_planner.json
-
-# one-round CI smoke at the smallest size, gated against the committed
-# BENCH_planner.json baseline ratios (>20% regression fails)
-bench-planner-smoke:
-	REPRO_BENCH_SIZES_KIB=32 \
-		$(PYTHON) -m pytest benchmarks/test_planner_ablation.py \
-		--benchmark-only --benchmark-min-rounds=1 \
-		--benchmark-json=BENCH_planner_smoke.json
-	$(PYTHON) scripts/check_ablation_gate.py BENCH_planner_smoke.json \
-		--baseline BENCH_planner.json
 
 # columnar backend ablation (vectorized frontier steps vs the same
 # plan searched tuple-at-a-time) across all sizes; emits

@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
-"""Regression gate over the evaluation-backend ablation benchmarks.
+"""Regression gate over the evaluation-backend ablation benchmark.
 
-Reads a pytest-benchmark JSON (``BENCH_planner.json`` or
-``BENCH_columnar.json``) and enforces, for every ablation pair in
-:data:`PAIRS` the file contains:
+Reads a pytest-benchmark JSON (``BENCH_columnar.json``) and enforces,
+for every ablation pair in :data:`PAIRS` the file contains:
 
 * **acceptance floors** — at the largest paper size (128 KiB groups)
   the fast arm must beat the slow arm by the pair's floor in median:
-  planned evaluation vs the unplanned engine on the figure 1 full
-  checks, and the vectorized frontier lowering vs the same plan
-  searched tuple-at-a-time (``without_columns``) on fig1a;
+  the vectorized frontier lowering vs the same plan searched
+  tuple-at-a-time (``without_columns``) on fig1a;
 * **baseline comparison** — with ``--baseline`` (the committed JSON
   of the same name), every pair present in both files must not
   regress: the fast/slow median *fraction* (a machine-independent
@@ -29,11 +27,8 @@ import sys
 
 #: group prefix → (minimum median speedup slow / fast at
 #: :data:`FLOOR_SIZE`, substring naming the fast arm's benchmark,
-#: substring naming the slow arm's).  The slow marker is tested first:
-#: "planned" is a substring of "unplanned".
+#: substring naming the slow arm's).  The slow marker is tested first.
 PAIRS = {
-    "planner-fig1a": (2.0, "planned", "unplanned"),
-    "planner-fig1b": (2.0, "planned", "unplanned"),
     "columnar-fig1a": (2.0, "columnar", "planned_dom"),
 }
 FLOOR_SIZE = "128KiB"

@@ -48,9 +48,6 @@ LOCK_ORDER: tuple[str, ...] = (
     "service.snapshots",      # SnapshotManager pin/publish bookkeeping
     "document",               # Document._lock (per-document RLock)
     "service.persistence",    # DurableLog file/sequence lock
-    "core.update_cache",      # guard._UPDATE_CACHE_LOCK
-    "xupdate.select_cache",   # apply._SELECT_CACHE_LOCK
-    "xquery.plan_cache",      # optimizer._PLAN_LOCK
     "planner.plan_cache",     # planner._PLAN_LOCK
     "planner.priors",         # planner._PRIORS_LOCK
     "sanitizer.violations",   # sanitizer._VIOLATIONS_LOCK

@@ -18,10 +18,9 @@ Three checkers share one interface (``try_execute`` / ``execute``):
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from repro.analysis.concurrency import make_lock
 from repro.core.schema import ConstraintSchema, PatternChecks
 from repro.datalog.database import FactDatabase
 from repro.datalog.denial import Denial
@@ -50,29 +49,18 @@ from repro.xupdate.parser import (
 )
 
 
-#: parsed-update cache: workloads resubmit structurally identical
-#: update documents (benchmark batches, retry loops), and parsing is a
-#: fixed per-submission cost.  Caching is safe because operations are
-#: frozen dataclasses and the apply path deep-copies inserted content.
-_UPDATE_CACHE: "OrderedDict[str, list[Operation]]" = \
-    OrderedDict()  # guarded-by: _UPDATE_CACHE_LOCK
-_UPDATE_CACHE_LOCK = make_lock("core.update_cache")
-_UPDATE_CACHE_CAPACITY = 256
+@lru_cache(maxsize=256)
+def _parsed_update(update: str) -> tuple[Operation, ...]:
+    """Workloads resubmit structurally identical update documents
+    (benchmark batches, retry loops), and parsing is a fixed
+    per-submission cost.  Caching is safe because operations are
+    frozen dataclasses and the apply path deep-copies inserted
+    content."""
+    return tuple(parse_modifications(update))
 
 
 def _parse_update_cached(update: str) -> list[Operation]:
-    with _UPDATE_CACHE_LOCK:
-        operations = _UPDATE_CACHE.get(update)
-        if operations is not None:
-            _UPDATE_CACHE.move_to_end(update)
-            return list(operations)
-    operations = parse_modifications(update)
-    with _UPDATE_CACHE_LOCK:
-        _UPDATE_CACHE[update] = operations
-        _UPDATE_CACHE.move_to_end(update)
-        while len(_UPDATE_CACHE) > _UPDATE_CACHE_CAPACITY:
-            _UPDATE_CACHE.popitem(last=False)
-    return list(operations)
+    return list(_parsed_update(update))
 
 
 @dataclass

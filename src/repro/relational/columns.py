@@ -17,7 +17,7 @@ Two structures live here; both are owned and kept current by
   the exact semantics of ``shredder._row_for`` (so the table can be
   compared 1:1 against a cold re-shred).
 * :class:`PathIndex` — a value index over one tag: element → the
-  canonical hash keys (:func:`repro.xquery.optimizer.hash_keys`) of
+  index-side hash keys (:func:`repro.xquery.optimizer.hash_keys`) of
   each atom of a downward path (``name/text()``, ``@year``, …), plus
   the inverted ``key → elements`` buckets the planner's hash joins and
   predicate-value filters probe.
@@ -97,13 +97,12 @@ def chain_reaches(steps: Downpath, chain: tuple[str, ...]) -> bool:
     a mutation among the owner's direct children has ``chain == ()``.
     The downpath only sees nodes whose ancestor-tag prefix matches its
     child steps, so a chain the steps cannot spell is unreachable and
-    the owner's value is untouched.
+    the owner's value is untouched.  A chain that spells *all* of the
+    steps mutates inside the elements the last step selects, whose
+    string value is the key — it reaches too.
     """
-    if len(steps) <= len(chain):
-        return False
-    for i, tag in enumerate(chain):
-        axis, nodetest = steps[i]
-        if axis != "child" or nodetest != tag:
+    for (axis, nodetest), tag in zip(steps, chain):
+        if axis != "child" or nodetest == "text()" or nodetest != tag:
             return False
     return True
 
@@ -306,12 +305,13 @@ class PathIndex:
     """A value index over one tag: downpath atoms in hash-key space.
 
     ``atoms_of[node_id]`` holds, per atom of ``element/steps``, the
-    tuple of canonical hash keys of that atom; ``buckets[key]`` maps
-    back to the elements owning the key.  Key computation is exactly
+    tuple of index-side hash keys of that atom; ``buckets[key]`` maps
+    back to the elements owning the key and is looked up with
+    probe-side keys (:func:`repro.xquery.optimizer.probe_keys`).  Key
+    computation is exactly
     ``atomize(_eval_downpath(steps, element))`` × ``hash_keys`` — the
-    formula both the engine's hash-join indexes and the planner's
-    predicate-value indexes use, so a probe here answers the same
-    question those per-check builds answer, without the build.
+    formula of the planner's per-evaluation maps, so a probe here
+    answers the same question those builds answer, without the build.
     """
 
     __slots__ = ("tag", "steps", "buckets", "atoms_of")

@@ -633,10 +633,8 @@ class CheckingService:
         """Planner explain reports for every live full check.
 
         Runs against a pinned snapshot like any other read, so a slow
-        explain (it profiles real evaluations) never holds up writers.
-        Drift beyond the re-plan threshold is surfaced per report and
-        feeds the planner's adaptive statistics (see
-        :func:`repro.xquery.planner.explain_query`).
+        explain (it profiles real evaluations) never holds up writers
+        (see :func:`repro.xquery.planner.explain_query`).
         """
         from repro.xquery import planner
 

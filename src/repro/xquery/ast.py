@@ -208,3 +208,92 @@ Expression = Union[
     Literal, VarRef, ContextItem, SequenceExpr, PathExpr, BinaryOp, UnaryOp,
     FunctionCall, FLWOR, Quantified, IfExpr, ElementConstructor, TextLiteral,
 ]
+
+
+# ---------------------------------------------------------------------------
+# Static predicate shape
+# ---------------------------------------------------------------------------
+
+#: functions whose value depends on the dynamic focus position
+FOCUS_FUNCTIONS = {"position", "last"}
+#: functions/operators whose result is statically a singleton boolean
+_BOOLEAN_FUNCTIONS = {"not", "exists", "empty", "boolean", "true", "false",
+                      "contains", "starts-with", "ends-with"}
+_BOOLEAN_OPS = {"and", "or", "=", "!=", "<", "<=", ">", ">="}
+
+
+def boolean_filter_safe(predicate: Expression) -> bool:
+    """Whether a step predicate filters purely by effective boolean value.
+
+    The generic path applies predicates per parent item, so positions
+    run over each parent's candidate list.  A predicate whose result is
+    statically a singleton boolean can never trigger the numeric
+    positional rule, and if it also never reads ``position()``/
+    ``last()`` at its own focus level it is insensitive to how the
+    candidate list is partitioned — it may be applied element-wise
+    over a whole-document tag-index fetch without changing semantics.
+    Nested step predicates establish their own focus and do not count.
+    """
+    return _statically_boolean(predicate) \
+        and not _reads_own_focus_position(predicate)
+
+
+def _statically_boolean(expression: Expression) -> bool:
+    if isinstance(expression, BinaryOp):
+        return expression.op in _BOOLEAN_OPS
+    if isinstance(expression, FunctionCall):
+        return expression.name in _BOOLEAN_FUNCTIONS
+    if isinstance(expression, Quantified):
+        return True
+    if isinstance(expression, Literal):
+        return isinstance(expression.value, bool)
+    if isinstance(expression, IfExpr):
+        return _statically_boolean(expression.then_branch) \
+            and _statically_boolean(expression.else_branch)
+    return False
+
+
+def _reads_own_focus_position(expression: Expression) -> bool:
+    """``position()``/``last()`` used at the expression's own focus level.
+
+    Descends into every sub-expression *except* step predicates, which
+    evaluate under a focus of their own.
+    """
+    if isinstance(expression, FunctionCall):
+        if expression.name in FOCUS_FUNCTIONS:
+            return True
+        return any(_reads_own_focus_position(a) for a in expression.args)
+    if isinstance(expression, PathExpr):
+        return expression.start is not None \
+            and _reads_own_focus_position(expression.start)
+    if isinstance(expression, BinaryOp):
+        return _reads_own_focus_position(expression.left) \
+            or _reads_own_focus_position(expression.right)
+    if isinstance(expression, UnaryOp):
+        return _reads_own_focus_position(expression.operand)
+    if isinstance(expression, SequenceExpr):
+        return any(_reads_own_focus_position(i) for i in expression.items)
+    if isinstance(expression, IfExpr):
+        return _reads_own_focus_position(expression.condition) \
+            or _reads_own_focus_position(expression.then_branch) \
+            or _reads_own_focus_position(expression.else_branch)
+    if isinstance(expression, Quantified):
+        return any(_reads_own_focus_position(source)
+                   for _, source in expression.bindings) \
+            or _reads_own_focus_position(expression.condition)
+    if isinstance(expression, FLWOR):
+        for clause in expression.clauses:
+            if isinstance(clause, (ForClause, LetClause)):
+                if _reads_own_focus_position(clause.source):
+                    return True
+            else:
+                assert isinstance(clause, WhereClause)
+                if _reads_own_focus_position(clause.condition):
+                    return True
+        return _reads_own_focus_position(expression.result)
+    if isinstance(expression, ElementConstructor):
+        return any(_reads_own_focus_position(v)
+                   for _, v in expression.attributes) \
+            or any(_reads_own_focus_position(c)
+                   for c in expression.children)
+    return False

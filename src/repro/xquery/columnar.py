@@ -17,13 +17,13 @@ vectorized operation over a whole column of candidate rows —
   parameters like ``$__p_ir/name/text()``), evaluated once and
   cross-expanded;
 * ``_Join`` — an uncorrelated ``//tag`` source with an equality
-  conjunct, probed against the store's hook-maintained value index —
-  the step that replaces the engine's per-check hash-index builds.
+  conjunct, probed against the store's hook-maintained value index.
 
 Equality conjuncts become key-set intersection filters.  Only ``=``
 is vectorized: by the :func:`repro.xquery.optimizer.hash_keys`
-invariant, two atoms can general-compare equal iff they share a key,
-so equality is decided entirely in key space.  Everything else —
+invariant, two atoms general-compare equal iff the index-side keys of
+one meet the probe-side keys of the other, so equality is decided
+entirely in key space.  Everything else —
 other comparison operators, function calls, nested quantifiers,
 sources outside the fragment — makes :func:`lower_some` refuse, and
 the planner keeps its tuple-at-a-time search (verdict parity is the
@@ -42,6 +42,7 @@ from repro.xquery.optimizer import (
     focus_free,
     free_variables,
     hash_keys,
+    matching_keys,
     probe_keys,
 )
 from repro.xquery.planner import _eval_downpath, _Runtime
@@ -70,7 +71,8 @@ class _RunContext:
         self.indexes: dict[tuple, object] = {}
         #: (doc id, tag) → parent id → [elements]
         self.groups: dict[tuple, dict[int, list[Element]]] = {}
-        #: (side kind, steps?) → id(item) → frozenset of hash keys
+        #: (side kind, steps?, probe form?) → id(item) → frozenset of
+        #: hash keys
         self.item_keys: dict[tuple, dict[int, frozenset]] = {}
 
     def index_for(self, element: Element, tag: str, steps: Downpath):
@@ -103,6 +105,18 @@ class _RunContext:
 # ---------------------------------------------------------------------------
 # Comparison sides (filters and join probes)
 # ---------------------------------------------------------------------------
+#
+# ``keys_fn(ctx, cols, probe)`` returns row → key set: the index-side
+# keys of the row's atoms, or with ``probe`` the keys they match
+# (:func:`repro.xquery.optimizer.matching_keys`).  An ``=`` holds on a
+# row iff one side's index form meets the other's probe form.
+
+def _keys(sequence: list, probe: bool) -> frozenset:
+    if probe:
+        return probe_keys(sequence)
+    return frozenset(key for atom in atomize(sequence)
+                     for key in hash_keys(atom))
+
 
 class _SideVar:
     """A bare quantifier variable: keys from its frontier column."""
@@ -116,19 +130,28 @@ class _SideVar:
     def refs(self) -> frozenset[str]:
         return frozenset((self.name,))
 
-    def keys_fn(self, ctx: _RunContext,
-                cols: dict[str, list]) -> Callable[[int], frozenset]:
+    def keys_fn(self, ctx: _RunContext, cols: dict[str, list],
+                probe: bool) -> Callable[[int], frozenset]:
         column = cols[self.name]
         if self.is_keys:
-            return column.__getitem__
-        memo = ctx.item_keys.setdefault(("item",), {})
+            if not probe:
+                return column.__getitem__
+            matching: dict[frozenset, frozenset] = {}
+
+            def matching_of(i: int) -> frozenset:
+                keys = column[i]
+                matched = matching.get(keys)
+                if matched is None:
+                    matched = matching[keys] = matching_keys(keys)
+                return matched
+            return matching_of
+        memo = ctx.item_keys.setdefault(("item", probe), {})
 
         def keys_of(i: int) -> frozenset:
             item = column[i]
             keys = memo.get(id(item))
             if keys is None:
-                keys = frozenset(probe_keys([item]))
-                memo[id(item)] = keys
+                keys = memo[id(item)] = _keys([item], probe)
             return keys
         return keys_of
 
@@ -152,10 +175,10 @@ class _SidePath:
     def refs(self) -> frozenset[str]:
         return frozenset((self.name,))
 
-    def keys_fn(self, ctx: _RunContext,
-                cols: dict[str, list]) -> Callable[[int], frozenset]:
+    def keys_fn(self, ctx: _RunContext, cols: dict[str, list],
+                probe: bool) -> Callable[[int], frozenset]:
         column = cols[self.name]
-        memo = ctx.item_keys.setdefault(("path", self.steps), {})
+        memo = ctx.item_keys.setdefault(("path", self.steps, probe), {})
         tag = self.tag
         steps = self.steps
 
@@ -169,13 +192,12 @@ class _SidePath:
             else:
                 index = ctx.index_for(item, tag, steps) \
                     if tag is not None and item.tag == tag else None
-                if index is not None:
-                    keys = index.flat_keys(item.node_id or -1)
+                if index is None:
+                    keys = _keys(_eval_downpath(steps, item), probe)
                 else:
-                    keys = frozenset(
-                        key for atom in
-                        atomize(_eval_downpath(steps, item))
-                        for key in hash_keys(atom))
+                    keys = index.flat_keys(item.node_id or -1)
+                    if probe:
+                        keys = matching_keys(keys)
             memo[id(item)] = keys
             return keys
         return keys_of
@@ -192,9 +214,9 @@ class _SideConst:
     def refs(self) -> frozenset[str]:
         return frozenset()
 
-    def keys_fn(self, ctx: _RunContext,
-                cols: dict[str, list]) -> Callable[[int], frozenset]:
-        keys = frozenset(probe_keys(self.closure(ctx.rt)))
+    def keys_fn(self, ctx: _RunContext, cols: dict[str, list],
+                probe: bool) -> Callable[[int], frozenset]:
+        keys = _keys(self.closure(ctx.rt), probe)
         return lambda i: keys
 
 
@@ -274,7 +296,7 @@ class _Down:
 class _Values:
     """A value-producing downpath (trailing ``text()``/attribute).
 
-    One row per atom; the carried value is the atom's canonical
+    One row per atom; the carried value is the atom's index-side
     hash-key set, which is all any surviving use (an ``=`` side or a
     join probe) ever needs.
     """
@@ -406,7 +428,7 @@ class _Join:
             if store is None:
                 raise Bail("column store detached mid-run")
             indexes.append(store.value_index(self.tag, self.steps))
-        keys_of = self.probe.keys_fn(ctx, cols)  # type: ignore
+        keys_of = self.probe.keys_fn(ctx, cols, True)  # type: ignore
         take: list[int] = []
         values: list = []
         matched_memo: dict[frozenset, list[Element]] = {}
@@ -478,8 +500,8 @@ class _Level:
             return {}, (1 if survived else 0)
         kept: list[int] | None = None  # None = every row survives
         for left, right in self.filters:
-            left_of = left.keys_fn(ctx, expanded)
-            right_of = right.keys_fn(ctx, expanded)
+            left_of = left.keys_fn(ctx, expanded, False)
+            right_of = right.keys_fn(ctx, expanded, True)
             candidates = range(total) if kept is None else kept
             kept = [i for i in candidates
                     if not left_of(i).isdisjoint(right_of(i))]
@@ -530,8 +552,8 @@ class _Level:
         """Whether any row survives every filter (early exit)."""
         if not self.filters:
             return total > 0
-        sides = [(left.keys_fn(ctx, expanded),
-                  right.keys_fn(ctx, expanded))
+        sides = [(left.keys_fn(ctx, expanded, False),
+                  right.keys_fn(ctx, expanded, True))
                  for left, right in self.filters]
         if len(sides) == 1:
             left_of, right_of = sides[0]

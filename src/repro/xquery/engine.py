@@ -1,8 +1,16 @@
-"""Evaluator for the XQuery fragment.
+"""Reference evaluator for the XQuery fragment.
 
 Queries run against a *collection* of documents (the paper's
 constraints span ``pub.xml`` and ``rev.xml``); absolute paths start at
 the roots of every document in the collection, in collection order.
+
+This is the oracle the differential suites compare the planner
+(:mod:`repro.xquery.planner`) against, so it evaluates by the book:
+quantifiers and FLWORs are depth-first nested loops in source order,
+and ``=`` is decided by :func:`repro.xquery.values.compare_atomics`
+alone.  It knows nothing about joins, value indexes or hash keys —
+production checks never run here (the planner borrows the step
+helpers below and falls back on an evaluation error); slower is fine.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from repro.xquery.ast import (
     UnaryOp,
     VarRef,
     WhereClause,
+    boolean_filter_safe,
 )
 from repro.xquery.parser import parse_query
 from repro.xquery.values import (
@@ -54,13 +63,6 @@ class QueryContext:
     item: object | None = None
     position: int = 1
     size: int = 1
-    #: per-evaluation memo of document-only hash-join indexes
-    #: (:func:`_hash_index`); ``replace`` hands every derived context
-    #: the same dict, so nested ``not(some ...)`` anti-joins build each
-    #: index once per top-level evaluation instead of once per outer
-    #: tuple
-    indexes: dict = field(default_factory=dict, compare=False,
-                          repr=False)
 
     def with_variable(self, name: str, value: Sequence) -> "QueryContext":
         variables = dict(self.variables)
@@ -172,7 +174,7 @@ def _indexed_tag_step(step: AxisStep, sequence: Sequence,
     nothing, so a step only one document can satisfy never walks the
     others.  Predicates are allowed when
     they filter purely by effective boolean value
-    (:func:`repro.xquery.optimizer.boolean_filter_safe`): those are
+    (:func:`repro.xquery.ast.boolean_filter_safe`): those are
     insensitive to the per-parent candidate partitioning of the generic
     path, so applying them element-wise over the index fetch is
     equivalent.  Positional predicates keep the generic path.  Returns
@@ -181,11 +183,9 @@ def _indexed_tag_step(step: AxisStep, sequence: Sequence,
     if step.axis != "child" \
             or step.nodetest in ("*", "node()", "text()", "position()"):
         return None
-    if step.predicates:
-        from repro.xquery.optimizer import boolean_filter_safe
-        if not all(boolean_filter_safe(predicate)
-                   for predicate in step.predicates):
-            return None
+    if not all(boolean_filter_safe(predicate)
+               for predicate in step.predicates):
+        return None
     if not all(isinstance(item, Document) for item in sequence):
         return None
     result: Sequence = []
@@ -445,119 +445,19 @@ def _evaluate_flwor(expression: FLWOR, context: QueryContext) -> Sequence:
 
 def _evaluate_quantified(expression: Quantified,
                          context: QueryContext) -> Sequence:
-    if expression.kind == "some":
-        return [_evaluate_some(expression, context)]
-    return [_evaluate_every(expression, context)]
+    """Depth-first nested loops over the bindings, in source order."""
+    holds = any if expression.kind == "some" else all
 
-
-def _hash_index(name: str, source: "Expression", key_side: "Expression",
-                context: QueryContext) -> dict[tuple, list]:
-    """Hash index of a binding source by an equality key expression.
-
-    When the index depends on the documents alone — no variables in
-    the source, none but ``$name`` in the key, no use of the focus —
-    it is built once per top-level evaluation and shared through
-    :attr:`QueryContext.indexes`; documents cannot change mid-query,
-    so nothing invalidates it.  This is what makes nested
-    ``not(some ...)`` anti-joins linear instead of quadratic.
-    """
-    from repro.xquery.optimizer import (
-        focus_free,
-        free_variables,
-        hash_keys,
-    )
-
-    memo_key = (source, key_side)
-    cached = context.indexes.get(memo_key)
-    if cached is not None:
-        return cached
-    index_map: dict[tuple, list] = {}
-    for item in _evaluate(source, context):
-        item_context = context.with_variable(name, [item])
-        for value in atomize(_evaluate(key_side, item_context)):
-            for key in hash_keys(value):
-                index_map.setdefault(key, []).append(item)
-    if not free_variables(source) \
-            and free_variables(key_side) <= {name} \
-            and focus_free(source) and focus_free(key_side):
-        context.indexes[memo_key] = index_map
-    return index_map
-
-
-def _evaluate_every(expression: Quantified, context: QueryContext) -> bool:
     def check(binding_index: int, current: QueryContext) -> bool:
         if binding_index == len(expression.bindings):
             return effective_boolean_value(
                 _evaluate(expression.condition, current))
         name, source = expression.bindings[binding_index]
-        return all(
+        return holds(
             check(binding_index + 1, current.with_variable(name, [item]))
             for item in _evaluate(source, current))
 
-    return check(0, context)
-
-
-def _evaluate_some(expression: Quantified, context: QueryContext) -> bool:
-    """Join-aware evaluation of ``some`` (see repro.xquery.optimizer).
-
-    Bindings extend a frontier of candidate environments breadth-first;
-    conjuncts of the condition prune as soon as their variables are
-    bound, and uncorrelated sources with an applicable equality
-    conjunct are hash-joined instead of iterated.
-    """
-    from repro.xquery.optimizer import (
-        free_variables,
-        hash_keys,
-        plan_for,
-        probe_keys,
-    )
-
-    plan = plan_for(expression)
-    frontier: list[QueryContext] = [context]
-    for index, (name, source) in enumerate(plan.bindings):
-        if not frontier:
-            return False
-        equality = plan.equality_for[index]
-        remaining_checks = [
-            factor for factor in plan.checks_after[index]
-            if equality is None or factor is not equality[0]]
-        if not plan.correlated[index]:
-            if equality is not None:
-                _, new_side, bound_side = equality
-                index_map = _hash_index(name, source, new_side, context)
-                new_frontier: list[QueryContext] = []
-                for environment in frontier:
-                    matches: list = []
-                    seen: set[int] = set()
-                    for key in probe_keys(
-                            _evaluate(bound_side, environment)):
-                        for item in index_map.get(key, ()):
-                            if id(item) not in seen:
-                                seen.add(id(item))
-                                matches.append(item)
-                    for item in matches:
-                        new_frontier.append(
-                            environment.with_variable(name, [item]))
-                frontier = new_frontier
-            else:
-                items = _evaluate(source, context)
-                frontier = [
-                    environment.with_variable(name, [item])
-                    for environment in frontier
-                    for item in items
-                ]
-        else:
-            frontier = [
-                environment.with_variable(name, [item])
-                for environment in frontier
-                for item in _evaluate(source, environment)
-            ]
-        for factor in remaining_checks:
-            frontier = [
-                environment for environment in frontier
-                if effective_boolean_value(_evaluate(factor, environment))
-            ]
-    return bool(frontier)
+    return [check(0, context)]
 
 
 def _construct(expression: ElementConstructor,

@@ -1,13 +1,13 @@
-"""Cost-based check planner: the layer between optimizer and engine.
+"""Cost-based check planner: the one place a check's joins are decided.
 
 The translated integrity checks are existential conjunctive queries
-(``some $v1 in s1, ... satisfies F1 and ... and Fk``).  The engine's
-frontier evaluation (:mod:`repro.xquery.optimizer`) already pushes
-conditions down and hash-joins uncorrelated equalities, but it keeps
-the *source order* of the bindings, materializes every intermediate
-frontier, and pays an immutable-context copy per candidate tuple.
-
-This module plans and compiles each prepared check instead:
+(``some $v1 in s1, ... satisfies F1 and ... and Fk``).  Evaluated by
+the book — the reference engine's nested loops in source order
+(:mod:`repro.xquery.engine`) — they are quadratic or worse in the
+document size; a real XQuery engine (eXist in the paper) answers such
+joins from value indexes.  This module is that stand-in: it plans and
+compiles each prepared check, and serves its equality joins from the
+column stores' :class:`~repro.relational.columns.PathIndex`:
 
 * **statistics** — per-document, per-tag cardinalities and
   distinct-value counts served by the incremental tag index
@@ -19,9 +19,10 @@ This module plans and compiles each prepared check instead:
 * **planning** — independent quantifier bindings are reordered
   greedily by estimated cardinality x selectivity (hash-joinable
   bindings are discounted by the key's distinct count), conjuncts are
-  re-assigned to the earliest position of the chosen order, and
-  equality predicates on ``//tag`` steps are turned into value-index
-  probes;
+  re-assigned to the earliest position of the chosen order,
+  uncorrelated sources with an equality conjunct linking them to
+  already-bound variables become hash joins, and equality predicates
+  on ``//tag`` steps are turned into value-index probes;
 * **compilation** — the plan is compiled to Python closures over a
   mutable variable environment and evaluated depth-first with early
   exit: ``some`` stops at the first witness, ``every`` at the first
@@ -40,7 +41,7 @@ Planned evaluation serves *truth* (effective-boolean-value) queries —
 the form every integrity check takes.  Sequence order is not part of
 that contract: the planner is free to reorder and deduplicate node
 sets as long as the verdict (and every count/aggregate feeding it)
-matches the unplanned engine, which the differential test suite
+matches the reference engine, which the differential test suite
 asserts verdict-for-verdict.
 """
 
@@ -75,10 +76,10 @@ from repro.xquery.ast import (
     UnaryOp,
     VarRef,
     WhereClause,
+    boolean_filter_safe,
 )
 from repro.xquery.engine import QueryContext
 from repro.xquery.optimizer import (
-    boolean_filter_safe,
     conjuncts,
     focus_free,
     free_variables,
@@ -120,10 +121,11 @@ def enabled() -> bool:
 
 @contextmanager
 def unplanned():
-    """Temporarily route checks through the unplanned engine.
+    """Temporarily route checks through the reference engine
+    (:mod:`repro.xquery.engine`).
 
-    The ablation switch: benchmarks and the differential suite compare
-    the two paths with everything else held equal.
+    The differential suites' switch: the same checks, decided by the
+    nested-loop oracle instead of a plan.
     """
     previous = enabled()
     _STATE.enabled = False
@@ -164,52 +166,6 @@ def without_columns():
 #: only ever influence plan *order*, never a verdict
 _PRIORS: dict[str, float] = {}  # guarded-by: _PRIORS_LOCK
 _PRIORS_LOCK = make_lock("planner.priors")
-
-#: actual-vs-estimated ratio past which an explain run treats a
-#: binding's estimate as drifted: the observed cardinality is fed back
-#: into the planner and the cached plan for that query is invalidated,
-#: so the next evaluation re-plans with the corrected number
-REPLAN_DRIFT_THRESHOLD = 8.0
-
-#: drift on tiny scans is noise (a handful of rows reorders nothing
-#: and the ratio denominator is ~1); only feed back real volume
-_REPLAN_MIN_EXAMINED = 16
-
-_FEEDBACK_CAPACITY = 256
-
-#: (quantified expression, original binding index) → observed source
-#: cardinality from a drifted explain run; overrides the statistical
-#: estimate (taking the max) until the table is cleared.  Like the
-#: priors, feedback can only influence plan *order*, never a verdict.
-_FEEDBACK: "OrderedDict[tuple, float]" = \
-    OrderedDict()  # guarded-by: _PRIORS_LOCK
-
-
-def _feedback_estimate(quantified: "Quantified", original_index: int,
-                       estimate: float) -> float:
-    """Blend an explain-observed cardinality into an estimate."""
-    with _PRIORS_LOCK:
-        observed = _FEEDBACK.get((quantified, original_index))
-    if observed is None:
-        return estimate
-    return max(estimate, observed)
-
-
-def note_drift(quantified: "Quantified", original_index: int,
-               examined: int) -> None:
-    """Record an observed cardinality for a drifted binding.
-
-    Called by :func:`explain_query` when a binding examined far more
-    items than estimated; :func:`_choose_order` consults the table on
-    every subsequent plan, so the correction takes effect as soon as
-    the stale cached plan is invalidated.
-    """
-    with _PRIORS_LOCK:
-        key = (quantified, original_index)
-        _FEEDBACK[key] = float(examined)
-        _FEEDBACK.move_to_end(key)
-        while len(_FEEDBACK) > _FEEDBACK_CAPACITY:
-            _FEEDBACK.popitem(last=False)
 
 
 def install_priors(priors: dict[str, float]) -> None:
@@ -380,7 +336,7 @@ def _last_named_tag(downpath: tuple[tuple[str, str], ...]) -> str | None:
 def _ebv_filter_safe(predicate: Expression) -> bool:
     """Predicate applicable element-wise over an index fetch.
 
-    Extends :func:`~repro.xquery.optimizer.boolean_filter_safe` with
+    Extends :func:`~repro.xquery.ast.boolean_filter_safe` with
     node-producing path predicates: paths whose steps cannot yield bare
     numbers can never trigger the positional rule, so their effective
     boolean value is focus-partitioning-independent too.
@@ -544,7 +500,7 @@ class _Runtime:
 
     Where the engine copies a frozen context per binding, compiled
     plans share one environment dict and set/restore keys around each
-    loop level.  :meth:`context` bridges into the unplanned engine for
+    loop level.  :meth:`context` bridges into the reference engine for
     constructs outside the compiled fragment — the engine's
     copy-on-write variable handling makes sharing the dict safe.
     """
@@ -567,12 +523,12 @@ class _Runtime:
         self.backends: list[tuple[int, str, str | None]] | None = None
         #: per-evaluation memo (hash-join/probe indexes): documents
         #: cannot change mid-check, so one lookup per plan node is
-        #: enough; shared with the engine through :meth:`context`
+        #: enough
         self.cache: dict = {}
 
     def context(self) -> QueryContext:
         return QueryContext(self.documents, self.env, self.item,
-                            self.position, self.size, self.cache)
+                            self.position, self.size)
 
 
 Closure = Callable[[_Runtime], Sequence]
@@ -647,7 +603,6 @@ def _choose_order(quantified: Quantified,
     source_deps = [free_variables(source) & name_set
                    for _, source in bindings]
     factors = conjuncts(quantified.condition)
-    factor_vars = [free_variables(factor) & name_set for factor in factors]
 
     chosen: list[int] = []
     chosen_names: set[str] = set()
@@ -660,10 +615,9 @@ def _choose_order(quantified: Quantified,
                 continue
             name, source = bindings[index]
             card, anchor = _estimate_any(source, stats, anchors)
-            card = _feedback_estimate(quantified, index, card)
             cost = card
-            if not source_deps[index] and _joinable(
-                    name, chosen_names, name_set, factors, factor_vars):
+            if not source_deps[index] and _join_equality(
+                    name, chosen_names, name_set, factors) is not None:
                 denominator = stats.distinct(anchor) if anchor else 2.0
                 cost = max(card / max(denominator, 1.0), 0.5)
             if best is None or cost < best[0] - 1e-9:
@@ -678,19 +632,24 @@ def _choose_order(quantified: Quantified,
     return tuple(chosen)
 
 
-def _joinable(name: str, chosen_names: set[str],
-              name_set: frozenset[str], factors: list[Expression],
-              factor_vars: list[frozenset[str]]) -> bool:
-    for factor, variables in zip(factors, factor_vars):
+def _join_equality(name: str, bound: set[str], name_set: frozenset[str],
+                   factors: list[Expression]) -> tuple | None:
+    """The ``=`` conjunct that makes ``$name`` hash-joinable, if any.
+
+    ``(factor, key side, probe side)``: one side mentions ``$name``
+    alone among the quantifier's variables, the other only variables
+    already ``bound`` (outer variables are always bound).
+    """
+    for factor in factors:
         if not (isinstance(factor, BinaryOp) and factor.op == "="):
             continue
         left = free_variables(factor.left) & name_set
         right = free_variables(factor.right) & name_set
-        if left == {name} and right <= chosen_names:
-            return True
-        if right == {name} and left <= chosen_names:
-            return True
-    return False
+        if left == {name} and right <= bound:
+            return factor, factor.left, factor.right
+        if right == {name} and left <= bound:
+            return factor, factor.right, factor.left
+    return None
 
 
 def _collect_quantifieds(expression: Expression,
@@ -1304,15 +1263,14 @@ class _ScanStep:
 
 
 class _HashJoinStep:
-    __slots__ = ("name", "source", "new_side", "bound_fn", "checks",
-                 "key", "columnar_spec")
+    __slots__ = ("name", "bound_fn", "checks", "key", "columnar_spec",
+                 "source_fn", "key_fn", "documents_only")
 
     def __init__(self, name: str, source: Expression,
                  new_side: Expression, bound_fn: Closure,
-                 checks: list[TruthClosure], key: tuple) -> None:
+                 checks: list[TruthClosure], key: tuple,
+                 pl: _Plan) -> None:
         self.name = name
-        self.source = source
-        self.new_side = new_side
         self.bound_fn = bound_fn
         self.checks = checks
         self.key = key
@@ -1323,19 +1281,46 @@ class _HashJoinStep:
             else None
         self.columnar_spec = (tag, steps) \
             if tag is not None and steps is not None else None
+        #: the map depends on the documents alone (no outer variable,
+        #: no focus), so one lookup or build serves the whole
+        #: evaluation; otherwise it is rebuilt per run of the step
+        self.documents_only = True
+        if self.columnar_spec is not None:
+            return
+        # any other shape: a throw-away map of the source's items by
+        # their ``new_side`` values, built when the step runs
+        self.source_fn = _compile(source, pl)
+        self.key_fn = _compile(new_side, pl)
+        self.documents_only = not free_variables(source) \
+            and free_variables(new_side) <= {name} \
+            and focus_free(source) and focus_free(new_side)
+
+    def _build(self, rt: _Runtime) -> dict[tuple, list]:
+        env, name = rt.env, self.name
+        saved = env.get(name, _MISSING)
+        index_map: dict[tuple, list] = {}
+        try:
+            for item in self.source_fn(rt):
+                env[name] = [item]
+                for value in atomize(self.key_fn(rt)):
+                    for key in hash_keys(value):
+                        index_map.setdefault(key, []).append(item)
+        finally:
+            if saved is _MISSING:
+                env.pop(name, None)
+            else:
+                env[name] = saved
+        return index_map
 
     def items(self, rt: _Runtime) -> Iterator:
-        spec = self.columnar_spec
-        if spec is None:
-            # the engine memoises in the shared context when the index
-            # depends on the documents alone, and rebuilds it per call
-            # when the source ranges over an outer variable or the focus
-            index_map = engine._hash_index(
-                self.name, self.source, self.new_side, rt.context())
-        else:
-            index_map = rt.cache.get(id(self))
-            if index_map is None:
+        index_map = rt.cache.get(id(self))
+        if index_map is None:
+            spec = self.columnar_spec
+            if spec is not None:
                 index_map = _value_index(spec[0], spec[1], rt.documents)
+            else:
+                index_map = self._build(rt)
+            if self.documents_only:
                 rt.cache[id(self)] = index_map
         seen: set[int] = set()
         for key in probe_keys(self.bound_fn(rt)):
@@ -1387,26 +1372,11 @@ def _compile_some(quantified: Quantified, pl: _Plan) -> TruthClosure:
     lowspec: list[tuple] = []
     for index, (name, source) in enumerate(bindings):
         estimate, anchor = _estimate_any(source, pl.stats, anchors)
-        estimate = _feedback_estimate(quantified, order[index],
-                                      estimate)
         if anchor is not None:
             anchors[name] = anchor
         correlated = bool(free_variables(source) & name_set)
-        earlier = set(names[:index])
-        equality: tuple | None = None
-        if not correlated:
-            for factor in slots[index]:
-                if not (isinstance(factor, BinaryOp)
-                        and factor.op == "="):
-                    continue
-                left_vars = free_variables(factor.left) & name_set
-                right_vars = free_variables(factor.right) & name_set
-                if left_vars == {name} and right_vars <= earlier:
-                    equality = (factor, factor.left, factor.right)
-                    break
-                if right_vars == {name} and left_vars <= earlier:
-                    equality = (factor, factor.right, factor.left)
-                    break
+        equality = None if correlated else _join_equality(
+            name, set(names[:index]), name_set, slots[index])
         checks = [
             _compile_truth(factor, pl) for factor in slots[index]
             if equality is None or factor is not equality[0]]
@@ -1414,7 +1384,7 @@ def _compile_some(quantified: Quantified, pl: _Plan) -> TruthClosure:
         if equality is not None:
             step: object = _HashJoinStep(
                 name, source, equality[1],
-                _compile(equality[2], pl), checks, key)
+                _compile(equality[2], pl), checks, key, pl)
             kind = "hash join"
         else:
             step = _ScanStep(name, _compile_iter(source, pl), checks,
@@ -1663,13 +1633,10 @@ def query_truth_planned(
 
 
 def clear_caches() -> None:
-    """Drop every cached plan and compiled closure (tests, benchmarks),
-    plus the explain-fed cardinality feedback."""
+    """Drop every cached plan and compiled closure (tests, benchmarks)."""
     with _PLAN_LOCK:
         _PLAN_LRU.clear()
         _COMPILED.clear()
-    with _PRIORS_LOCK:
-        _FEEDBACK.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -1702,7 +1669,6 @@ def explain_query(
     rt.profile = {}
     rt.backends = []
     fallback_reason: str | None = None
-    drifted = False
     try:
         verdict = truth_fn(rt)
     except XQueryEvaluationError as error:
@@ -1744,27 +1710,6 @@ def explain_query(
                 f"  est~{binding.estimate:g}"
                 f"  examined={counters[0]}  passed={counters[1]}"
                 f"{moved}")
-            examined = counters[0]
-            if examined >= _REPLAN_MIN_EXAMINED \
-                    and examined > max(binding.estimate, 1.0) \
-                    * REPLAN_DRIFT_THRESHOLD:
-                ratio = examined / max(binding.estimate, 1.0)
-                note_drift(info.expression, binding.original_index,
-                           examined)
-                drifted = True
-                lines.append(
-                    f"     replan: ${binding.name} drift "
-                    f"{ratio:.1f}x (est~{binding.estimate:g}, "
-                    f"examined {examined}) — observed cardinality "
-                    "fed back, cached plan invalidated")
-    if drifted:
-        # a same-revision cached plan would otherwise keep the stale
-        # order forever: evict it so the next evaluation re-plans
-        # with the fed-back cardinalities
-        with _PLAN_LOCK:
-            for key in [cached for cached in _PLAN_LRU
-                        if cached[0] == query]:
-                del _PLAN_LRU[key]
     if fallback_reason is not None:
         lines.append(
             f"backend: unplanned fallback ({fallback_reason})")

@@ -15,10 +15,9 @@ exact pre-call state.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.analysis.concurrency import make_lock
 from repro.errors import AmbiguousSelectError, UpdateApplicationError
 from repro.testing.failpoints import fail
 from repro.xquery.ast import Expression, Literal, PathExpr
@@ -149,30 +148,15 @@ class TransactionLog:
         return False
 
 
-#: select text → parsed path, LRU-bounded.  Selects repeat heavily
-#: (every update against the same anchor re-resolves the same path) and
-#: parsing them per operation is the last run-time lexing the guard
-#: would otherwise do.  Lock-protected: concurrent readers of a shared
-#: DocumentStore resolve selects outside the writer lock.
-_SELECT_CACHE: "OrderedDict[str, Expression]" = \
-    OrderedDict()  # guarded-by: _SELECT_CACHE_LOCK
-_SELECT_CACHE_CAPACITY = 512
-_SELECT_CACHE_LOCK = make_lock("xupdate.select_cache")
-
-
+@lru_cache(maxsize=512)
 def parsed_select(select: str) -> Expression:
-    """The (cached) parse of a select path."""
-    with _SELECT_CACHE_LOCK:
-        expression = _SELECT_CACHE.get(select)
-        if expression is not None:
-            _SELECT_CACHE.move_to_end(select)
-            return expression
-    expression = parse_query(select)
-    with _SELECT_CACHE_LOCK:
-        _SELECT_CACHE[select] = expression
-        if len(_SELECT_CACHE) > _SELECT_CACHE_CAPACITY:
-            _SELECT_CACHE.popitem(last=False)
-    return expression
+    """The (cached) parse of a select path.
+
+    Selects repeat heavily (every update against the same anchor
+    re-resolves the same path) and parsing them per operation is the
+    last run-time lexing the guard would otherwise do.
+    """
+    return parse_query(select)
 
 
 def _positional(items: list[Element],

@@ -15,10 +15,12 @@ resolve exactly the elements the engine resolves.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 from hypothesis import given, settings
 
-from repro.core.guard import IntegrityGuard
+from repro.core.guard import BruteForceChecker, IntegrityGuard
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.datagen.workload import legal_submission
 from repro.errors import UpdateApplicationError
@@ -29,15 +31,23 @@ from repro.xquery.engine import evaluate_query, query_truth
 from repro.xquery.planner import (
     explain_query,
     query_truth_planned,
+    unplanned,
     without_columns,
 )
+from repro.xtree.parser import parse_document
 from repro.xtree.serializer import serialize
 from repro.xupdate.apply import (
     _columnar_resolve,
     parsed_select,
     resolve_select,
 )
-from tests.test_planner import QUERIES, random_corpora
+from tests.conftest import PUB_XML, REV_XML
+from tests.test_planner import (
+    NAME_JOIN_QUERIES,
+    NUMERIC_SPELLINGS,
+    QUERIES,
+    random_corpora,
+)
 
 SCHEMA = make_schema()
 
@@ -98,6 +108,103 @@ class TestVerdictDifferential:
                     query.prepared, documents)
                 assert columnar == planned == unplanned, \
                     constraint.name
+
+    @given(random_corpora(names=NUMERIC_SPELLINGS))
+    @settings(max_examples=30)
+    def test_numeric_spellings_agree(self, corpus):
+        documents = _attach_all(list(corpus))
+        queries = QUERIES + NAME_JOIN_QUERIES + [
+            query.prepared for constraint in SCHEMA.constraints
+            for query in constraint.full_queries]
+        for query in queries:
+            columnar, planned, unplanned = _three_way(query, documents)
+            assert columnar == planned == unplanned, str(query)
+
+
+def _two_author_append(first, second):
+    """An append no registered pattern matches: the guard applies it,
+    runs the full checks and rolls back on a violation."""
+    return ('<?xml version="1.0"?>\n'
+            '<xupdate:modifications version="1.0"\n'
+            '    xmlns:xupdate="http://www.xmldb.org/xupdate">\n'
+            '  <xupdate:append select="/review/track[1]/rev[2]">\n'
+            '    <xupdate:element name="sub"><title>Joint</title>\n'
+            f'      <auts><name>{first}</name></auts>\n'
+            f'      <auts><name>{second}</name></auts>\n'
+            '    </xupdate:element>\n'
+            '  </xupdate:append>\n'
+            '</xupdate:modifications>')
+
+
+class TestEqualityKeys:
+    """Two untyped values are equal iff their *text* is: ``"1"`` and
+    ``"1.0"`` both equal the number 1 and still differ from each
+    other.  Every backend must say what ``compare_atomics`` says."""
+
+    FORMS = [
+        # quantified two-source join (hash join / vector join)
+        "some $x in //a, $y in //b satisfies "
+        "$x/v/text() = $y/v/text()",
+        # element-valued sides
+        "some $x in //a, $y in //b satisfies $x/v = $y/v",
+        # value-index probe
+        "some $x in //a satisfies $x/v/text() = //b/v/text()",
+        "exists(//a[v/text() = //b/v/text()])",
+        # plain general comparison
+        "//a/v/text() = //b/v/text()",
+    ]
+
+    @pytest.mark.parametrize("query", FORMS)
+    @pytest.mark.parametrize("left, right, expected", [
+        ("1", "1.0", False), ("7", "007", False), ("1e3", "1000", False),
+        (" 7", "7", False), ("-0", "0", False), ("nan", "nan", True),
+        ("7", "7", True),
+    ])
+    def test_untyped_values_compare_as_text(self, query, left, right,
+                                            expected):
+        document = parse_document(
+            f"<r><a><v>{left}</v></a><b><v>{right}</v></b></r>")
+        store_of(document)
+        assert _three_way(query, [document]) \
+            == (expected, expected, expected)
+
+    @pytest.mark.parametrize("query, expected", [
+        # an untyped value against a *number* compares numerically
+        ("some $x in //a, $y in //b satisfies "
+         "$x/v/text() + 0 = $y/v/text()", True),
+        ("exists(//b[v/text() = 1])", True),
+        ("some $x in //a satisfies $x/v/text() = 1.0", True),
+        # … and against a typed string, as text
+        ("exists(//b[v/text() = '1'])", False),
+    ])
+    def test_numbers_still_match_every_spelling(self, query, expected):
+        document = parse_document(
+            "<r><a><v>1</v></a><b><v>1.0</v></b></r>")
+        store_of(document)
+        assert _three_way(query, [document]) \
+            == (expected, expected, expected)
+
+    @pytest.mark.parametrize("author, legal", [("7.0", True), ("7", False)])
+    def test_guard_never_refuses_a_legal_update(self, author, legal):
+        # reviewer "7" is handed a submission by "7.0" (someone else)
+        # or by "7" (a conflict of interest)
+        update = _two_author_append(author, "Nobody Else 1")
+
+        def decide(checker_type, mode):
+            checker = checker_type(SCHEMA, [
+                parse_document(PUB_XML),
+                parse_document(REV_XML.replace("Grace", "7"))])
+            with mode():
+                decision = checker.try_execute(update)
+            return decision.legal, decision.applied, decision.violated
+
+        violated = [] if legal else ["conflict_of_interest"]
+        for checker_type, mode in [(IntegrityGuard, nullcontext),
+                                   (IntegrityGuard, without_columns),
+                                   (IntegrityGuard, unplanned),
+                                   (BruteForceChecker, nullcontext)]:
+            assert decide(checker_type, mode) \
+                == (legal, legal, violated), (checker_type, mode)
 
 
 class TestUpdateWorkloadDifferential:

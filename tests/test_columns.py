@@ -40,7 +40,8 @@ from repro.testing import harness
 from repro.testing.failpoints import fail
 from repro.xquery import parse_query
 from repro.xquery.engine import query_truth
-from repro.xquery.optimizer import hash_keys
+from repro.xquery.optimizer import probe_keys
+from repro.xquery.values import UntypedAtomic
 from repro.xquery.planner import query_truth_planned
 from repro.xtree.node import Document, Element, Text
 from repro.xtree.parser import parse_document
@@ -102,6 +103,14 @@ class TestChainReaches:
         steps = (("attribute", "year"),)
         assert chain_reaches(steps, ())
         assert not chain_reaches(steps, ("year",))
+
+    def test_element_valued_steps_reach_into_their_subtree(self):
+        # the key of ``rev/name`` is name's string value: a mutation
+        # inside name (or deeper) changes it
+        steps = (("child", "name"),)
+        assert chain_reaches(steps, ("name",))
+        assert chain_reaches(steps, ("name", "x"))
+        assert not chain_reaches(steps, ("sub",))
 
 
 class TestTagTable:
@@ -177,9 +186,10 @@ class TestPathIndex:
         store = store_of(rev)
         assert store is not None
         index = store.value_index("rev", NAME_TEXT)
-        (key,) = hash_keys("Alice")
+        (key,) = probe_keys(["Alice"])
         assert [el.tag for el in index.probe(key)] == ["rev"]
-        assert index.probe(hash_keys("Nobody")[0]) == []
+        (absent,) = probe_keys(["Nobody"])
+        assert index.probe(absent) == []
 
     def test_rekey_moves_buckets(self, documents, schema):
         _pub, rev = documents
@@ -192,10 +202,25 @@ class TestPathIndex:
         name.remove(name.children[0])
         name.append(Text("Brianna"))
         # the mutation listener rekeys through chain_reaches
-        (old_key,) = hash_keys("Alice")
-        (new_key,) = hash_keys("Brianna")
+        (old_key,) = probe_keys(["Alice"])
+        (new_key,) = probe_keys(["Brianna"])
         assert index.probe(old_key) == []
         assert index.probe(new_key) == [rev_el]
+        assert store.verify() == []
+
+    def test_element_valued_index_follows_text_mutations(
+            self, documents, schema):
+        _pub, rev = documents
+        store = store_of(rev)
+        assert store is not None
+        index = store.value_index("rev", (("child", "name"),))
+        rev_el = rev.elements_by_tag("rev")[0]
+        name = rev_el.first_child("name")
+        assert name is not None
+        name.remove(name.children[0])
+        name.append(Text("Brianna"))
+        (key,) = probe_keys(["Brianna"])
+        assert index.probe(key) == [rev_el]
         assert store.verify() == []
 
     def test_discard_unbuckets(self):
@@ -204,11 +229,33 @@ class TestPathIndex:
         aut.append(_text_el("name", "Ann"))
         Document(Element("root")).root.append(aut)  # assign node ids
         index.add(aut)
-        (key,) = hash_keys("Ann")
+        (key,) = probe_keys(["Ann"])
         assert index.probe(key) == [aut]
         index.discard(aut)
         assert index.probe(key) == []
         assert len(index) == 0
+
+    def test_numeric_spellings_stay_apart(self):
+        # indexed text is untyped: it meets an untyped probe on its
+        # text and a numeric probe on its value
+        index = PathIndex("aut", NAME_TEXT)
+        root = Document(Element("root")).root
+        auts = []
+        for spelling in ("1", "1.0"):
+            aut = Element("aut")
+            aut.append(_text_el("name", spelling))
+            root.append(aut)
+            index.add(aut)
+            auts.append(aut)
+
+        def probe(value):
+            return [element for key in probe_keys([value])
+                    for element in index.probe(key)]
+
+        assert probe(UntypedAtomic("1")) == [auts[0]]
+        assert probe(UntypedAtomic("1.0")) == [auts[1]]
+        assert probe("1") == [auts[0]]
+        assert probe(1) == auts
 
 
 class TestWorkloadDifferential:

@@ -1,6 +1,6 @@
 """Snapshot isolation: the MVCC-lite read path and its guarantees.
 
-Four layers of coverage:
+Three layers of coverage:
 
 * :class:`~repro.xtree.node.Document.clone` — the copy-on-write
   substrate: structural equality, node-id preservation, and the
@@ -11,10 +11,7 @@ Four layers of coverage:
   tests against a sequential oracle, pinned-view stability across
   commits, and the headline regression: a long-running read never
   blocks a writer and a writer holding the store lock never blocks a
-  snapshot read;
-* the planner's adaptive re-plan trigger — explain-observed
-  cardinality drift feeds back into binding-order estimates and
-  invalidates the stale cached plan.
+  snapshot read.
 """
 
 from __future__ import annotations
@@ -30,8 +27,6 @@ from repro.core.guard import verify_documents
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.errors import FrozenDocumentError
 from repro.service import CheckingService, SnapshotManager
-from repro.xquery import planner
-from repro.xquery.ast import Quantified
 from repro.xtree import parse_document, serialize
 from repro.xtree.node import Document, Element, Text
 from tests.conftest import PUB_XML, REV_XML
@@ -414,45 +409,3 @@ class TestSnapshotFaultSchedules:
 
         with pytest.raises(ValueError):
             run_scenario(1, "mvcc", ops=10, mix="nope")
-
-
-# ---------------------------------------------------------------------------
-# Adaptive re-plan trigger
-# ---------------------------------------------------------------------------
-
-class TestAdaptiveReplan:
-    def test_note_drift_feeds_estimates_until_cleared(self):
-        planner.clear_caches()
-        quantified = Quantified("some", (("x", "src"),), "cond")
-        assert planner._feedback_estimate(quantified, 0, 2.0) == 2.0
-        planner.note_drift(quantified, 0, 64)
-        assert planner._feedback_estimate(quantified, 0, 2.0) == 64.0
-        # the larger of estimate and observation wins
-        assert planner._feedback_estimate(quantified, 0, 100.0) == 100.0
-        # other bindings of the same quantifier are untouched
-        assert planner._feedback_estimate(quantified, 1, 2.0) == 2.0
-        planner.clear_caches()
-        assert planner._feedback_estimate(quantified, 0, 2.0) == 2.0
-
-    def test_explain_drift_corrects_the_next_plan(self, monkeypatch):
-        planner.clear_caches()
-        try:
-            # force a gross underestimate so the profiled run drifts
-            monkeypatch.setattr(planner, "_estimate_any",
-                                lambda *args: (1.0, None))
-            xml = ("<list>"
-                   + "".join(f'<item k="{i}"/>' for i in range(24))
-                   + "</list>")
-            documents = [parse_document(xml)]
-            # a comparison (not an equality) so the planner cannot
-            # hash-join the scan away: every item is examined
-            query = "some $r in //item satisfies $r/@k > 'zzz'"
-            first = planner.explain_query(query, documents)
-            assert "replan:" in first
-            assert "cached plan invalidated" in first
-            # the observed cardinality is now fed back: the re-plan
-            # uses it, and the same run no longer drifts
-            second = planner.explain_query(query, documents)
-            assert "replan:" not in second
-        finally:
-            planner.clear_caches()

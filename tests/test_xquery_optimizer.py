@@ -1,17 +1,20 @@
-"""Unit tests for the quantified-expression join optimizer."""
+"""Unit tests for expression analysis and equality-key canonicalisation."""
+
+import ast
+import inspect
+import itertools
 
 import pytest
 
 from repro.xquery.optimizer import (
-    JoinPlan,
     conjuncts,
     free_variables,
     hash_keys,
-    plan_for,
+    matching_keys,
     probe_keys,
 )
 from repro.xquery.parser import parse_query
-from repro.xquery.values import UntypedAtomic
+from repro.xquery.values import UntypedAtomic, compare_atomics
 
 
 class TestConjuncts:
@@ -49,80 +52,79 @@ class TestFreeVariables:
 
 
 class TestHashKeys:
-    def test_numbers_normalize(self):
-        assert hash_keys(3) == [("num", 3.0)]
-        assert hash_keys(3.0) == [("num", 3.0)]
+    def test_equal_numbers_share_a_key(self):
+        assert hash_keys(3) == hash_keys(3.0) == [("num", 3)]
 
-    def test_booleans_are_numeric(self):
-        assert hash_keys(True) == [("num", 1.0)]
+    def test_booleans_have_their_own_kind(self):
+        assert hash_keys(True) == [("bool", True)]
 
     def test_nan_never_matches(self):
         assert hash_keys(float("nan")) == []
+        assert hash_keys(UntypedAtomic("nan")) == [("str", "nan")]
 
     def test_typed_string(self):
         assert hash_keys("abc") == [("str", "abc")]
 
     def test_untyped_gets_both_readings(self):
-        keys = hash_keys(UntypedAtomic("42"))
-        assert ("str", "42") in keys and ("num", 42.0) in keys
+        assert hash_keys(UntypedAtomic("42")) \
+            == [("str", "42"), ("unum", 42.0)]
 
     def test_untyped_non_numeric(self):
         assert hash_keys(UntypedAtomic("abc")) == [("str", "abc")]
 
-    def test_untyped_matches_number_key(self):
-        # the invariant the hash join relies on: items that can compare
-        # equal share a key
-        assert set(hash_keys(UntypedAtomic("2"))) \
-            & set(hash_keys(2)) == {("num", 2.0)}
+    def test_probe_side_of_each_kind(self):
+        assert probe_keys([UntypedAtomic("42")]) \
+            == {("str", "42"), ("num", 42.0)}
+        assert probe_keys(["a", 1]) \
+            == {("str", "a"), ("num", 1), ("unum", 1), ("bool", 1)}
+        assert probe_keys([True]) == {("bool", True), ("num", True)}
+        assert matching_keys(frozenset(hash_keys(UntypedAtomic("42")))) \
+            == probe_keys([UntypedAtomic("42")])
+        text_only = frozenset(hash_keys(UntypedAtomic("Ann")))
+        assert matching_keys(text_only) is text_only
 
-    def test_probe_keys_union(self):
-        keys = probe_keys(["a", 1])
-        assert ("str", "a") in keys and ("num", 1.0) in keys
+    def test_untyped_spellings_of_a_number_do_not_meet(self):
+        one, one_point_zero = UntypedAtomic("1"), UntypedAtomic("1.0")
+        assert not set(hash_keys(one)) & probe_keys([one_point_zero])
+        assert set(hash_keys(one)) & probe_keys([1])
+        assert set(hash_keys(one_point_zero)) & probe_keys([1])
+        assert set(hash_keys(1)) & probe_keys([one_point_zero])
+
+    def test_bucket_hit_iff_compare_atomics(self):
+        # the contract every value index relies on, over every pairing
+        # of operand kinds general comparison distinguishes
+        spellings = ["1", "1.0", "01", "1e0", " 1", "-0", "0", "nan",
+                     "inf", "abc", "", "true"]
+        atoms = [UntypedAtomic(text) for text in spellings] \
+            + spellings \
+            + [1, 1.0, 0, -0.0, True, False, float("nan"), float("inf"),
+               2 ** 53 + 1, float(2 ** 53), UntypedAtomic(str(2 ** 53 + 1))]
+        for indexed, probing in itertools.product(atoms, repeat=2):
+            hit = bool(set(hash_keys(indexed)) & probe_keys([probing]))
+            assert hit == compare_atomics("=", indexed, probing), \
+                (indexed, probing)
 
 
-class TestJoinPlan:
-    def _plan(self, text):
-        expression = parse_query(text)
-        return JoinPlan(expression), expression
-
-    def test_correlation_detection(self):
-        plan, _ = self._plan(
-            "some $r in //rev, $s in $r/sub, $p in //pub "
-            "satisfies $s/title/text() = $p/title/text()")
-        assert plan.correlated == [False, True, False]
-
-    def test_factor_scheduled_at_last_variable(self):
-        plan, _ = self._plan(
-            "some $a in //x, $b in //y "
-            "satisfies $a/v/text() = 1 and $b/w/text() = $a/v/text()")
-        assert len(plan.checks_after[0]) == 1
-        assert len(plan.checks_after[1]) == 1
-
-    def test_hash_join_detected(self):
-        plan, _ = self._plan(
-            "some $a in //aut, $b in //rev "
-            "satisfies $b/name/text() = $a/name/text()")
-        assert plan.equality_for[1] is not None
-
-    def test_no_hash_join_for_correlated_source(self):
-        plan, _ = self._plan(
-            "some $r in //rev, $s in $r/sub "
-            "satisfies $s/title/text() = 'x'")
-        assert plan.equality_for[1] is None
-
-    def test_constant_side_counts_as_bound(self):
-        plan, _ = self._plan(
-            "some $a in //aut satisfies $a/name/text() = 'Bob'")
-        assert plan.equality_for[0] is not None
-
-    def test_plan_cache_by_value(self):
-        _, first = self._plan("some $a in //x satisfies $a = 1")
-        second = parse_query("some $a in //x satisfies $a = 1")
-        assert plan_for(first) is plan_for(second)
+def test_engine_shares_no_join_code():
+    """The reference engine is the oracle for the key format and the
+    planner's joins, so it must not import either."""
+    from repro.xquery import engine
+    imported: set[str] = set()
+    for node in ast.walk(ast.parse(inspect.getsource(engine))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"hash_keys", "probe_keys", "matching_keys",
+                           "plan_for", "repro.xquery.optimizer",
+                           "repro.xquery.planner",
+                           "repro.xquery.columnar"}
+    assert "indexes" not in engine.QueryContext.__dataclass_fields__
 
 
 class TestJoinSemantics:
-    """The optimized path must agree with naive semantics."""
+    """Join-shaped quantifiers under the reference engine."""
 
     @pytest.fixture()
     def doc(self):
@@ -163,8 +165,7 @@ class TestJoinSemantics:
 
 
 class TestIndexCache:
-    """A hash index must never serve stale data across
-    evaluations."""
+    """No evaluation may see a previous evaluation's data."""
 
     def test_cache_invalidated_by_mutation(self):
         from repro.xquery.engine import query_truth
