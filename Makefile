@@ -1,7 +1,7 @@
 PYTHON ?= python3
 BENCH_SIZES ?= 32,64,128
 
-.PHONY: install test bench bench-smoke \
+.PHONY: install test bench bench-e2e bench-e2e-smoke \
 	bench-columnar bench-columnar-smoke \
 	bench-service bench-service-smoke \
 	examples lint lint-concurrency stress faultcheck \
@@ -23,13 +23,14 @@ bench:
 		$(PYTHON) -m pytest benchmarks/ --benchmark-only \
 		--benchmark-sort=mean
 
-# one-round smoke of the prepared-plan ablation on the smallest
-# corpus; emits BENCH_prepared.json for CI artifacts/trend lines
-bench-smoke:
-	REPRO_BENCH_SIZES_KIB=32 \
-		$(PYTHON) -m pytest benchmarks/test_prepared_queries.py \
-		--benchmark-only --benchmark-min-rounds=1 \
-		--benchmark-json=BENCH_prepared.json
+# service-boundary benchmark (the contract of BENCHMARK.json): the
+# real `repro serve` deployment, six workloads, every verdict and the
+# final bytes checked against the in-process oracle
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py
+
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
 
 # columnar backend ablation (vectorized frontier steps vs the same
 # plan searched tuple-at-a-time) across all sizes; emits

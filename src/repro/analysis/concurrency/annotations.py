@@ -49,7 +49,6 @@ LOCK_ORDER: tuple[str, ...] = (
     "document",               # Document._lock (per-document RLock)
     "service.persistence",    # DurableLog file/sequence lock
     "planner.plan_cache",     # planner._PLAN_LOCK
-    "planner.priors",         # planner._PRIORS_LOCK
     "sanitizer.violations",   # sanitizer._VIOLATIONS_LOCK
     "testing.failpoints",     # failpoints registry (innermost)
 )

@@ -375,11 +375,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    from repro.xquery.planner import explain_query, install_priors
+    from repro.xquery.planner import explain_query
 
     schema = _build_schema(args)
     documents = _load_documents(args.document)
-    install_priors(schema.cardinality_priors())
     # constructing the guard attaches the column stores, so explain
     # reports the backend (columnar / planned-DOM) each check would use
     guard = IntegrityGuard(schema, documents)

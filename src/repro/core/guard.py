@@ -37,7 +37,6 @@ from repro.errors import (
 from repro.relational import incremental
 from repro.relational.shredder import shred, subtree_facts
 from repro.testing.failpoints import fail
-from repro.xquery import planner
 from repro.xtree.node import Document, Element
 from repro.xupdate.analyze import signature_of
 from repro.xupdate.apply import TransactionLog
@@ -120,9 +119,6 @@ class _CheckerBase:
         self._listeners: list = []
         self._pre_commit = None
         self._pre_commit_abort = None
-        # seed the check planner's cold-document estimates with the
-        # schema's DTD cardinality bounds
-        planner.install_priors(schema.cardinality_priors())
         # attach incrementally-maintained column stores so planned
         # checks can lower to the columnar backend
         for document in self.documents:

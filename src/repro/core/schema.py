@@ -294,43 +294,6 @@ class ConstraintSchema:
             return parse_modifications(example)
         return [example]
 
-    def cardinality_priors(self) -> dict[str, float]:
-        """Expected per-tag element counts derived from the DTDs.
-
-        Walks each DTD breadth-first from its root, multiplying the
-        expected instance count down the containment chain: a child
-        with bounds ``(low, high)`` contributes ``(low + high) / 2``
-        instances per parent (``low + 3`` when unbounded).  The planner
-        uses these as statistics priors for empty or cold documents,
-        where the live tag index has nothing to say; they only ever
-        influence plan order, never verdicts.
-        """
-        priors: dict[str, float] = {}
-        for dtd in self.dtds:
-            roots = dtd.root_candidates()
-            expected: dict[str, float] = {root: 1.0 for root in roots}
-            frontier = list(roots)
-            depth = 0
-            seen: set[str] = set(roots)
-            while frontier and depth < 16:
-                next_frontier: list[str] = []
-                for tag in frontier:
-                    parent_count = expected.get(tag, 1.0)
-                    for child, (low, high) in \
-                            dtd.child_cardinalities(tag).items():
-                        per_parent = (low + 3.0) if high is None \
-                            else (low + high) / 2.0
-                        count = parent_count * per_parent
-                        expected[child] = expected.get(child, 0.0) + count
-                        if child not in seen:
-                            seen.add(child)
-                            next_frontier.append(child)
-                frontier = next_frontier
-                depth += 1
-            for tag, count in expected.items():
-                priors[tag] = priors.get(tag, 0.0) + count
-        return priors
-
     # -- convenience ----------------------------------------------------------------
 
     def constraint(self, name: str) -> CompiledConstraint:

@@ -22,15 +22,14 @@ Two structures live here; both are owned and kept current by
   the inverted ``key → elements`` buckets the planner's hash joins and
   predicate-value filters probe.
 
-numpy, when importable (``pip install repro[fast]``) and not disabled
-via ``REPRO_NO_NUMPY``, accelerates structural-column work (grouping,
-per-version array snapshots); every consumer also has a stdlib path
-and the two are differentially tested.
+The structural columns are the relation itself (``rows()`` against a
+cold shred is the faultcheck invariant); navigation does not read
+them — a child step is ``element.children`` on the DOM, which already
+answers the ``IdParent`` lookup in document order.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import TYPE_CHECKING, Iterable
 
@@ -42,36 +41,6 @@ from repro.xtree.node import Element
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.relational.schema import RelationalSchema
-
-try:  # feature probe: numpy is an optional extra
-    if os.environ.get("REPRO_NO_NUMPY"):
-        _numpy = None
-    else:
-        import numpy as _numpy  # type: ignore[import-not-found]
-except Exception:  # pragma: no cover - absence is the CI default
-    _numpy = None
-
-#: tests raise this to force the stdlib path with numpy installed
-_numpy_disabled = 0
-
-
-def numpy_active() -> bool:
-    """Whether the numpy fast path is available and enabled."""
-    return _numpy is not None and not _numpy_disabled
-
-
-class stdlib_only:
-    """Context manager forcing the stdlib path (for differential tests)."""
-
-    def __enter__(self) -> "stdlib_only":
-        global _numpy_disabled
-        _numpy_disabled += 1
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        global _numpy_disabled
-        _numpy_disabled -= 1
-
 
 Downpath = tuple[tuple[str, str], ...]
 """A relative downward path as ``((axis, nodetest), ...)`` — the same
@@ -111,17 +80,14 @@ class TagTable:
     """One per-tag relation stored as columns.
 
     ``elements[i]`` is the element behind row ``i``; ``ids``/``pos``/
-    ``parents`` are its structural columns (``array('q')``, so numpy
-    can view them zero-copy); ``values[name][i]`` are the value columns
-    when the tag has a predicate.  Rows are unordered: removal swaps
-    the last row in, keeping the columns contiguous without shifting.
-    ``version`` increments on every change, invalidating derived
-    caches (numpy views, children groups).
+    ``parents`` are its structural columns (``array('q')``);
+    ``values[name][i]`` are the value columns when the tag has a
+    predicate.  Rows are unordered: removal swaps the last row in,
+    keeping the columns contiguous without shifting.
     """
 
     __slots__ = ("tag", "predicate", "elements", "ids", "pos", "parents",
-                 "values", "row_of", "version", "_specs", "_views",
-                 "_groups", "_groups_version", "value_steps")
+                 "values", "row_of", "_specs", "value_steps")
 
     def __init__(self, tag: str,
                  predicate: PredicateSchema | None = None) -> None:
@@ -144,10 +110,6 @@ class TagTable:
         #: change through adopt/orphan, so their path is unreachable)
         self.value_steps: tuple[Downpath, ...] = tuple(
             _value_downpath(column) for column in self._specs.values())
-        self.version = 0
-        self._views: dict[str, object] = {}
-        self._groups: dict[int, list[Element]] | None = None
-        self._groups_version = -1
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -172,7 +134,6 @@ class TagTable:
             self.parents.append(0)
         for name, column in self.values.items():
             column.append(self._value_of(element, name))
-        self.version += 1
 
     def discard(self, element: Element) -> None:
         """Remove one element's row by swapping the last row in."""
@@ -199,14 +160,12 @@ class TagTable:
         self.parents.pop()
         for column in self.values.values():
             column.pop()
-        self.version += 1
 
     def set_pos(self, element: Element, position: int) -> None:
         """Refresh the sibling position of one element's row."""
         row = self.row_of.get(element.node_id or -1)
-        if row is not None and self.pos[row] != position:
+        if row is not None:
             self.pos[row] = position
-            self.version += 1
 
     def refresh_values(self, element: Element) -> None:
         """Recompute the value columns of one element's row."""
@@ -215,14 +174,8 @@ class TagTable:
         row = self.row_of.get(element.node_id or -1)
         if row is None:
             return
-        changed = False
         for name, column in self.values.items():
-            value = self._value_of(element, name)
-            if column[row] != value:
-                column[row] = value
-                changed = True
-        if changed:
-            self.version += 1
+            column[row] = self._value_of(element, name)
 
     def _value_of(self, element: Element, name: str) -> object:
         """One value column entry — ``shredder._row_for`` semantics."""
@@ -247,58 +200,6 @@ class TagTable:
         columns: list[Iterable] = [self.ids, self.pos, self.parents]
         columns.extend(self.values.values())
         return list(zip(*columns)) if self.elements else []
-
-    def structural_view(self, name: str):
-        """A numpy array of ``ids``/``pos``/``parents``, cached per
-        version.
-
-        A copy, not a buffer view: a live view would pin the stdlib
-        array's buffer and make subsequent delta appends raise
-        :class:`BufferError`.  Raises :class:`RuntimeError` when numpy
-        is unavailable; callers branch on :func:`numpy_active`.
-        """
-        if not numpy_active():  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy is not available")
-        if self._views.get("__version__") != self.version:
-            self._views = {"__version__": self.version}
-        view = self._views.get(name)
-        if view is None:
-            source = {"ids": self.ids, "pos": self.pos,
-                      "parents": self.parents}[name]
-            view = _numpy.array(source, dtype=_numpy.int64)
-            self._views[name] = view
-        return view
-
-    def children_groups(self) -> dict[int, list[Element]]:
-        """``parent node id → [child elements of this tag]``.
-
-        The columnar form of one downward child step: grouping the
-        relation by its ``IdParent`` column.  Cached per version; the
-        numpy path groups via ``argsort`` over the parent column, the
-        stdlib path via a dict loop, and both produce identical groups
-        (differentially tested).
-        """
-        if self._groups is not None and self._groups_version == self.version:
-            return self._groups
-        groups: dict[int, list[Element]] = {}
-        if numpy_active() and len(self.elements) > 1:
-            parents = self.structural_view("parents")
-            order = _numpy.argsort(parents, kind="stable")
-            sorted_parents = parents[order]
-            boundaries = _numpy.flatnonzero(
-                sorted_parents[1:] != sorted_parents[:-1]) + 1
-            start = 0
-            for end in [*boundaries.tolist(), len(order)]:
-                parent_id = int(sorted_parents[start])
-                groups[parent_id] = [self.elements[i]
-                                     for i in order[start:end].tolist()]
-                start = end
-        else:
-            for element, parent_id in zip(self.elements, self.parents):
-                groups.setdefault(parent_id, []).append(element)
-        self._groups = groups
-        self._groups_version = self.version
-        return groups
 
 
 class PathIndex:

@@ -7,8 +7,9 @@ vectorized operation over a whole column of candidate rows —
 
 * ``_Scan`` — all elements of a tag, straight from the column store's
   :class:`~repro.relational.columns.TagTable`;
-* ``_Down`` — a chain of child steps, served by the table's
-  parent-grouped column when available;
+* ``_Down`` — a chain of child steps,
+  :meth:`~repro.xtree.node.Element.element_children`: the DOM's
+  child lists are the ``IdParent`` lookup;
 * ``_Values`` — a trailing ``text()``/attribute step, served by the
   store's :class:`~repro.relational.columns.PathIndex` atoms, one row
   per atom, carried as canonical hash-key sets;
@@ -61,16 +62,14 @@ class Bail(Exception):
 
 
 class _RunContext:
-    """Per-run caches: value indexes, child groups, per-item key sets."""
+    """Per-run caches: value indexes, per-item key sets."""
 
-    __slots__ = ("rt", "indexes", "groups", "item_keys")
+    __slots__ = ("rt", "indexes", "item_keys")
 
     def __init__(self, rt: _Runtime) -> None:
         self.rt = rt
         #: (doc id, tag, steps) → PathIndex
         self.indexes: dict[tuple, object] = {}
-        #: (doc id, tag) → parent id → [elements]
-        self.groups: dict[tuple, dict[int, list[Element]]] = {}
         #: (side kind, steps?, probe form?) → id(item) → frozenset of
         #: hash keys
         self.item_keys: dict[tuple, dict[int, frozenset]] = {}
@@ -88,18 +87,6 @@ class _RunContext:
             index = store.value_index(tag, steps)
             self.indexes[key] = index
         return index
-
-    def children_of(self, element: Element, tag: str) -> list[Element]:
-        document = element.document
-        if document is not None and document.column_store is not None:
-            key = (id(document), tag)
-            groups = self.groups.get(key)
-            if groups is None:
-                groups = document.column_store.table(tag).children_groups()
-                self.groups[key] = groups
-            return groups.get(element.node_id or -1, [])
-        return [child for child in element.children
-                if isinstance(child, Element) and child.tag == tag]
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +268,7 @@ class _Down:
                     for tag in self.tags:
                         current = [
                             child for element in current
-                            for child in ctx.children_of(element, tag)]
+                            for child in element.element_children(tag)]
                         if not current:
                             break
                 else:

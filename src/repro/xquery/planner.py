@@ -13,9 +13,8 @@ column stores' :class:`~repro.relational.columns.PathIndex`:
   distinct-value counts served by the incremental tag index
   (:meth:`repro.xtree.node.Document.tag_count` /
   :meth:`~repro.xtree.node.Document.tag_distinct_count`, maintained
-  under the per-document lock), with DTD cardinality bounds
-  (:meth:`repro.core.schema.ConstraintSchema.cardinality_priors`) as
-  priors for empty or cold documents;
+  under the per-document lock) — exact counts of the state the plan
+  is about to run on, re-read whenever the revision vector moved;
 * **planning** — independent quantifier bindings are reordered
   greedily by estimated cardinality x selectivity (hash-joinable
   bindings are discounted by the key's distinct count), conjuncts are
@@ -48,7 +47,6 @@ asserts verdict-for-verdict.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Callable, Iterator
@@ -100,7 +98,6 @@ __all__ = [
     "columnar_enabled",
     "enabled",
     "explain_query",
-    "install_priors",
     "query_truth_planned",
     "unplanned",
     "without_columns",
@@ -108,7 +105,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Enablement and priors
+# Enablement
 # ---------------------------------------------------------------------------
 
 _STATE = threading.local()
@@ -161,27 +158,6 @@ def without_columns():
         _STATE.columnar = previous
 
 
-#: tag → expected element count from DTD cardinality bounds; consulted
-#: only when the live count is zero (empty/cold documents), so it can
-#: only ever influence plan *order*, never a verdict
-_PRIORS: dict[str, float] = {}  # guarded-by: _PRIORS_LOCK
-_PRIORS_LOCK = make_lock("planner.priors")
-
-
-def install_priors(priors: dict[str, float]) -> None:
-    """Merge DTD-derived cardinality priors into the global table.
-
-    Called at checker construction with
-    :meth:`~repro.core.schema.ConstraintSchema.cardinality_priors`.
-    Merging keeps the larger estimate — priors are order heuristics,
-    not invariants, and several schemas may coexist in one process.
-    """
-    with _PRIORS_LOCK:
-        for tag, value in priors.items():
-            if value > _PRIORS.get(tag, 0.0):
-                _PRIORS[tag] = value
-
-
 # ---------------------------------------------------------------------------
 # Statistics
 # ---------------------------------------------------------------------------
@@ -191,30 +167,19 @@ class Statistics:
 
     Reads go through the per-document lock-protected tag index, so a
     refresh taken while a writer thread is mid-update still observes
-    internally consistent buckets.  When a tag has no live elements the
-    DTD priors stand in — the cold-start path for freshly created
-    documents.
+    internally consistent buckets.
     """
 
-    __slots__ = ("documents", "priors")
+    __slots__ = ("documents",)
 
-    def __init__(self, documents: tuple[Document, ...],
-                 priors: dict[str, float] | None = None) -> None:
+    def __init__(self, documents: tuple[Document, ...]) -> None:
         fail.point("planner.stats.refresh")
         self.documents = tuple(documents)
-        if priors is None:
-            with _PRIORS_LOCK:
-                priors = dict(_PRIORS)
-        self.priors = priors
 
     def count(self, tag: str) -> float:
-        """Estimated number of elements with ``tag`` in the collection."""
-        total = 0
-        for document in self.documents:
-            total += document.tag_count(tag)
-        if total:
-            return float(total)
-        return float(self.priors.get(tag, 0.0))
+        """Number of elements with ``tag`` in the collection."""
+        return float(sum(document.tag_count(tag)
+                         for document in self.documents))
 
     def distinct(self, tag: str) -> float:
         """Estimated distinct direct-text values among ``tag`` elements.
@@ -222,13 +187,9 @@ class Statistics:
         The selectivity denominator for equality predicates keyed on
         the tag's text.
         """
-        total = 0
-        for document in self.documents:
-            total += document.tag_distinct_count(tag)
-        if total:
-            return float(total)
-        prior = self.priors.get(tag, 0.0)
-        return max(1.0, prior ** 0.5)
+        total = sum(document.tag_distinct_count(tag)
+                    for document in self.documents)
+        return max(1.0, float(total))
 
     def revision_vector(self) -> tuple[int, ...]:
         return tuple(document.revision for document in self.documents)
@@ -1400,14 +1361,12 @@ def _compile_some(quantified: Quantified, pl: _Plan) -> TruthClosure:
 
     # Lower the same binding order to a vectorized frontier plan; any
     # construct outside the columnar fragment refuses the whole
-    # quantifier and the tuple-at-a-time search below stays in charge.
-    try:
-        from repro.xquery import columnar as _columnar_module
-        vector_plan, vector_reason = _columnar_module.lower_some(
-            lowspec, name_set, info.index, pl)
-    except Exception as error:  # lowering must never break compiling
-        _columnar_module = None  # type: ignore[assignment]
-        vector_plan, vector_reason = None, f"lowering failed: {error}"
+    # quantifier — ``lower_some`` reports that as ``(None, reason)`` —
+    # and the tuple-at-a-time search below stays in charge.  An
+    # exception here is a lowering bug and propagates.
+    from repro.xquery import columnar as _columnar_module
+    vector_plan, vector_reason = _columnar_module.lower_some(
+        lowspec, name_set, info.index, pl)
     quantifier_index = info.index
 
     def truth(rt: _Runtime) -> bool:
@@ -1502,67 +1461,42 @@ def _compile_every(quantified: Quantified, pl: _Plan) -> TruthClosure:
 # ---------------------------------------------------------------------------
 
 class _PlanEntry:
-    __slots__ = ("expression", "documents", "revisions", "strategy",
-                 "truth_fn", "infos")
+    __slots__ = ("revisions", "strategy", "truth_fn")
 
-    def __init__(self, expression: Expression,
-                 documents: tuple[Document, ...],
-                 revisions: tuple[int, ...], strategy: tuple,
-                 truth_fn: TruthClosure,
-                 infos: list[_QuantifierInfo]) -> None:
-        self.expression = expression
-        #: weak references only: a cached plan must not keep whole
-        #: document trees alive after their owners drop them
-        self.documents = tuple(
-            weakref.ref(document) for document in documents)
+    def __init__(self, revisions: tuple[int, ...], strategy: tuple,
+                 truth_fn: TruthClosure) -> None:
         self.revisions = revisions
         self.strategy = strategy
         self.truth_fn = truth_fn
-        self.infos = infos
-
-    def matches(self, documents: tuple[Document, ...]) -> bool:
-        """All referents alive and identical to ``documents``.
-
-        A dead referent (or an ``id()`` reused by a new document after
-        the original died) dereferences to ``None`` or a different
-        object, so the entry fails here and is rebuilt — the weakref
-        replaces the strong references that used to pin identity.
-        """
-        return len(self.documents) == len(documents) and all(
-            reference() is document
-            for reference, document in zip(self.documents, documents))
 
 
 _PLAN_LOCK = make_lock("planner.plan_cache")
-#: (query, document ids) → _PlanEntry; entries hold only *weak*
-#: document references — :meth:`_PlanEntry.matches` detects both dead
-#: referents and id-reuse aliasing, so stale entries are rebuilt
-#: instead of pinning document trees until LRU eviction
+#: entries each of the two LRUs below keeps
+_CACHE_CAPACITY = 512
+#: (query, document uids) → _PlanEntry.  ``Document.uid`` is never
+#: reused, so the key alone is the documents' identity and an entry
+#: holds no document reference at all
 _PLAN_LRU: "OrderedDict[tuple, _PlanEntry]" = \
     OrderedDict()  # guarded-by: _PLAN_LOCK
-_PLAN_CAPACITY = 64
-#: (query, strategy) → (truth closure, explain infos): compiled
-#: closures are document-independent and shared across plan entries
-_COMPILED: "OrderedDict[tuple, tuple[TruthClosure, list]]" = \
+#: (query, strategy) → truth closure: compiled closures are
+#: document-independent and shared across plan entries
+_COMPILED: "OrderedDict[tuple, TruthClosure]" = \
     OrderedDict()  # guarded-by: _PLAN_LOCK
-_COMPILED_CAPACITY = 512
 
 
 def _compiled_for(expression: Expression, strategy: tuple,
-                  stats: Statistics) -> tuple[TruthClosure, list]:
+                  stats: Statistics) -> TruthClosure:
     key = (expression, strategy)
     with _PLAN_LOCK:
         cached = _COMPILED.get(key)
         if cached is not None:
             _COMPILED.move_to_end(key)
             return cached
-    pl = _Plan(dict(strategy), stats)
-    truth_fn = _compile_truth(expression, pl)
-    built = (truth_fn, pl.infos)
+    built = _compile_truth(expression, _Plan(dict(strategy), stats))
     with _PLAN_LOCK:
         _COMPILED[key] = built
         _COMPILED.move_to_end(key)
-        while len(_COMPILED) > _COMPILED_CAPACITY:
+        while len(_COMPILED) > _CACHE_CAPACITY:
             _COMPILED.popitem(last=False)
     return built
 
@@ -1576,27 +1510,25 @@ def _plan_truth(expression: Expression,
         entry = _PLAN_LRU.get(key)
         if entry is not None:
             _PLAN_LRU.move_to_end(key)
-    if entry is not None and entry.matches(documents):
+    if entry is not None:
         if entry.revisions == revisions:
             return entry.truth_fn
         stats = Statistics(documents)
         strategy = _strategy_for(expression, stats)
         if strategy != entry.strategy:
-            entry.truth_fn, entry.infos = _compiled_for(
-                expression, strategy, stats)
+            entry.truth_fn = _compiled_for(expression, strategy, stats)
             entry.strategy = strategy
         entry.revisions = revisions
         return entry.truth_fn
     stats = Statistics(documents)
     strategy = _strategy_for(expression, stats)
-    truth_fn, infos = _compiled_for(expression, strategy, stats)
-    entry = _PlanEntry(expression, documents, revisions, strategy,
-                       truth_fn, infos)
+    truth_fn = _compiled_for(expression, strategy, stats)
+    entry = _PlanEntry(revisions, strategy, truth_fn)
     fail.point("planner.plan_cache.insert")
     with _PLAN_LOCK:
         _PLAN_LRU[key] = entry
         _PLAN_LRU.move_to_end(key)
-        while len(_PLAN_LRU) > _PLAN_CAPACITY:
+        while len(_PLAN_LRU) > _CACHE_CAPACITY:
             _PLAN_LRU.popitem(last=False)
     return truth_fn
 

@@ -11,6 +11,11 @@ which generalizes one undo record to a whole sequence: every path that
 applies more than one operation runs inside a log, and any exception —
 failed select, malformed content, violation mid-probe — restores the
 exact pre-call state.
+
+A select is resolved to its one element by :func:`resolve_select`: the
+dominant shape — absolute child steps with positional predicates — is
+a walk over ``element.children``, with or without a column store;
+every other select is evaluated by the reference engine.
 """
 
 from __future__ import annotations
@@ -167,19 +172,16 @@ def _positional(items: list[Element],
     return items
 
 
-def _columnar_resolve(document: Document,
-                      expression: Expression) -> "list[Element] | None":
-    """Resolve a simple select through the document's column store.
+def _walk_select(document: Document,
+                 expression: Expression) -> "list[Element] | None":
+    """Resolve a simple select by walking the DOM.
 
     Covers the dominant select shape — an absolute child-step path
-    with integer positional predicates (``/review/track[2]/rev[5]``) —
-    by walking the store's per-tag child groups and ``Pos`` columns
-    instead of the generic engine.  Returns ``None`` (engine fallback)
-    for anything outside that fragment or when no store is attached.
+    with integer positional predicates (``/review/track[2]/rev[5]``):
+    each step takes the children with the step's tag — already in
+    document order — and indexes them by position.  Returns ``None``
+    (the engine decides) for anything outside that fragment.
     """
-    store = document.column_store
-    if store is None:
-        return None
     if not isinstance(expression, PathExpr) or expression.start is not None \
             or any(expression.descendant_flags) or not expression.steps:
         return None
@@ -194,28 +196,13 @@ def _columnar_resolve(document: Document,
                 return None
     first = expression.steps[0]
     root = document.root
-    current = [root] if root.tag == first.nodetest else []
-    current = _positional(current, first.predicates)
-    try:
-        for step in expression.steps[1:]:
-            if not current:
-                break
-            table = store.table(step.nodetest)
-            groups = table.children_groups()
-            row_of = table.row_of
-            pos = table.pos
-            gathered: list[Element] = []
-            for element in current:
-                kids = groups.get(element.node_id or -1)
-                if not kids:
-                    continue
-                if len(kids) > 1:
-                    kids = sorted(
-                        kids, key=lambda kid: pos[row_of[kid.node_id]])
-                gathered.extend(_positional(list(kids), step.predicates))
-            current = gathered
-    except Exception:
-        return None  # degrade to the engine on any store trouble
+    current = _positional([root] if root.tag == first.nodetest else [],
+                          first.predicates)
+    for step in expression.steps[1:]:
+        current = [
+            match for element in current
+            for match in _positional(
+                element.element_children(step.nodetest), step.predicates)]
     return current
 
 
@@ -227,7 +214,7 @@ def resolve_select(document: Document, select: str) -> Element:
     on document order the caller never sees.
     """
     expression = parsed_select(select)
-    elements = _columnar_resolve(document, expression)
+    elements = _walk_select(document, expression)
     if elements is None:
         result = evaluate_query(expression, document)
         elements = [item for item in result

@@ -15,8 +15,7 @@ differentials):
   documents;
 * the write-ahead invalidation protocol: an injected fault inside the
   delta leaves the store dirty and the next read self-heals with a
-  full rebuild;
-* numpy/stdlib parity for grouping and array snapshots.
+  full rebuild.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ from repro.relational.columns import (
     PathIndex,
     TagTable,
     chain_reaches,
-    numpy_active,
-    stdlib_only,
 )
 from repro.relational.incremental import attach, detach, store_of
 from repro.relational.shredder import iter_facts
@@ -141,16 +138,18 @@ class TestTagTable:
             assert table.row_of[element.node_id] == row
             assert table.ids[row] == element.node_id
         # discarding again is a no-op
-        version = table.version
+        rows = table.rows()
         table.discard(victim)
-        assert table.version == version
+        assert len(table) == 2
+        assert table.rows() == rows
 
     def test_append_is_idempotent(self, documents, schema):
         pub, _rev = documents
         table = self._table(pub, schema, "pub")
-        version = table.version
+        rows = table.rows()
         table.append(table.elements[0])
-        assert table.version == version
+        assert len(table) == len(rows)
+        assert table.rows() == rows
 
     def test_mutation_refreshes_positions(self, documents, schema):
         pub, _rev = documents
@@ -297,10 +296,6 @@ class TestWorkloadDifferential:
                 assert store.verify() == [], (seed, kind)
         assert accepted > 0  # the workload really mutated state
 
-    def test_workload_without_numpy_matches(self):
-        with stdlib_only():
-            self.test_columns_track_mixed_workload(17)
-
 
 class TestCrashConsistency:
     def test_delta_fault_leaves_dirty_then_self_heals(self, documents):
@@ -388,43 +383,3 @@ class TestAttachDetach:
         assert store_of(pub) is None
         pub.root.append(Element("pub"))
         assert len(table) == count  # listener removed
-
-
-class TestNumpyParity:
-    def _grouped_table(self, documents) -> TagTable:
-        pub, _rev = documents
-        store = store_of(pub)
-        assert store is not None
-        return store.table("aut")
-
-    def test_children_groups_paths_agree(self, documents):
-        table = self._grouped_table(documents)
-        fast = table.children_groups()
-        table._groups = None
-        table._groups_version = -1
-        with stdlib_only():
-            slow = table.children_groups()
-        assert fast == slow
-
-    def test_structural_view_is_a_safe_copy(self, documents):
-        if not numpy_active():
-            pytest.skip("numpy unavailable")
-        table = self._grouped_table(documents)
-        view = table.structural_view("ids")
-        assert view.tolist() == list(table.ids)
-        view[0] = -1
-        assert table.ids[0] != -1  # a copy, not a buffer view
-        # deltas must not raise BufferError with a view outstanding
-        table.append(_make_orphan_aut())
-        assert table.structural_view("ids").tolist() == list(table.ids)
-
-    def test_stdlib_only_masks_numpy(self):
-        with stdlib_only():
-            assert not numpy_active()
-
-
-def _make_orphan_aut() -> Element:
-    aut = Element("aut")
-    aut.append(_text_el("name", "Extra"))
-    Document(Element("root")).root.append(aut)
-    return aut

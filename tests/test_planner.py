@@ -316,23 +316,13 @@ class TestStatistics:
         apply_operation(rev_doc, operation)
         assert rev_doc.tag_distinct_count("name") == first + 1
 
-    def test_priors_used_for_empty_documents(self):
-        empty = Document(Element("review"))
-        stats = Statistics((empty,), priors={"rev": 12.0})
-        assert stats.count("rev") == 12.0
-        assert stats.count("sub") == 0.0
-
-    def test_live_counts_beat_priors(self, rev_doc):
-        stats = Statistics((rev_doc,), priors={"rev": 1000.0})
-        assert stats.count("rev") \
+    def test_counts_are_the_live_counts(self, rev_doc):
+        # exact at every state, the empty one included: nothing stands
+        # in for a correct zero
+        assert Statistics((Document(Element("review")),)).count("rev") \
+            == 0.0
+        assert Statistics((rev_doc,)).count("rev") \
             == len(list(rev_doc.iter_elements("rev")))
-
-    def test_schema_priors_reflect_dtd_shape(self):
-        priors = SCHEMA.cardinality_priors()
-        assert priors.get("review") == 1.0
-        # tracks contain revs contain subs: expected counts grow down
-        # the containment chain
-        assert priors["sub"] > priors["rev"] > 0
 
 
 class TestStatisticsRace:
