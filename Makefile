@@ -1,7 +1,7 @@
 PYTHON ?= python3
 BENCH_SIZES ?= 32,64,128
 
-.PHONY: install test bench bench-e2e bench-e2e-smoke \
+.PHONY: install test bench bench-e2e bench-e2e-smoke bench-e2e-ab \
 	bench-columnar bench-columnar-smoke \
 	bench-service bench-service-smoke \
 	examples lint lint-concurrency stress faultcheck \
@@ -31,6 +31,15 @@ bench-e2e:
 
 bench-e2e-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
+
+# A/B of the same benchmark: BASE (a git revision) against the working
+# tree, PAIRS alternating runs per workload with bytecode equalised;
+# prints medians, quartiles, wins and a verdict per metric
+BASE ?= HEAD
+PAIRS ?= 10
+
+bench-e2e-ab:
+	$(PYTHON) scripts/e2e_ab.py --base $(BASE) --pairs $(PAIRS)
 
 # columnar backend ablation (vectorized frontier steps vs the same
 # plan searched tuple-at-a-time) across all sizes; emits

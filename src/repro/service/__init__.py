@@ -12,12 +12,13 @@ time; this package makes them safe to share — and safe to kill:
   publish immutable copy-on-write :class:`DocumentSnapshot` versions
   at commit boundaries (:class:`SnapshotManager`), and reads pin one
   instead of taking the store lock, so checks never queue behind
-  writers;
+  writers (the default of an in-process ``CheckingService``);
 * :mod:`repro.service.persistence` — the durable form of that commit
   log: a write-ahead log fsync'd before each update commits, atomic
   snapshots, and restart-and-replay recovery
   (:meth:`CheckingService.open_durable` /
-  :meth:`CheckingService.recover`).
+  :meth:`CheckingService.recover`).  Durable services read the live
+  tree under the store lock and publish no snapshots.
 
 Together with the :class:`~repro.xupdate.apply.TransactionLog` that
 makes every update all-or-nothing, this is the robustness layer the

@@ -12,6 +12,16 @@ discipline applied:
 * readers (``verify_consistency``, ``snapshot``) run concurrently with
   each other and are excluded only while a writer holds the lock.
 
+Readers take one of two paths.  An in-process service built with the
+constructor defaults to *snapshot reads*: every commit publishes a
+frozen clone of the documents it changed
+(:mod:`repro.service.snapshots`) and readers pin it without touching
+the store lock.  A durable service (:meth:`CheckingService.open_durable`
+/ :meth:`~CheckingService.recover`) is a *locked-read* service: its
+readers run on the live tree under the store's read lock, so a commit
+costs only the check, the write-ahead append, the apply and the
+delta-maintained column store — never a copy of the document.
+
 The service also keeps a *commit log* — the updates that were actually
 applied, in commit order — which makes the final state reproducible by
 a sequential replay (the oracle the concurrency stress tests check
@@ -269,6 +279,11 @@ class CheckingService:
         a baseline snapshot is installed *before* the first update can
         commit, so a crash at any later point always finds a snapshot
         to recover from.
+
+        The service reads the live tree under the store's read lock
+        (``snapshot_reads=False``): its one deployment, the
+        single-threaded shard worker, has no concurrent reader to
+        insulate, so no commit publishes, clones or freezes a copy.
         """
         state_dir = Path(state_dir)
         if (state_dir / SNAPSHOT_NAME).exists() \
@@ -276,7 +291,8 @@ class CheckingService:
             return cls.recover(
                 schema, state_dir, checker_factory=checker_factory,
                 snapshot_interval=snapshot_interval, sync=sync)
-        service = cls(schema, documents, checker_factory)
+        service = cls(schema, documents, checker_factory,
+                      snapshot_reads=False)
         write_snapshot(state_dir, 0, service.store.snapshot(),
                        sync=sync)
         wal = DurableLog(state_dir / WAL_NAME, sync=sync)
@@ -298,7 +314,9 @@ class CheckingService:
         record with ``seq >= snapshot.lsn`` through the checker —
         re-checking it, so tampered logs cannot smuggle an illegal
         update in.  Replay is idempotent: a crash during recovery
-        leaves snapshot and log unchanged, and a retry succeeds.
+        leaves snapshot and log unchanged, and a retry succeeds.  Like
+        :meth:`open_durable`, the recovered service reads the live
+        tree under the store's read lock.
         """
         state_dir = Path(state_dir)
         snapshot = load_snapshot(state_dir)
@@ -334,7 +352,8 @@ class CheckingService:
                 code="recover.log-corrupt")
         documents = [parse_document(text)
                      for text in snapshot.documents]
-        service = cls(schema, documents, checker_factory)
+        service = cls(schema, documents, checker_factory,
+                      snapshot_reads=False)
         committed: list[CommittedUpdate] = []
         replayed = 0
         for record in records:
@@ -358,9 +377,6 @@ class CheckingService:
                 record.seq, record.text, decision))
             replayed += 1
         # construction: the service is not shared with any thread yet
-        # (replay drove the checker directly, so re-publish the
-        # recovered state for the snapshot read path)
-        service._publish()  # lock: ignore
         service._committed = committed  # lock: ignore
         service.last_recovery = RecoveryInfo(
             snapshot_lsn=snapshot.lsn, replayed=replayed,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import shutil
+import sys
 import tempfile
 import threading
 
@@ -440,6 +441,92 @@ class TestSequenceNumbering:
             assert [r.text for r in records] \
                 == [canonical_update_text(c.update)
                     for c in committed]
+        finally:
+            service.close()
+
+
+@pytest.mark.stress
+class TestLockedDurableReads:
+    def test_concurrent_readers_see_committed_prefixes(
+            self, schema, state_dir):
+        """A durable service reads the live tree under the store lock;
+        with one writer committing a seeded legal/illegal mix, every
+        concurrent read must still be some committed prefix's answer,
+        and the final bytes and WAL must equal a sequential replay."""
+        rng = random.Random(31)
+        # (track, rev, reviewer) of REV_XML; an author named after the
+        # reviewer is a conflict of interest, so that update is illegal
+        reviewers = [(1, 1, "Alice"), (1, 2, "Grace"), (2, 1, "Alice")]
+        updates = []
+        for index in range(80):
+            track, rev, name = rng.choice(reviewers)
+            author = name if rng.random() < 0.3 else f"Author {index}"
+            update = submission_xupdate(
+                track, rev, f"Stress {index}", author)
+            if rng.random() < 0.5:
+                # a second author: no registered pattern matches, so the
+                # guard applies, checks in full and rolls back illegal
+                # ones inside the writer lock — a reader that slipped
+                # past the lock would see them
+                update = update.replace(
+                    "</auts>", f"</auts><auts><name>Co {index}</name>"
+                    "</auts>", 1)
+            updates.append(update)
+
+        oracle = CheckingService(schema, fresh_documents())
+        states = {0: oracle.snapshot()}
+        answers = [oracle.verify_consistency()]
+        applied: list[str] = []
+        for update in updates:
+            if oracle.try_execute(update).applied:
+                applied.append(update)
+                states[len(applied)] = oracle.snapshot()
+                answers.append(oracle.verify_consistency())
+        assert 0 < len(applied) < len(updates)
+        marker = "<title>Stress "
+
+        service = CheckingService.open_durable(
+            schema, fresh_documents(), state_dir)
+        done = threading.Event()
+        errors: list[BaseException] = []
+
+        def checker() -> None:
+            while not done.is_set():
+                assert service.verify_consistency() in answers
+
+        def serializer() -> None:
+            while not done.is_set():
+                documents = service.snapshot()
+                count = sum(text.count(marker) for text in documents)
+                assert documents == states[count], \
+                    f"read is not the {count}-commit prefix"
+
+        def reader(read) -> None:
+            try:
+                read()
+            except BaseException as error:  # noqa: B036 - reported
+                errors.append(error)
+
+        readers = [threading.Thread(target=reader, args=(read,))
+                   for read in (checker, serializer) * 2]
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in readers:
+                thread.start()
+            for update in updates:
+                service.try_execute(update)
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(switch_interval)
+        try:
+            assert not any(thread.is_alive() for thread in readers)
+            assert not errors, errors
+            assert service.snapshot() == states[len(applied)]
+            assert [r.text for r in service.wal_records()] == applied
+            assert service.snapshots.stats()["publishes"] == 0
         finally:
             service.close()
 

@@ -169,6 +169,154 @@ class TestConfig:
         assert clone == config
 
 
+_XUPDATE_HEAD = ('<?xml version="1.0"?>\n<xupdate:modifications '
+                 'version="1.0"\n    '
+                 'xmlns:xupdate="http://www.xmldb.org/xupdate">\n')
+
+
+def _reviewers():
+    """(track, rev, reviewer name, sub count) of every non-busy
+    reviewer of the seed corpus, in document order."""
+    entries = []
+    tracks = _twin_corpus()[1].root.element_children("track")
+    for track_no, track in enumerate(tracks, start=1):
+        for rev_no, rev in enumerate(track.element_children("rev"),
+                                     start=1):
+            name = rev.first_child("name").text()
+            if not name.startswith("Busy Reviewer"):
+                entries.append((track_no, rev_no, name,
+                                len(rev.element_children("sub"))))
+    return entries
+
+
+def _removal(track: int, rev: int, position: int) -> str:
+    return (f'{_XUPDATE_HEAD}  <xupdate:remove select='
+            f'"/review/track[{track}]/rev[{rev}]/sub[{position}]"/>\n'
+            '</xupdate:modifications>')
+
+
+def _two_author_append(track: int, rev: int, tag: str) -> str:
+    """A legal append no registered pattern matches (two ``auts``)."""
+    return (f'{_XUPDATE_HEAD}  <xupdate:append '
+            f'select="/review/track[{track}]/rev[{rev}]">\n'
+            '    <xupdate:element name="sub">\n'
+            f'      <title>Joint Sub {tag}</title>\n'
+            f'      <auts><name>Joint Author {tag}a</name></auts>\n'
+            f'      <auts><name>Joint Author {tag}b</name></auts>\n'
+            '    </xupdate:element>\n'
+            '  </xupdate:append>\n</xupdate:modifications>')
+
+
+class TestShardWorkerReadsLiveTree:
+    """A shard worker's durable services never copy a document: every
+    commit pays for its delta only, and the locked reads on the live
+    tree answer exactly what a snapshot-read service answers."""
+
+    def test_commits_publish_nothing_and_match_snapshot_oracle(
+            self, tmp_path, monkeypatch):
+        from repro.relational import incremental
+        from repro.service.net.worker import ShardWorker
+        from repro.xtree.node import Document
+
+        config = make_config()
+        worker = ShardWorker(0, 1, tmp_path / "state", config)
+        oracle = make_oracle(config)
+        assert oracle.snapshot_reads
+        uid = "main"
+
+        clones: list = []
+        attached: list = []
+        spying = False
+        real_clone, real_attach = Document.clone, incremental.attach
+
+        def spy_clone(document, **options):
+            if spying:
+                clones.append(document)
+            return real_clone(document, **options)
+
+        def spy_attach(document, relational):
+            if spying:
+                attached.append(document)
+            return real_attach(document, relational)
+
+        monkeypatch.setattr(Document, "clone", spy_clone)
+        monkeypatch.setattr(incremental, "attach", spy_attach)
+
+        def call(request: dict) -> dict:
+            nonlocal spying
+            spying = True
+            try:
+                response = worker.handle(request)
+            finally:
+                spying = False
+            stats = worker.services[uid].snapshots.stats()
+            assert stats["publishes"] == 0 and stats["cloned"] == 0, \
+                (request["op"], stats)
+            return response
+
+        def update(text: str) -> None:
+            assert call({"op": "update", "uid": uid, "update": text}) \
+                == {"ok": True,
+                    "decision": decision_to_json(
+                        oracle.try_execute(text))}
+
+        def check_and_read() -> None:
+            assert call({"op": "check", "uid": uid}) == {
+                "ok": True, "violations": oracle.verify_consistency()}
+            assert call({"op": "read", "uid": uid, "with_log": True}) \
+                == {"ok": True, "documents": oracle.snapshot(),
+                    "log": [canonical_update_text(entry.update)
+                            for entry in oracle.committed_updates()]}
+
+        # first touch: opens the shard (its guard attaches the live
+        # documents' column stores) — and, from here on, nothing copies
+        check_and_read()
+        clones.clear()
+        attached.clear()
+
+        (t1, r1, _, subs1), (t2, r2, name2, subs2) = _reviewers()[:2]
+        # legal appends and removes
+        update(submission_xupdate(t1, r1, "Live Sub 1", "Live Author 1"))
+        update(submission_xupdate(t2, r2, "Live Sub 2", "Live Author 2"))
+        update(_removal(t1, r1, subs1 + 1))
+        # an illegal reject: the author is the reviewer
+        update(submission_xupdate(t2, r2, "Conflicted", name2))
+        # one check_batch: appends, a reject and removes
+        batch = [submission_xupdate(t1, r1, "Batch Sub", "Batch Author"),
+                 submission_xupdate(t2, r2, "Batch Conflict", name2),
+                 _removal(t1, r1, subs1 + 1),
+                 _removal(t2, r2, subs2 + 1)]
+        assert call({"op": "check_batch", "uid": uid,
+                     "updates": batch}) \
+            == {"ok": True,
+                "decisions": [decision_to_json(d)
+                              for d in oracle.check_batch(batch)]}
+        # an unregistered two-author probe, then its removal
+        update(_two_author_append(t1, r1, "probe"))
+        update(_removal(t1, r1, subs1 + 1))
+        check_and_read()
+        assert clones == [] and attached == []
+
+        # forced from-disk recovery: the only attach is the new guard's
+        # on the recovered live documents, never on a copy
+        response = call({"op": "recover", "uid": uid})
+        recovered = worker.services[uid]
+        assert response["ok"] is True
+        assert response["violations"] == oracle.verify_consistency()
+        assert response["committed"] == len(oracle.committed_updates())
+        assert clones == []
+        live = recovered.store.documents
+        assert [id(d) for d in attached] == [id(d) for d in live]
+        attached.clear()
+
+        update(submission_xupdate(t2, r2, "After Recover", "Late Author"))
+        update(_removal(t2, r2, subs2 + 1))
+        check_and_read()
+        assert clones == [] and attached == []
+        assert worker.services[uid].snapshot() == oracle.snapshot()
+        worker.close()
+
+
 # ---------------------------------------------------------------------------
 # e2e: differential conformance against the single-process oracle
 # ---------------------------------------------------------------------------
