@@ -17,11 +17,11 @@ verdict:
 
 * ``gain`` — the change won at least 9 of 10 pairs and its median
   beats the base's by more than the base's interquartile range;
+* ``WORSE`` — the change's median is worse than the base's by more
+  than the bound and by more than the base's interquartile range;
 * ``unresolved`` — otherwise, when the base's own interquartile range
   exceeds the metric's bound, so these runs cannot tell a change
   from noise;
-* ``WORSE`` — the change's median is worse than the base's by more
-  than the bound;
 * ``unchanged`` — anything else.
 
 Every run must also report ``correct: true`` with no failed ops; the
@@ -30,9 +30,10 @@ script exits 1 otherwise, or when a verdict is ``WORSE``.
 Usage::
 
     python3 scripts/e2e_ab.py --base HEAD~1 [--pairs 10]
-        [--workload legal_write_128k ...] [--seconds 10] [--out ab.json]
+        [--workload legal_write_128k ...]
 
-``make bench-e2e-ab BASE=<rev> PAIRS=10`` runs it for every workload.
+Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  ``make
+bench-e2e-ab BASE=<rev> PAIRS=10`` runs it for every workload.
 """
 
 from __future__ import annotations
@@ -129,12 +130,12 @@ def verdict(spec: dict, base: "list[float]",
     if wins >= WIN_SHARE * len(base) \
             and sign * (base_median - change_median) > iqr:
         return "gain", wins
+    gap = sign * (change_median - base_median)
+    if base_median and gap / abs(base_median) > spec["bound"] \
+            and gap > iqr:
+        return "WORSE", wins
     if base_median and iqr / abs(base_median) > spec["bound"]:
         return "unresolved", wins
-    worse = sign * (change_median - base_median) / abs(base_median) \
-        if base_median else 0.0
-    if worse > spec["bound"]:
-        return "WORSE", wins
     return "unchanged", wins
 
 
@@ -148,21 +149,14 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable); default: "
                              "every workload in BENCHMARK.json")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="measured phase per run; default: "
-                             "BENCHMARK.json run_seconds")
-    parser.add_argument("--out", type=Path, default=None,
-                        help="also write every run's result here "
-                             "(JSON)")
     args = parser.parse_args(argv)
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"]
                                   for w in benchmark["workloads"]]
-    seconds = args.seconds or float(benchmark["run_seconds"])
+    seconds = float(benchmark["run_seconds"])
     scratch = Path(tempfile.mkdtemp(prefix="e2e-ab-"))
     trees = {"base": scratch / "base", "change": scratch / "change"}
-    runs: "dict[str, dict[str, list[dict]]]" = {}
     ok = True
     try:
         export_base(args.base, trees["base"])
@@ -187,13 +181,8 @@ def main(argv: "list[str] | None" = None) -> int:
                               f"failed={result['failed']}", flush=True)
                 print(f"ab: {workload} pair {pair + 1}/{args.pairs} "
                       "done", flush=True)
-            runs[workload] = sides
             ok = report(workload, sides, benchmark) and ok
     finally:
-        if args.out is not None:
-            args.out.write_text(json.dumps(
-                {"base": args.base, "pairs": args.pairs,
-                 "seconds": seconds, "runs": runs}, indent=1))
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"ab: {'ok' if ok else 'FAILED'}")
     return 0 if ok else 1
