@@ -143,8 +143,12 @@ class _CheckerBase:
         but before listeners run and the log commits.
 
         This is the write-ahead seam: the durable service appends the
-        update to its commit log here, so an update a listener observes
-        as accepted is already on stable storage (log-then-apply).  An
+        update to its commit log here (log-then-apply).  Outside a
+        batch the hook also fsyncs, so an update a listener observes as
+        accepted is already on stable storage; inside the durable
+        service's ``check_batch`` a listener observes a batch update
+        before the batch's fsync, which runs once after the last
+        update and before the batch is acknowledged.  An
         exception from the hook aborts the update — the transaction log
         rolls the in-memory application back and the exception
         propagates to the submitter.  ``abort(update)``, when given, is

@@ -29,7 +29,8 @@ Frame ops (referenced by the HTTP edge; schema in ``docs/testing.md``):
 
 Crash semantics: when an armed failpoint fires and either the shard's
 write-ahead log marked itself crashed (``persistence.*`` seams) or the
-arming requested kill-on-fault, the worker ``os._exit``\\ s without
+arming requested kill-on-fault — or any other error leaves a log
+crashed, such as a failed fsync — the worker ``os._exit``\\ s without
 replying — exactly what a SIGKILL mid-request looks like to the front
 end, with the on-disk artifacts (torn record, logged-but-unapplied
 update) left for recovery, never tidied by the dying process.
@@ -142,6 +143,10 @@ class ShardWorker:
                     "code": type(error).__name__,
                     "error": str(error)}
         except Exception as error:  # noqa: BLE001 — keep the worker up
+            if self._wal_crashed():
+                # a failed group fsync: memory may hold updates the
+                # disk lost, so only restart-and-recover is safe
+                os._exit(KILLED_EXIT_STATUS)
             return {"ok": False, "code": "internal",
                     "error": repr(error)}
 

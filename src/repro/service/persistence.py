@@ -7,10 +7,17 @@ carefully checked state voids that assumption; this module makes the
 state recoverable:
 
 * :class:`DurableLog` — a write-ahead commit log.  Every accepted
-  update is appended as a length-prefixed, CRC-checksummed, fsync'd
-  record *before* it commits in memory (log-then-apply), so the log is
-  always a superset of the applied updates: at most one trailing
-  record may be logged-but-unapplied, and restart replays it.
+  update is appended as a length-prefixed, CRC-checksummed record and
+  flushed to the kernel *before* it commits in memory (log-then-apply),
+  so the log is always a superset of the applied updates: at most one
+  trailing record may be logged-but-unapplied, and restart replays it.
+  Appending does not fsync; :meth:`DurableLog.sync` does, and the
+  caller picks the commit point.  A single update
+  (``CheckingService.try_execute``) syncs its own record before it
+  commits; a batch (``CheckingService.check_batch``) syncs once after
+  its last update and acknowledges after that one fsync (group
+  commit).  A killed process loses nothing that was flushed; a machine
+  crash may lose the un-synced tail of a batch nobody was told about.
 * :func:`write_snapshot` / :func:`load_snapshot` — periodic full-state
   snapshots (every document serialized, plus the log sequence number
   they reflect), installed atomically by write-temp + rename so a
@@ -32,11 +39,12 @@ Record format (all integers big-endian)::
 canonical_update_text`), so records round-trip through the parser on
 replay.  Scanning stops at the first record that is short, oversized,
 checksum-mismatched or undecodable — everything from that offset on
-is the *torn tail* and is truncated (a fully fsync'd record can never
+is the *torn tail* and is truncated (a fully written record can never
 be torn, so only the in-flight final append is ever dropped).
 
 Crash containment: when an injected fault fires inside the log (the
-``persistence.pre_fsync`` seam) or at the durable commit hook's
+``persistence.pre_fsync`` seam), when :meth:`DurableLog.sync` fails,
+or at the durable commit hook's
 ``persistence.post_append_pre_apply`` seam, the log marks itself
 *crashed* — from the process's point of view it is dead, and every
 later append or truncation is refused.  That keeps the in-process
@@ -161,10 +169,12 @@ class DurableLog:
     """Append-only write-ahead commit log over one file.
 
     Opening scans the existing file, truncates any torn trailing
-    record, and resumes the sequence; :meth:`append` writes one
-    fsync'd record and returns its sequence number.  All file state is
-    behind one lock (rank ``service.persistence``), acquired *inside*
-    the store's writer lock by the durable commit path.
+    record, and resumes the sequence; :meth:`append` writes one record,
+    flushes it to the kernel and returns its sequence number, and
+    :meth:`sync` fsyncs everything appended so far — the commit point,
+    once per update or once per batch.  All file state is behind one
+    lock (rank ``service.persistence``), acquired *inside* the store's
+    writer lock by the durable commit path.
     """
 
     def __init__(self, path: "str | Path", sync: bool = True) -> None:
@@ -205,12 +215,15 @@ class DurableLog:
     # -- mutation -----------------------------------------------------------
 
     def append(self, text: str) -> int:
-        """Durably append one update record; returns its sequence.
+        """Write one update record; returns its sequence.
 
-        The record is written in two parts with the
-        ``persistence.pre_fsync`` failpoint between them, so a fault
-        there leaves a genuinely torn record in the file — the shape a
-        real mid-write crash produces and recovery must truncate.
+        The record is flushed to the kernel, so it survives the death
+        of this process, but not fsync'd: it is durable against a
+        machine crash only after the next :meth:`sync`.  It is written
+        in two parts with the ``persistence.pre_fsync`` failpoint
+        between them, so a fault there leaves a genuinely torn record
+        in the file — the shape a real mid-write crash produces and
+        recovery must truncate.
         """
         with self._lock:
             self._require_alive()
@@ -224,11 +237,26 @@ class DurableLog:
                 self._mark_crashed_locked()
                 raise
             self._file.write(blob[split:])
-            self._flush()
+            self._file.flush()
             self._next_seq = seq + 1
             self._records.append(
                 WalRecord(seq, text, self._file.tell()))
             return seq
+
+    def sync(self) -> None:
+        """fsync every record appended so far (the commit point).
+
+        A failing fsync leaves it unknown which records reached stable
+        storage, so the log marks itself crashed and re-raises: the
+        owning process must restart and recover from what is on disk.
+        """
+        with self._lock:
+            self._require_alive()
+            try:
+                self._flush()
+            except BaseException:
+                self._mark_crashed_locked()
+                raise
 
     def truncate_to_seq(self, seq: int) -> None:
         """Drop every record with sequence ``>= seq`` (rollback of an

@@ -29,8 +29,11 @@ against, and the natural hook for future replication/sharding layers).
 
 Opened through :meth:`CheckingService.open_durable`, the commit log is
 additionally *write-ahead durable*: every accepted update is appended
-to an fsync'd on-disk log (:mod:`repro.service.persistence`) before it
-commits in memory, periodic snapshots bound the replay tail, and
+to an on-disk log (:mod:`repro.service.persistence`) before it commits
+in memory and fsync'd before it is acknowledged — one fsync per
+:meth:`~CheckingService.try_execute`, one per
+:meth:`~CheckingService.check_batch` — periodic snapshots bound the
+replay tail, and
 :meth:`CheckingService.recover` rebuilds the exact pre-crash state by
 loading the latest snapshot and re-checking the logged tail through
 the checker.
@@ -180,7 +183,8 @@ class RecoveryInfo:
 
 
 @guarded_by("self.store.lock",
-            "_committed", "_pending_mark", "_last_snapshot_lsn")
+            "_committed", "_pending_mark", "_last_snapshot_lsn",
+            "_in_batch")
 class CheckingService:
     """Thread-safe façade over a run-time checker.
 
@@ -221,6 +225,9 @@ class CheckingService:
         self._snapshot_interval = 0
         self._last_snapshot_lsn = 0
         self._pending_mark: "tuple[int, int] | None" = None
+        #: set while :meth:`check_batch` runs: the pre-commit hook
+        #: leaves the fsync to the end of the batch
+        self._in_batch = False
         #: populated by :meth:`recover` on recovered instances
         self.last_recovery: "RecoveryInfo | None" = None
 
@@ -246,6 +253,7 @@ class CheckingService:
         service._snapshot_interval = 0
         service._last_snapshot_lsn = 0  # lock: ignore
         service._pending_mark = None  # lock: ignore
+        service._in_batch = False  # lock: ignore
         service.last_recovery = None
         return service
 
@@ -417,8 +425,11 @@ class CheckingService:
 
         Runs inside the checker's transactional scope for every update
         it decided to apply, before listeners observe the decision and
-        before the in-memory commit: the fsync completing is the
-        commit point.  Any exception here aborts the update — the
+        before the in-memory commit.  A single update fsyncs here: the
+        fsync completing is its commit point.  Inside
+        :meth:`check_batch` the record is only written, and the batch's
+        one fsync (:meth:`_check_batch_durable`) is the commit point of
+        every update in it.  Any exception here aborts the update — the
         checker rolls the in-memory application back and
         :meth:`_durable_abort` reconciles the log.
         """
@@ -426,6 +437,8 @@ class CheckingService:
         assert wal is not None
         self._pending_mark = (wal.next_seq, len(self._committed))
         seq = wal.append(canonical_update_text(update))
+        if not self._in_batch:
+            wal.sync()
         try:
             fail.point("persistence.post_append_pre_apply")
         except BaseException:
@@ -455,6 +468,31 @@ class CheckingService:
         seq, committed_length = mark
         wal.truncate_to_seq(seq)
         del self._committed[committed_length:]
+
+    @requires_lock("self.store.lock")
+    def _check_batch_durable(
+            self,
+            updates: "list[str | Operation]") -> list[UpdateDecision]:
+        """The checker's batch with one WAL fsync for all of it.
+
+        Each applied update's record is written by the pre-commit hook
+        and the fsync runs once, after the last update — also when the
+        batch raises part-way, so updates already committed in memory
+        are durable before anyone reads them.  A failing fsync marks
+        the log crashed and raises; the batch is not rolled back in
+        memory, because the process is considered dead and restart
+        recovers exactly what reached the disk.
+        """
+        wal = self._durable
+        assert wal is not None
+        first_seq = wal.next_seq
+        self._in_batch = True
+        try:
+            return self.checker.check_batch(updates)
+        finally:
+            self._in_batch = False
+            if wal.next_seq != first_seq and not wal.crashed:
+                wal.sync()
 
     @requires_lock("self.store.lock")
     def _maybe_snapshot(self) -> None:
@@ -559,12 +597,14 @@ class CheckingService:
         with the writer lock acquired (and one snapshot published)
         *once* for the whole batch; applied updates enter
         the commit log in batch order.  Decisions match the sequential
-        :meth:`try_execute` loop update for update.
+        :meth:`try_execute` loop update for update.  A durable service
+        fsyncs its write-ahead log once for the batch, before it
+        returns (group commit).
         """
         with self.store.write_locked():
             try:
-                decisions = self.checker.check_batch(updates)
                 if self._durable is None:
+                    decisions = self.checker.check_batch(updates)
                     for update, decision in zip(updates, decisions):
                         if decision.applied:
                             fail.point(
@@ -574,6 +614,7 @@ class CheckingService:
                                 decision))
                 else:
                     # per-update logging happened in the hook
+                    decisions = self._check_batch_durable(updates)
                     self._maybe_snapshot()
             except BaseException:
                 self.snapshots.invalidate()

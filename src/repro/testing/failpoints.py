@@ -160,9 +160,10 @@ SITES: dict[str, str] = {
     "persistence.pre_fsync":
         "DurableLog.append, between the record's first and last bytes "
         "reaching the file and before fsync — the process dies with a "
-        "torn trailing record that recovery must truncate",
+        "torn trailing record that recovery must truncate (inside "
+        "check_batch, after the batch's earlier records were written)",
     "persistence.post_append_pre_apply":
-        "durable pre-commit hook, after the WAL record is fsync'd and "
+        "durable pre-commit hook, after the WAL record is written and "
         "before the update commits in memory — logged but never "
         "applied; restart-and-replay must apply it",
     "persistence.snapshot_rename":

@@ -749,6 +749,16 @@ RESTART_SITES: dict[str, str] = {
     "service.store.pre_commit_append": "count:3",
     "xupdate.apply.post_op": "count:5",
     "core.guard.post_check": "count:4",
+    "wal-torn-batch": "count:2",
+}
+
+#: restart schedules that arm a site only while a ``check_batch`` step
+#: runs (re-armed per batch), so the kill lands inside a group commit:
+#: ``wal-torn-batch`` tears the second record of the first batch that
+#: applies two updates, after the first was written but before the
+#: batch's one fsync
+_BATCH_KILLS: dict[str, str] = {
+    "wal-torn-batch": "persistence.pre_fsync",
 }
 
 
@@ -841,7 +851,8 @@ def _run_restart_body(seed: int, site: str, trigger: str, ops: int,
     rng = random.Random(seed)
     kinds = _weighted_kinds(rng, ops)
 
-    workload_spec = {} if replay_site else {site: trigger}
+    batch_site = _BATCH_KILLS.get(site)
+    workload_spec = {} if replay_site or batch_site else {site: trigger}
     with fail.armed(workload_spec) as handle:
         for kind in kinds:
             step = _make_step(kind, rev_twin, rng)
@@ -849,12 +860,19 @@ def _run_restart_body(seed: int, site: str, trigger: str, ops: int,
                 if step is None:
                     service.verify_consistency()
                 elif isinstance(step, list):
-                    service.check_batch(step)
+                    with fail.armed({batch_site: trigger}
+                                    if batch_site else {}) as batch:
+                        try:
+                            service.check_batch(step)
+                        finally:
+                            report.faults_fired += sum(
+                                fires for _, (_, fires)
+                                in batch.counts().items())
                 else:
                     service.try_execute(step)
             except Exception:  # noqa: BLE001 — faults are Exception
                 report.errored += 1
-        report.faults_fired = sum(
+        report.faults_fired += sum(
             fires for _, (_, fires) in handle.counts().items())
     service.close()
 

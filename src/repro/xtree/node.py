@@ -139,7 +139,7 @@ class Text(Node):
 class Element(Node):
     """An element node with a tag, attributes and ordered children."""
 
-    __slots__ = ("tag", "attributes", "children")
+    __slots__ = ("tag", "attributes", "children", "compact_xml")
 
     def __init__(self, tag: str, attributes: dict[str, str] | None = None,
                  children: list[Node] | None = None) -> None:
@@ -147,6 +147,17 @@ class Element(Node):
         self.tag = tag
         self.attributes: dict[str, str] = dict(attributes or {})
         self.children: list[Node] = []
+        #: this subtree's compact serialization, or ``None`` when it
+        #: is unknown.  Filled by :func:`repro.xtree.serializer.
+        #: serialize` for the root's children and grandchildren only,
+        #: and cleared on this element and every ancestor by
+        #: :meth:`insert` and :meth:`remove`.  Those two are the only
+        #: mutations an attached tree ever sees: XUpdate inserts and
+        #: removes subtrees, attribute dicts are written only while an
+        #: element is still detached (parsers, reconstruction) and
+        #: ``Text.value`` is never reassigned.  Code that breaks this
+        #: must clear the slot itself.
+        self.compact_xml: str | None = None
         for child in children or []:
             self.append(child)
 
@@ -165,6 +176,7 @@ class Element(Node):
         """
         if child.parent is not None:
             raise ValueError("child already has a parent; detach it first")
+        self._clear_compact_xml()
         self.children.insert(index, child)
         child.parent = self
         if self.document is not None:
@@ -189,11 +201,20 @@ class Element(Node):
         is unregistered from the document's id index.
         """
         index = self._child_index(child)
+        self._clear_compact_xml()
         del self.children[index]
         child.parent = None
         if self.document is not None:
             self.document.orphan(child, parent=self)
         return child
+
+    def _clear_compact_xml(self) -> None:
+        """Drop the cached serialization of this subtree and of every
+        subtree containing it (the whole ancestor chain)."""
+        node: Element | None = self
+        while node is not None:
+            node.compact_xml = None
+            node = node.parent
 
     def _child_index(self, child: Node) -> int:
         for index, candidate in enumerate(self.children):

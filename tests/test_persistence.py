@@ -11,6 +11,7 @@ identical to a sequential oracle replay of the recovered commit log.
 
 from __future__ import annotations
 
+import os
 import random
 import shutil
 import sys
@@ -443,6 +444,138 @@ class TestSequenceNumbering:
                     for c in committed]
         finally:
             service.close()
+
+
+class TestGroupCommit:
+    """A durable ``check_batch`` fsyncs its write-ahead log once, after
+    the last update; ``try_execute`` still fsyncs every applied update
+    before it commits."""
+
+    @pytest.fixture()
+    def fsyncs(self, monkeypatch):
+        calls: list[int] = []
+        real_fsync = os.fsync
+
+        def spy(fd: int) -> None:
+            calls.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        return calls
+
+    def _legal_batch(self, service, count: int, seed: int) -> list[str]:
+        rng = random.Random(seed)
+        rev = service.store.document("review")
+        return [legal_submission(rev, rng) for _ in range(count)]
+
+    def test_batch_fsyncs_wal_once(self, schema, state_dir, fsyncs):
+        service = CheckingService.open_durable(
+            schema, fresh_documents(), state_dir, snapshot_interval=64)
+        try:
+            batch = self._legal_batch(service, 6, seed=41)
+            fsyncs.clear()
+            decisions = service.check_batch(batch)
+            assert all(decision.applied for decision in decisions)
+            assert len(fsyncs) == 1
+            assert len(service.wal_records()) == 6
+        finally:
+            service.close()
+
+    def test_single_updates_fsync_each(self, schema, state_dir, fsyncs):
+        service = CheckingService.open_durable(
+            schema, fresh_documents(), state_dir, snapshot_interval=64)
+        try:
+            updates = self._legal_batch(service, 3, seed=43)
+            rng = random.Random(44)
+            illegal = illegal_submission(
+                service.store.document("review"), rng)
+            fsyncs.clear()
+            for update in updates:
+                assert service.try_execute(update).applied
+            assert not service.try_execute(illegal).applied
+            assert len(fsyncs) == 3
+        finally:
+            service.close()
+
+    def test_rejected_batch_does_not_fsync(
+            self, schema, state_dir, fsyncs):
+        service = CheckingService.open_durable(
+            schema, fresh_documents(), state_dir)
+        try:
+            rng = random.Random(45)
+            rev = service.store.document("review")
+            batch = [illegal_submission(rev, rng) for _ in range(3)]
+            fsyncs.clear()
+            assert not any(decision.applied
+                           for decision in service.check_batch(batch))
+            assert fsyncs == []
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_torn_record_inside_batch_recovers_prefix(
+            self, schema, state_dir, k):
+        service = CheckingService.open_durable(
+            schema, fresh_documents(), state_dir)
+        before = self._legal_batch(service, 1, seed=47)
+        assert service.try_execute(before[0]).applied
+        batch = self._legal_batch(service, 5, seed=48)
+        with fail.armed({"persistence.pre_fsync": f"count:{k}"}):
+            with pytest.raises(FailPointError):
+                service.check_batch(batch)
+        assert service.wal_crashed
+        service.close()
+        survivors = before + batch[:k - 1]
+        recovered = CheckingService.recover(schema, state_dir)
+        try:
+            assert [canonical_update_text(c.update)
+                    for c in recovered.committed_updates()] == survivors
+            oracle = CheckingService(schema, fresh_documents())
+            for text in survivors:
+                assert oracle.try_execute(text).applied
+            assert recovered.snapshot() == oracle.snapshot()
+            assert recovered.verify_consistency() == []
+        finally:
+            recovered.close()
+
+    def test_failed_sync_marks_log_crashed(self, tmp_path, monkeypatch):
+        log = DurableLog(tmp_path / WAL_NAME)
+        log.append(submission_xupdate(1, 1, "Written", "A"))
+
+        def broken(fd: int) -> None:
+            raise OSError("fsync failed")
+
+        monkeypatch.setattr(os, "fsync", broken)
+        with pytest.raises(OSError, match="fsync failed"):
+            log.sync()
+        assert log.crashed
+        with pytest.raises(RecoveryError, match="marked crashed"):
+            log.append(submission_xupdate(1, 2, "After", "B"))
+        log.close()
+
+    def test_failed_batch_sync_crashes_and_recovers_written(
+            self, schema, state_dir, monkeypatch):
+        service = CheckingService.open_durable(
+            schema, fresh_documents(), state_dir)
+        batch = self._legal_batch(service, 3, seed=49)
+
+        def broken(fd: int) -> None:
+            raise OSError("fsync failed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "fsync", broken)
+            with pytest.raises(OSError, match="fsync failed"):
+                service.check_batch(batch)
+        # no in-memory rollback: the process is dead and recovery
+        # decides, from what was written, what survived
+        assert service.wal_crashed
+        service.close()
+        recovered = CheckingService.recover(schema, state_dir)
+        try:
+            assert [canonical_update_text(c.update)
+                    for c in recovered.committed_updates()] == batch
+        finally:
+            recovered.close()
 
 
 @pytest.mark.stress

@@ -317,6 +317,41 @@ class TestShardWorkerReadsLiveTree:
         worker.close()
 
 
+def test_failed_group_fsync_exits_worker(tmp_path, monkeypatch):
+    """A check_batch whose one fsync fails leaves updates in memory the
+    disk may have lost: the worker must die without replying, so the
+    supervisor restarts it and recovery decides what survived."""
+    import os
+
+    from repro.service.net import worker as worker_module
+
+    class Exited(Exception):
+        pass
+
+    def fake_exit(status: int) -> None:
+        raise Exited(status)
+
+    worker = worker_module.ShardWorker(
+        0, 1, tmp_path / "state", make_config())
+    assert worker.handle({"op": "check", "uid": "main"})["ok"]
+    (t1, r1, _, _), (t2, r2, _, _) = _reviewers()[:2]
+    batch = [submission_xupdate(t1, r1, "Unsynced 1", "Sync Author 1"),
+             submission_xupdate(t2, r2, "Unsynced 2", "Sync Author 2")]
+
+    def broken(fd: int) -> None:
+        raise OSError("fsync failed")
+
+    monkeypatch.setattr(worker_module.os, "_exit", fake_exit)
+    monkeypatch.setattr(os, "fsync", broken)
+    with pytest.raises(Exited) as exited:
+        worker.handle({"op": "check_batch", "uid": "main",
+                       "updates": batch})
+    assert exited.value.args == (worker_module.KILLED_EXIT_STATUS,)
+    assert worker.services["main"].wal_crashed
+    monkeypatch.undo()
+    worker.close()
+
+
 # ---------------------------------------------------------------------------
 # e2e: differential conformance against the single-process oracle
 # ---------------------------------------------------------------------------
