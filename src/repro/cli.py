@@ -204,7 +204,11 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_recover(args: argparse.Namespace) -> int:
     from repro.errors import RecoveryError
-    from repro.service.persistence import SNAPSHOT_NAME, WAL_NAME
+    from repro.service.persistence import (
+        SNAPSHOT_NAME,
+        WAL_NAME,
+        has_durable_state,
+    )
     from repro.service.store import CheckingService
 
     # pre-flight the state directory so a mistyped path yields one
@@ -217,8 +221,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     if not state_dir.is_dir():
         raise RecoveryError(
             f"{state_dir} is not a directory", code="recover.no-state")
-    if not (state_dir / SNAPSHOT_NAME).exists() \
-            and not (state_dir / WAL_NAME).exists():
+    if not has_durable_state(state_dir):
         raise RecoveryError(
             f"state directory {state_dir} holds neither a "
             f"{SNAPSHOT_NAME} nor a {WAL_NAME}; nothing to recover",

@@ -26,10 +26,11 @@ class ServiceConfig:
 
     ``documents`` seed every new document group: the first request
     that touches an unknown uid opens a durable service over the
-    parsed copies (an existing shard state directory wins and is
-    recovered instead).  ``allow_test_ops`` gates the ``arm`` worker
-    op the chaos suite uses to schedule deterministic kills; it must
-    stay off for real deployments.
+    parsed copies (an existing shard state directory wins: it is
+    recovered instead, and the seed is not parsed at all).
+    ``allow_test_ops`` gates the ``arm`` worker op the chaos suite uses
+    to schedule deterministic kills; it must stay off for real
+    deployments.
     """
 
     dtds: tuple[str, ...]

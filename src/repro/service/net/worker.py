@@ -48,6 +48,7 @@ from repro.errors import RecoveryError, ReproError
 from repro.service.net.config import ServiceConfig
 from repro.service.net.frames import FrameError, recv_frame, send_frame
 from repro.service.net.ring import HashRing
+from repro.service.persistence import has_durable_state
 from repro.service.store import CheckingService, DocumentStore
 from repro.testing.failpoints import FailPointError, fail
 from repro.xtree.serializer import serialize
@@ -104,10 +105,13 @@ class ShardWorker:
         service = self.services.get(uid)
         if service is None:
             # an existing state directory wins over the seed corpus:
-            # open_durable recovers it (restart-and-replay)
+            # open_durable recovers it (restart-and-replay), so the
+            # seed is parsed only for a shard that has no state yet
+            shard_dir = self.shard_dir(uid)
+            seed = [] if has_durable_state(shard_dir) \
+                else self.config.initial_documents()
             service = CheckingService.open_durable(
-                self.schema, self.config.initial_documents(),
-                self.shard_dir(uid),
+                self.schema, seed, shard_dir,
                 snapshot_interval=self.config.snapshot_interval,
                 sync=self.config.sync_writes)
             self.services[uid] = service

@@ -75,6 +75,7 @@ __all__ = [
     "DurableLog",
     "Snapshot",
     "WalRecord",
+    "has_durable_state",
     "load_snapshot",
     "write_snapshot",
     "SNAPSHOT_NAME",
@@ -357,6 +358,14 @@ def write_snapshot(directory: "str | Path", lsn: int,
     if sync:
         _fsync_directory(directory)
     return target
+
+
+def has_durable_state(directory: "str | Path") -> bool:
+    """Whether ``directory`` holds a snapshot or a write-ahead log —
+    the test that makes opening a durable service a recovery."""
+    directory = Path(directory)
+    return (directory / SNAPSHOT_NAME).exists() \
+        or (directory / WAL_NAME).exists()
 
 
 def load_snapshot(directory: "str | Path") -> "Snapshot | None":

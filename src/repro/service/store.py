@@ -63,11 +63,11 @@ from repro.errors import (
 from repro.service.locks import ReadWriteLock
 from repro.service.snapshots import DocumentSnapshot, SnapshotManager
 from repro.service.persistence import (
-    SNAPSHOT_NAME,
     WAL_NAME,
     DurableLog,
     Snapshot,
     WalRecord,
+    has_durable_state,
     load_snapshot,
     write_snapshot,
 )
@@ -294,8 +294,7 @@ class CheckingService:
         insulate, so no commit publishes, clones or freezes a copy.
         """
         state_dir = Path(state_dir)
-        if (state_dir / SNAPSHOT_NAME).exists() \
-                or (state_dir / WAL_NAME).exists():
+        if has_durable_state(state_dir):
             return cls.recover(
                 schema, state_dir, checker_factory=checker_factory,
                 snapshot_interval=snapshot_interval, sync=sync)

@@ -23,7 +23,7 @@ from typing import Union
 
 from repro.errors import XUpdateError
 from repro.xtree.node import Element, Node, Text
-from repro.xtree.parser import parse_document
+from repro.xtree.parser import _parse_root
 
 _PREFIX = "xupdate:"
 
@@ -121,9 +121,13 @@ def canonical_update_text(update: "str | Operation") -> str:
 
 
 def parse_modifications(text: str) -> list[Operation]:
-    """Parse an XUpdate document into a list of operations."""
-    document = parse_document(text)
-    root = document.root
+    """Parse an XUpdate document into a list of operations.
+
+    The modification document is read as a detached tree: its nodes are
+    only copied out (:func:`_build_content`), so no :class:`Document`
+    allocates node ids or indexes tags for it.
+    """
+    root = _parse_root(text, keep_whitespace=False)
     if _local(root.tag) != "modifications":
         raise XUpdateError(
             f"expected <xupdate:modifications>, found <{root.tag}>")

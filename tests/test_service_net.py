@@ -317,6 +317,42 @@ class TestShardWorkerReadsLiveTree:
         worker.close()
 
 
+def test_restarted_worker_parses_only_the_snapshot(tmp_path, monkeypatch):
+    """A shard with durable state is recovered from it, so a restarted
+    worker must not parse the seed corpus only to throw it away."""
+    from repro.service import store as store_module
+    from repro.service.net import config as config_module
+    from repro.service.net.worker import ShardWorker
+    from repro.service.persistence import load_snapshot
+
+    parsed: list = []
+    real_parse = config_module.parse_document
+
+    def spy(text, *args, **kwargs):
+        parsed.append(text)
+        return real_parse(text, *args, **kwargs)
+
+    monkeypatch.setattr(config_module, "parse_document", spy)
+    monkeypatch.setattr(store_module, "parse_document", spy)
+    config = make_config()
+    (t1, r1, _, _) = _reviewers()[0]
+    first = ShardWorker(0, 1, tmp_path / "state", config)
+    update = submission_xupdate(t1, r1, "Before Restart", "Restart Author")
+    assert first.handle({"op": "update", "uid": "main",
+                         "update": update})["ok"]
+    assert parsed == list(config.documents)  # a new shard: the seed
+    first.close()
+
+    parsed.clear()
+    restarted = ShardWorker(0, 1, tmp_path / "state", config)
+    assert restarted.handle({"op": "check", "uid": "main"})["ok"]
+    snapshot = load_snapshot(restarted.shard_dir("main"))
+    assert snapshot is not None and snapshot.lsn == 0
+    assert parsed == list(snapshot.documents)
+    assert len(restarted.services["main"].committed_updates()) == 1
+    restarted.close()
+
+
 def test_failed_group_fsync_exits_worker(tmp_path, monkeypatch):
     """A check_batch whose one fsync fails leaves updates in memory the
     disk may have lost: the worker must die without replying, so the
