@@ -122,7 +122,7 @@ class _CheckerBase:
         # attach incrementally-maintained column stores so planned
         # checks can lower to the columnar backend
         for document in self.documents:
-            incremental.attach(document, schema.relational)
+            incremental.attach(document)
 
     def subscribe(self, listener) -> None:
         """Register ``listener(update, decision)``, called after every

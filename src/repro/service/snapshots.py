@@ -95,11 +95,7 @@ class SnapshotManager:
     the reader's repair-under-read-lock nest legally).
     """
 
-    def __init__(self, relational=None) -> None:
-        #: relational schema used to attach column stores to fresh
-        #: clones (``None`` → snapshot documents evaluate DOM-only);
-        #: immutable after construction
-        self._relational = relational
+    def __init__(self) -> None:
         self._lock = make_lock("service.snapshots")
         # construction: the manager is not shared with any thread yet
         self._published: "DocumentSnapshot | None" = None  # lock: ignore
@@ -153,8 +149,7 @@ class SnapshotManager:
             clone = reuse.get(key)
             if clone is None:
                 clone = document.clone()
-                if self._relational is not None:
-                    incremental.attach(clone, self._relational)
+                incremental.attach(clone)
                 cloned += 1
             else:
                 reused += 1

@@ -201,7 +201,7 @@ class CheckingService:
                  = IntegrityGuard, *,
                  snapshot_reads: bool = True) -> None:
         self.snapshot_reads = snapshot_reads
-        self.snapshots = SnapshotManager(schema.relational)
+        self.snapshots = SnapshotManager()
         if isinstance(documents, DocumentStore):
             # the store may already be shared with running threads, and
             # the checker factory walks the document list (root-tag
@@ -241,7 +241,7 @@ class CheckingService:
         """
         service = cls.__new__(cls)
         service.snapshot_reads = snapshot_reads
-        service.snapshots = SnapshotManager(checker.schema.relational)
+        service.snapshots = SnapshotManager()
         service.store = DocumentStore(checker.documents)
         service.checker = checker
         # construction: the service is not shared with any thread yet

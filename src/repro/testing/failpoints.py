@@ -133,18 +133,18 @@ SITES: dict[str, str] = {
         "check planner, before a fresh plan enters the plan cache",
     "columns.delta.apply":
         "column store mutation listener, after the store is marked "
-        "dirty and before the delta patches any column — the store "
+        "dirty and before the delta patches any index — the store "
         "self-heals with a full rebuild on the next read",
     "columns.delta.settle":
         "column store mutation listener, after the delta patched the "
-        "columns and before the document revision is stamped back — "
+        "indexes and before the document revision is stamped back — "
         "a fully-applied delta is discarded and rebuilt",
     "columns.batch.settle":
         "IntegrityGuard.check_batch settling, before dirty column "
         "stores are eagerly rebuilt at the batch boundary",
     "columns.rebuild":
         "column store validation, before a dirty store rebuilds its "
-        "materialized tables and indexes from the DOM",
+        "materialized value indexes from the DOM",
     "service.snapshots.publish":
         "snapshot publisher, after the manager is marked dirty and "
         "before the new snapshot version installs — readers see no "

@@ -414,8 +414,8 @@ def _check_column_stores(documents: list[Document],
 
     The delta-maintenance protocol self-heals after injected crashes
     (write-ahead invalidation, rebuild on next read), so after the
-    workload — whatever faults fired — tables must match a cold
-    re-shred and value indexes a from-scratch build.
+    workload — whatever faults fired — every materialized value index
+    must equal a from-scratch build.
     """
     from repro.relational.incremental import store_of
     for document in documents:

@@ -5,8 +5,8 @@ nested-loop tree per candidate tuple.  This module lowers the same
 chosen binding order to a *frontier* pipeline: each level is one
 vectorized operation over a whole column of candidate rows —
 
-* ``_Scan`` — all elements of a tag, straight from the column store's
-  :class:`~repro.relational.columns.TagTable`;
+* ``_Scan`` — all elements of a tag, from the document's tag index
+  (:meth:`~repro.xtree.node.Document.elements_by_tag`);
 * ``_Down`` — a chain of child steps,
   :meth:`~repro.xtree.node.Element.element_children`: the DOM's
   child lists are the ``IdParent`` lookup;
@@ -81,10 +81,7 @@ class _RunContext:
         key = (id(document), tag, steps)
         index = self.indexes.get(key)
         if index is None:
-            store = document.column_store
-            if store is None:
-                raise Bail("column store detached mid-run")
-            index = store.value_index(tag, steps)
+            index = document.column_store.value_index(tag, steps)
             self.indexes[key] = index
         return index
 
@@ -231,10 +228,7 @@ class _Scan:
                count: int) -> tuple[list[int], list]:
         elements: list = []
         for document in ctx.rt.documents:
-            store = document.column_store
-            if store is None:
-                raise Bail("column store detached mid-run")
-            elements.extend(store.table(self.tag).elements)
+            elements.extend(document.elements_by_tag(self.tag))
         return [0] * len(elements), elements
 
 
@@ -409,12 +403,8 @@ class _Join:
 
     def expand(self, ctx: _RunContext, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
-        indexes = []
-        for document in ctx.rt.documents:
-            store = document.column_store
-            if store is None:
-                raise Bail("column store detached mid-run")
-            indexes.append(store.value_index(self.tag, self.steps))
+        indexes = [document.column_store.value_index(self.tag, self.steps)
+                   for document in ctx.rt.documents]
         keys_of = self.probe.keys_fn(ctx, cols, True)  # type: ignore
         take: list[int] = []
         values: list = []
@@ -578,9 +568,8 @@ class VectorSome:
     def run(self, rt: _Runtime) -> bool:
         """Existential truth by frontier evaluation.
 
-        Raises :class:`Bail` when a store disappears mid-run or the
-        frontier outgrows the cap; the caller falls back to the
-        tuple-at-a-time search.
+        Raises :class:`Bail` when the frontier outgrows the cap; the
+        caller falls back to the tuple-at-a-time search.
         """
         ctx = _RunContext(rt)
         cols: dict[str, list] = {}

@@ -1608,17 +1608,6 @@ def explain_query(
         verdict = query_truth(query, list(docs), variables)
         fallback_reason = str(error)
     lines: list[str] = []
-    column_bits: list[str] = []
-    for document in docs:
-        store = document.column_store
-        tables = getattr(store, "_tables", None) if store is not None \
-            else None
-        if tables:
-            column_bits.extend(
-                f"{document.root.tag}/{tag}={len(tables[tag])}"
-                for tag in sorted(tables))
-    if column_bits:
-        lines.append("columns: " + "  ".join(column_bits))
     for info in pl.infos:
         lines.append(f"{info.kind} quantifier "
                      f"#{info.index + 1}: {render(info.expression)}")

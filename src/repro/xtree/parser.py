@@ -21,6 +21,14 @@ column), or — for a valid tag the patterns leave out, such as a name
 whose first character lies beyond the Basic Multilingual Plane — yields
 the same element.
 
+Elements nest at most :data:`MAX_DEPTH` deep (the root, or a
+fragment's top-level element, is depth 1).  The tree's recursive
+consumers — serialization, the XUpdate content copy — would otherwise
+meet hostile nesting as a ``RecursionError``; the parser refuses it at
+the start tag that would exceed the limit instead.  An XUpdate insert
+that would nest the document deeper is refused when it is applied
+(:mod:`repro.xupdate.apply`), so every stored document re-parses.
+
 Character data and CDATA sections become text nodes in document order
 (the text before a CDATA section is flushed first).  Whitespace-only
 text between elements is dropped by default — the running-example DTDs
@@ -35,6 +43,10 @@ import re
 
 from repro.errors import XMLParseError
 from repro.xtree.node import Document, Element, Node, Text
+
+#: the deepest element nesting a document or fragment may have; the
+#: paper's documents are at most 6 deep
+MAX_DEPTH = 256
 
 _PREDEFINED_ENTITIES = {"lt": "<", "gt": ">", "amp": "&", "apos": "'",
                         "quot": '"'}
@@ -235,6 +247,9 @@ class _Parser:
         position after the content.
         """
         text, keep, end_tag = self.text, self.keep_whitespace, _END_TAG.match
+        # a fragment's container is on the stack but is not an element
+        # of the fragment
+        max_open = MAX_DEPTH + fragment - 1
         # the tree is detached while it grows: nodes are linked directly,
         # with no cached serialization or document index to maintain
         parent = stack[-1]
@@ -278,6 +293,9 @@ class _Parser:
             elif mark == "?":
                 pos = self.skip_past("?>", lt, lt, "processing instruction")
             else:
+                if len(stack) > max_open:
+                    raise self.error(
+                        f"elements nest deeper than {MAX_DEPTH}", lt)
                 element, pos, empty = self.start_tag(lt)
                 parent.children.append(element)
                 element.parent = parent

@@ -16,6 +16,11 @@ A select is resolved to its one element by :func:`resolve_select`: the
 dominant shape — absolute child steps with positional predicates — is
 a walk over ``element.children``, with or without a column store;
 every other select is evaluated by the reference engine.
+
+An insert whose content would nest the document deeper than the
+parser's :data:`~repro.xtree.parser.MAX_DEPTH` is refused with an
+:class:`~repro.errors.UpdateApplicationError` before it changes
+anything: snapshots and recovery re-parse every stored document.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from repro.xquery.ast import Expression, Literal, PathExpr
 from repro.xquery.engine import evaluate_query
 from repro.xquery.parser import parse_query
 from repro.xtree.node import Document, Element, Node
+from repro.xtree.parser import MAX_DEPTH
 from repro.xupdate.parser import (
     InsertOperation,
     Operation,
@@ -242,6 +248,16 @@ def apply_operation(document: Document,
 def _apply_insert(document: Document,
                   operation: InsertOperation) -> AppliedOperation:
     anchor = resolve_select(document, operation.select)
+    parent = anchor if operation.kind == "append" else anchor.parent
+    if parent is None:
+        raise UpdateApplicationError(
+            "cannot insert a sibling of the document root")
+    depth = sum(1 for _ in parent.ancestors()) + 1 \
+        + max(map(_height, operation.content), default=0)
+    if depth > MAX_DEPTH:
+        raise UpdateApplicationError(
+            f"select {operation.select!r}: the inserted content would "
+            f"make elements nest {depth} deep, deeper than {MAX_DEPTH}")
     content = [_deep_copy(node) for node in operation.content]
     inserted: list[Node] = []
     if operation.kind == "append":
@@ -249,10 +265,6 @@ def _apply_insert(document: Document,
             anchor.append(node)
             inserted.append(node)
     else:
-        parent = anchor.parent
-        if parent is None:
-            raise UpdateApplicationError(
-                "cannot insert a sibling of the document root")
         reference: Node = anchor
         if operation.kind == "before":
             for node in content:
@@ -285,6 +297,13 @@ def apply_text(document: Document, text: str) -> list[AppliedOperation]:
             log.apply(document, operation)
         log.commit()
     return log.records
+
+
+def _height(node: Node) -> int:
+    """How many element levels a content tree has (a text node: 0)."""
+    if not isinstance(node, Element):
+        return 0
+    return 1 + max(map(_height, node.children), default=0)
 
 
 def _deep_copy(node: Node) -> Node:

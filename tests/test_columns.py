@@ -1,17 +1,17 @@
-"""Columnar relation storage: units and maintenance differentials.
+"""Value indexes of the columnar backend: units and maintenance
+differentials.
 
 Covers the two layers of the columnar backend separately from query
 evaluation (:mod:`tests.test_columnar` owns the verdict
 differentials):
 
-* :class:`~repro.relational.columns.TagTable` /
-  :class:`~repro.relational.columns.PathIndex` row/key maintenance
-  (swap-remove, position refresh, rekeying) and the
+* :class:`~repro.relational.columns.PathIndex` key maintenance
+  (add, discard, rekeying) and the
   :func:`~repro.relational.columns.chain_reaches` reachability filter;
 * :class:`~repro.relational.incremental.ColumnStore` delta
   maintenance under a seeded mixed update workload (the faultcheck
   harness's step vocabulary), asserting after every step that the
-  incrementally-patched columns equal a cold re-shred of the live
+  incrementally-patched indexes equal a cold rebuild over the live
   documents;
 * the write-ahead invalidation protocol: an injected fault inside the
   delta leaves the store dirty and the next read self-heals with a
@@ -26,13 +26,8 @@ import pytest
 
 from repro.core.guard import IntegrityGuard
 from repro.datagen.running_example import make_schema
-from repro.relational.columns import (
-    PathIndex,
-    TagTable,
-    chain_reaches,
-)
-from repro.relational.incremental import attach, detach, store_of
-from repro.relational.shredder import iter_facts
+from repro.relational.columns import PathIndex, chain_reaches
+from repro.relational.incremental import attach, store_of
 from repro.testing import harness
 from repro.testing.failpoints import fail
 from repro.xquery import parse_query
@@ -110,75 +105,6 @@ class TestChainReaches:
         assert not chain_reaches(steps, ("sub",))
 
 
-class TestTagTable:
-    def _table(self, document: Document, schema, tag: str) -> TagTable:
-        store = store_of(document)
-        assert store is not None
-        return store.table(tag)
-
-    def test_rows_match_cold_shred(self, documents, schema):
-        pub, _rev = documents
-        table = self._table(pub, schema, "pub")
-        shredded = sorted(row for fact_tag, row in
-                          iter_facts(pub, schema.relational)
-                          if fact_tag == "pub")
-        assert sorted(table.rows()) == shredded
-
-    def test_swap_remove_keeps_row_map_consistent(self, documents,
-                                                  schema):
-        pub, _rev = documents
-        table = self._table(pub, schema, "aut")
-        elements = list(table.elements)
-        assert len(elements) == 3
-        # discard a *middle* row: the last row must swap in
-        victim = table.elements[0]
-        table.discard(victim)
-        assert len(table) == 2
-        for row, element in enumerate(table.elements):
-            assert table.row_of[element.node_id] == row
-            assert table.ids[row] == element.node_id
-        # discarding again is a no-op
-        rows = table.rows()
-        table.discard(victim)
-        assert len(table) == 2
-        assert table.rows() == rows
-
-    def test_append_is_idempotent(self, documents, schema):
-        pub, _rev = documents
-        table = self._table(pub, schema, "pub")
-        rows = table.rows()
-        table.append(table.elements[0])
-        assert len(table) == len(rows)
-        assert table.rows() == rows
-
-    def test_mutation_refreshes_positions(self, documents, schema):
-        pub, _rev = documents
-        table = self._table(pub, schema, "pub")
-        first = pub.root.children[0]
-        pub.root.remove(first)
-        # the store listener repositions the remaining siblings
-        rows = {element: table.pos[table.row_of[element.node_id]]
-                for element in table.elements}
-        for element, position in rows.items():
-            assert position == element.child_position
-
-    def test_value_columns_follow_text_mutations(self, documents,
-                                                 schema):
-        _pub, rev = documents
-        store = store_of(rev)
-        assert store is not None
-        table = store.table("rev")
-        rev_el = table.elements[0]
-        name = rev_el.first_child("name")
-        assert name is not None
-        old_text = name.children[0]
-        name.remove(old_text)
-        name.append(Text("Zoé"))
-        row = table.row_of[rev_el.node_id]
-        assert table.values["name"][row] == "Zoé"
-        assert store.verify() == []
-
-
 class TestPathIndex:
     def test_probe_roundtrip(self, documents, schema):
         _pub, rev = documents
@@ -228,6 +154,7 @@ class TestPathIndex:
         aut.append(_text_el("name", "Ann"))
         Document(Element("root")).root.append(aut)  # assign node ids
         index.add(aut)
+        index.add(aut)  # adding again is a no-op
         (key,) = probe_keys(["Ann"])
         assert index.probe(key) == [aut]
         index.discard(aut)
@@ -257,9 +184,19 @@ class TestPathIndex:
         assert probe(1) == auts
 
 
+#: a root-tag index over the longest downpath of each document, so the
+#: ancestor refresh sees chains as deep as the documents
+DEEP_INDEXES = {
+    "dblp": (("child", "pub"), ("child", "aut"), ("child", "name"),
+             ("child", "text()")),
+    "review": (("child", "track"), ("child", "rev"), ("child", "sub"),
+               ("child", "auts"), ("child", "name"), ("child", "text()")),
+}
+
+
 class TestWorkloadDifferential:
-    """Satellite: incrementally-maintained columns equal a cold
-    re-shred after every accepted update of a seeded mixed workload
+    """Satellite: incrementally-maintained value indexes equal a cold
+    rebuild after every accepted update of a seeded mixed workload
     (the faultcheck harness's step vocabulary, fault-free)."""
 
     @pytest.mark.parametrize("seed", [11, 29])
@@ -268,12 +205,14 @@ class TestWorkloadDifferential:
         _, twin_rev = harness._fresh_corpus(seed)
         schema = make_schema()
         guard = IntegrityGuard(schema, [pub_doc, rev_doc])
-        # materialize the structures the planner would use, plus one
-        # table per document, so the workload exercises real deltas
+        # materialize a shallow and a deep index per document, so the
+        # workload exercises real deltas and long ancestor chains
         for document in (pub_doc, rev_doc):
             store = store_of(document)
             assert store is not None
-            store.table(document.root.tag)
+            store.value_index("rev", NAME_TEXT)
+            store.value_index(document.root.tag,
+                              DEEP_INDEXES[document.root.tag])
         rng = random.Random(seed)
         accepted = 0
         for kind in harness._weighted_kinds(rng, 24):
@@ -302,7 +241,7 @@ class TestCrashConsistency:
         _pub, rev = documents
         store = store_of(rev)
         assert store is not None
-        store.table("rev")
+        store.value_index("rev", NAME_TEXT)
         failures = store.delta_failures
         rebuilds = store.rebuilds
         with fail.armed({"columns.delta.apply": "count:1"}) as armed:
@@ -312,27 +251,28 @@ class TestCrashConsistency:
         assert store.delta_failures == failures + 1
         assert store.dirty
         # the next read rebuilds from the DOM and is consistent again
-        table = store.table("rev")
+        index = store.value_index("rev", NAME_TEXT)
         assert store.rebuilds == rebuilds + 1
         assert not store.dirty
-        assert len(table) == len(rev.elements_by_tag("rev"))
+        assert len(index) == len(rev.elements_by_tag("rev"))
         assert store.verify() == []
 
     def test_fault_in_rebuild_keeps_store_dirty(self, documents):
         _pub, rev = documents
         store = store_of(rev)
         assert store is not None
-        store.table("rev")
+        store.value_index("rev", NAME_TEXT)
         with fail.armed({"columns.delta.settle": "count:1",
                          "columns.rebuild": "count:1"}) as armed:
             rev.elements_by_tag("track")[0].append(
                 _text_el("name", "Ghost"))
             with pytest.raises(Exception):
-                store.table("rev")  # rebuild itself crashes
+                # the rebuild itself crashes
+                store.value_index("rev", NAME_TEXT)
             armed.assert_fired("columns.delta.settle",
                                "columns.rebuild")
         assert store.dirty  # swap never happened
-        store.table("rev")  # second read succeeds
+        store.value_index("rev", NAME_TEXT)  # second read succeeds
         assert store.verify() == []
 
     def test_value_index_fault_degrades_to_per_evaluation_map(
@@ -367,19 +307,13 @@ class TestCrashConsistency:
 
 
 class TestAttachDetach:
-    def test_attach_reuses_equivalent_store(self, documents, schema):
-        pub, _rev = documents
+    def test_attach_reuses_equivalent_store(self, documents):
+        # a second guard over the same document shares its store and
+        # registers no second mutation listener
+        pub, rev = documents
         store = store_of(pub)
-        assert attach(pub, schema.relational) is store
-        assert attach(pub) is store  # schema-less reuse
-
-    def test_detach_stops_maintenance(self, documents, schema):
-        pub, _rev = documents
-        store = store_of(pub)
-        assert store is not None
-        table = store.table("pub")
-        count = len(table)
-        detach(pub)
-        assert store_of(pub) is None
-        pub.root.append(Element("pub"))
-        assert len(table) == count  # listener removed
+        listeners = list(pub._mutation_listeners)
+        assert attach(pub) is store
+        IntegrityGuard(make_schema(), [pub, rev])
+        assert store_of(pub) is store
+        assert pub._mutation_listeners == listeners

@@ -439,6 +439,19 @@ class TestPlannedErrorFallback:
         with pytest.raises(XQueryEvaluationError):
             query_truth_planned(query, documents)
 
+    def test_explain_reports_the_unplanned_fallback(self, documents):
+        text = explain_query(
+            "some $x in //nosuch satisfies 1 div 0 = 1", documents)
+        assert "backend: unplanned fallback (division by zero)" in text
+        assert "verdict: false" in text
+
+    def test_explain_raises_what_the_engine_raises(self, documents):
+        from repro.errors import XQueryEvaluationError
+        with pytest.raises(XQueryEvaluationError):
+            explain_query(
+                "some $x in //aut satisfies $x/name/text() = 1 div 0",
+                documents)
+
 
 class TestHashJoinScope:
     """A hash-join index is shared across an evaluation only when it

@@ -234,10 +234,10 @@ class TestShardWorkerReadsLiveTree:
                 clones.append(document)
             return real_clone(document, **options)
 
-        def spy_attach(document, relational):
+        def spy_attach(document):
             if spying:
                 attached.append(document)
-            return real_attach(document, relational)
+            return real_attach(document)
 
         monkeypatch.setattr(Document, "clone", spy_clone)
         monkeypatch.setattr(incremental, "attach", spy_attach)
@@ -315,6 +315,67 @@ class TestShardWorkerReadsLiveTree:
         assert clones == [] and attached == []
         assert worker.services[uid].snapshot() == oracle.snapshot()
         worker.close()
+
+
+def test_too_deep_update_is_a_parse_error(tmp_path):
+    """Hostile nesting is refused by the parser, not met as a
+    ``RecursionError`` deeper in: the worker answers a parse error and
+    the document is untouched."""
+    from repro.service.net.worker import ShardWorker
+
+    worker = ShardWorker(0, 1, tmp_path / "state", make_config())
+    before = worker.handle({"op": "read", "uid": "main"})
+    assert before["ok"]
+    content = "<sub>" + "<x>" * 299 + "</x>" * 299 + "</sub>"
+    update = ('<xupdate:modifications version="1.0" '
+              'xmlns:xupdate="http://www.xmldb.org/xupdate">'
+              '<xupdate:append select="/review/track[1]/rev[1]">'
+              f"{content}</xupdate:append></xupdate:modifications>")
+    response = worker.handle({"op": "update", "uid": "main",
+                              "update": update})
+    assert (response["ok"], response["code"]) == (False, "XMLParseError")
+    assert "elements nest deeper than 256" in response["error"]
+    assert worker.handle({"op": "read", "uid": "main"}) == before
+    worker.close()
+
+
+def test_stacked_insert_past_the_depth_limit_is_refused(tmp_path):
+    """Each fragment parses, but the second insert would nest the
+    document deeper than the parser re-reads: it is refused when
+    applied, and the checkpointed 256-deep document recovers."""
+    from repro.service.net.worker import ShardWorker
+    from repro.service.persistence import load_snapshot
+
+    def update(worker, select, content):
+        return worker.handle({"op": "update", "uid": "main", "update": (
+            '<xupdate:modifications version="1.0" '
+            'xmlns:xupdate="http://www.xmldb.org/xupdate">'
+            f'<xupdate:append select="{select}">{content}'
+            "</xupdate:append></xupdate:modifications>")})
+
+    # rev[1] is the third level: a chain of 253 reaches 256 exactly
+    height = 253
+    config = make_config(snapshot_interval=1)
+    worker = ShardWorker(0, 1, tmp_path / "state", config)
+    response = update(worker, "/review/track[1]/rev[1]",
+                      "<deep>" + "<x>" * (height - 1)
+                      + "</x>" * (height - 1) + "</deep>")
+    assert response["ok"] and response["decision"]["applied"]
+    before = worker.handle({"op": "read", "uid": "main"})
+    deepest = "/review/track[1]/rev[1]/deep" + "/x" * (height - 1)
+    response = update(worker, deepest, "<x/>")
+    assert (response["ok"], response["code"]) \
+        == (False, "UpdateApplicationError")
+    assert "nest 257 deep, deeper than 256" in response["error"]
+    assert worker.handle({"op": "read", "uid": "main"}) == before
+    worker.close()
+
+    restarted = ShardWorker(0, 1, tmp_path / "state", config)
+    assert restarted.handle({"op": "read", "uid": "main"}) == before
+    snapshot = load_snapshot(restarted.shard_dir("main"))
+    assert snapshot is not None and snapshot.lsn == 1
+    assert any("<deep>" in text for text in snapshot.documents)
+    restarted.close()
 
 
 def test_restarted_worker_parses_only_the_snapshot(tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import XMLParseError
 from repro.xtree import parse_document, parse_fragment
+from repro.xtree.parser import MAX_DEPTH
 from repro.xtree.node import Element, Text
 
 
@@ -213,6 +214,39 @@ class TestErrors:
             parse(text)
         assert (info.value.message, info.value.line, info.value.column) \
             == (message, line, column)
+
+
+def _nested(depth: int) -> str:
+    return "<a>" * (depth - 1) + "<a/>" + "</a>" * (depth - 1)
+
+
+class TestDepthLimit:
+    """Elements nest at most ``MAX_DEPTH`` deep; the recursive
+    serializer writes anything the parser accepts."""
+
+    def test_document_at_the_limit_round_trips(self):
+        from repro.xtree import serialize
+        text = _nested(MAX_DEPTH)
+        assert serialize(parse_document(text), declaration=False) == text
+
+    def test_fragment_at_the_limit_round_trips(self):
+        from repro.xtree.serializer import serialize_fragment
+        text = "lead" + _nested(MAX_DEPTH)
+        assert "".join(serialize_fragment(node)
+                       for node in parse_fragment(text)) == text
+
+    def test_document_one_deeper_raises_at_the_start_tag(self):
+        with pytest.raises(XMLParseError) as info:
+            parse_document("<r>\n" + _nested(MAX_DEPTH))
+        assert (info.value.message, info.value.line, info.value.column) \
+            == ("elements nest deeper than 256", 2,
+                3 * (MAX_DEPTH - 1) + 1)
+
+    def test_fragment_one_deeper_raises_at_the_start_tag(self):
+        with pytest.raises(XMLParseError) as info:
+            parse_fragment("<b/>" + _nested(MAX_DEPTH + 1))
+        assert (info.value.message, info.value.line, info.value.column) \
+            == ("elements nest deeper than 256", 1, 4 + 3 * MAX_DEPTH + 1)
 
 
 class TestFragments:

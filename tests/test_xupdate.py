@@ -102,6 +102,99 @@ class TestParsing:
             parse_modifications(text)
 
 
+def _operation(kind: str, select: str, content: str) -> str:
+    return (f'<xupdate:{kind} select="{select}">'
+            f"{content}</xupdate:{kind}>")
+
+
+def _modifications(*operations: str) -> str:
+    return ('<xupdate:modifications version="1.0" '
+            'xmlns:xupdate="http://www.xmldb.org/xupdate">'
+            f'{"".join(operations)}</xupdate:modifications>')
+
+
+def _modification(kind: str, select: str, content: str) -> str:
+    return _modifications(_operation(kind, select, content))
+
+
+def _chain(tag: str, height: int) -> str:
+    """``height`` nested elements: one ``tag`` over ``x``s."""
+    return f"<{tag}>" + "<x>" * (height - 1) + "</x>" * (height - 1) \
+        + f"</{tag}>"
+
+
+def _deep_append(depth: int) -> str:
+    """An append whose modification document nests ``depth`` deep:
+    ``modifications`` and ``append`` are the first two levels."""
+    return _modification("append", "/review/track[1]/rev[1]",
+                         _chain("sub", depth - 2))
+
+
+#: ``rev[1]`` is the third level of the running example's review
+#: document, so a ``deep`` chain of this height under it reaches the
+#: limit exactly
+_TO_THE_LIMIT = 256 - 3
+#: the select of the deepest element the stacked append below builds
+_DEEPEST = "/review/track[1]/rev[1]/deep" + "/x" * (_TO_THE_LIMIT - 1)
+
+
+class TestDepthLimit:
+    def test_modifications_at_the_limit_round_trip(self):
+        from repro.xtree.parser import MAX_DEPTH
+        (operation,) = parse_modifications(_deep_append(MAX_DEPTH))
+        (again,) = parse_modifications(serialize_operation(operation))
+        assert serialize_operation(again) == serialize_operation(operation)
+        depth, node = 1, operation.content[0]
+        while node.children:
+            depth, node = depth + 1, node.children[0]
+        assert depth == MAX_DEPTH - 2
+
+    def test_modifications_one_deeper_raise(self):
+        from repro.errors import XMLParseError
+        from repro.xtree.parser import MAX_DEPTH
+        with pytest.raises(XMLParseError,
+                           match="elements nest deeper than 256"):
+            parse_modifications(_deep_append(MAX_DEPTH + 1))
+
+    def _at_the_limit(self, rev_doc):
+        apply_text(rev_doc, _modification(
+            "append", "/review/track[1]/rev[1]",
+            _chain("deep", _TO_THE_LIMIT)))
+        # the parser re-reads what the insert built
+        text = serialize(rev_doc)
+        assert serialize(parse_document(text)) == text
+        return text
+
+    def test_stacked_append_past_the_limit_is_refused(self, rev_doc):
+        """Each fragment parses, but the second would nest the document
+        257 deep: refused when applied, the document untouched."""
+        before = self._at_the_limit(rev_doc)
+        with pytest.raises(UpdateApplicationError,
+                           match="nest 257 deep, deeper than 256"):
+            apply_text(rev_doc, _modification("append", _DEEPEST, "<x/>"))
+        assert serialize(rev_doc) == before
+
+    @pytest.mark.parametrize("kind", ["insert-before", "insert-after"])
+    def test_sibling_insert_past_the_limit_is_refused(self, rev_doc, kind):
+        self._at_the_limit(rev_doc)
+        apply_text(rev_doc, _modification(kind, _DEEPEST, "<y/>text"))
+        before = serialize(rev_doc)
+        with pytest.raises(UpdateApplicationError,
+                           match="nest 257 deep, deeper than 256"):
+            apply_text(rev_doc, _modification(kind, _DEEPEST, "<y><z/></y>"))
+        assert serialize(rev_doc) == before
+
+    def test_refusal_rolls_back_earlier_operations(self, rev_doc):
+        before = self._at_the_limit(rev_doc)
+        text = _modifications(
+            _operation("append", "/review/track[1]",
+                       "<rev><name>N</name></rev>"),
+            _operation("append", _DEEPEST, "<x/>"))
+        with pytest.raises(UpdateApplicationError):
+            apply_text(rev_doc, text)
+        assert serialize(rev_doc) == before
+
+
 class TestApplication:
     def test_append(self, rev_doc):
         before = len(list(rev_doc.iter_elements("sub")))
