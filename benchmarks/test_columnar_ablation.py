@@ -20,17 +20,12 @@ gate: the ratio must stay >= 2x at the largest benchmarked size.
 
 from __future__ import annotations
 
-from repro.xquery.planner import (
-    clear_caches,
-    query_truth_planned,
-    without_columns,
-)
+from repro.xquery.planner import without_columns
 
 
 def _full_planned(scenario) -> bool:
-    return any(
-        query_truth_planned(query.prepared, scenario.documents)
-        for query in scenario.constraint.full_queries)
+    return any(query.truth(scenario.documents)
+               for query in scenario.constraint.full_queries)
 
 
 # -- fig1a full check: columnar vs. planned-DOM --------------------------
@@ -38,14 +33,12 @@ def _full_planned(scenario) -> bool:
 
 def test_fig1a_columnar(benchmark, conflict_scenario, size_kib):
     benchmark.group = f"columnar-fig1a-{size_kib}KiB"
-    clear_caches()
     violated = benchmark(_full_planned, conflict_scenario)
     assert violated is False
 
 
 def test_fig1a_planned_dom(benchmark, conflict_scenario, size_kib):
     benchmark.group = f"columnar-fig1a-{size_kib}KiB"
-    clear_caches()
 
     def run(scenario):
         with without_columns():

@@ -1,19 +1,19 @@
 """XIC502 firing fixture: nested ``with`` blocks acquire two ranked
 locks against the canonical LOCK_ORDER (``document`` is outer to
-``planner.plan_cache``)."""
+``service.persistence``)."""
 
 from repro.analysis.concurrency import make_lock, make_rlock
 
-_PLANS: dict = {}  # guarded-by: _PLAN_LOCK
-_PLAN_LOCK = make_lock("planner.plan_cache")
+_RECORDS: dict = {}  # guarded-by: _LOG_LOCK
+_LOG_LOCK = make_lock("service.persistence")
 _NODES: dict = {}  # guarded-by: _DOC_LOCK
 _DOC_LOCK = make_rlock("document")
 
 
-def invalidate(tag: str) -> None:
-    # BAD: takes the (inner) plan-cache lock first, then the
-    # (outer) document lock — the reverse of the canonical order
-    with _PLAN_LOCK:
+def forget(tag: str) -> None:
+    # BAD: takes the (inner) log lock first, then the (outer)
+    # document lock — the reverse of the canonical order
+    with _LOG_LOCK:
         with _DOC_LOCK:
-            _PLANS.pop(tag, None)
+            _RECORDS.pop(tag, None)
             _NODES.pop(tag, None)

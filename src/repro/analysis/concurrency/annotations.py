@@ -40,15 +40,15 @@ _T = TypeVar("_T")
 #: Canonical lock acquisition order, outermost first.  A thread may
 #: only acquire a lock whose rank is *strictly greater* than every
 #: lock it already holds (reentrant re-acquisition of the same RLock
-#: instance excepted).  The cache locks are leaves: nothing may be
-#: acquired underneath them except the failpoint registry, which the
-#: instrumented ``fail.point`` sites reach from inside any scope.
+#: instance excepted).  The last two are leaves: nothing may be
+#: acquired underneath the sanitizer's lock except the failpoint
+#: registry, which the instrumented ``fail.point`` sites reach from
+#: inside any scope.
 LOCK_ORDER: tuple[str, ...] = (
     "service.store",          # DocumentStore reader–writer lock
     "service.snapshots",      # SnapshotManager pin/publish bookkeeping
     "document",               # Document._lock (per-document RLock)
     "service.persistence",    # DurableLog file/sequence lock
-    "planner.plan_cache",     # planner._PLAN_LOCK
     "sanitizer.violations",   # sanitizer._VIOLATIONS_LOCK
     "testing.failpoints",     # failpoints registry (innermost)
 )

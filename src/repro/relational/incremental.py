@@ -36,14 +36,6 @@ from repro.relational.columns import Downpath, PathIndex, chain_reaches
 from repro.testing.failpoints import fail
 from repro.xtree.node import Document, Element, Node
 
-#: adaptive warming: every (tag, downpath) index ever materialized on
-#: a store, keyed by the document's root tag.  A fresh attach()
-#: prebuilds these for its document, so a new corpus of a known shape
-#: starts its first check with warm indexes instead of paying cold
-#: builds on the critical path.
-_HOT_INDEXES: dict[str, dict[tuple[str, Downpath], None]] = {}
-_HOT_CAP = 64
-
 
 @guarded_by("self.document._lock", "_indexes", "_synced_revision")
 class ColumnStore:
@@ -79,24 +71,7 @@ class ColumnStore:
             if index is None:
                 index = self._build_index(tag, steps)
                 self._indexes[(tag, steps)] = index
-                specs = _HOT_INDEXES.setdefault(self.document.root.tag, {})
-                if (tag, steps) not in specs and len(specs) < _HOT_CAP:
-                    specs[(tag, steps)] = None
             return index
-
-    def warm(self) -> None:
-        """Prebuild the indexes past workloads used on this shape.
-
-        Called by :func:`attach`, off the checking critical path: the
-        first check over a fresh document then finds its value indexes
-        already materialized.
-        """
-        with self.document._lock:
-            self._validate()
-            for tag, steps in _HOT_INDEXES.get(self.document.root.tag, ()):
-                if (tag, steps) not in self._indexes:
-                    self._indexes[(tag, steps)] = self._build_index(
-                        tag, steps)
 
     @property
     def dirty(self) -> bool:
@@ -239,10 +214,9 @@ def attach(document: Document) -> ColumnStore:
 
     A *frozen* document (a published snapshot clone) gets its store
     without a mutation listener: structural mutation raises on frozen
-    documents, so the delta path can never run, and the eager
-    :meth:`ColumnStore.warm` below means snapshot readers find the
-    indexes already materialized at the clone's (final) revision —
-    the store is permanently bound to that snapshot version.
+    documents, so the delta path can never run and the indexes its
+    readers materialize stay bound to that snapshot version.  Every
+    index is built on first use (:meth:`ColumnStore.value_index`).
     """
     with document._lock:
         store = document.column_store
@@ -252,7 +226,6 @@ def attach(document: Document) -> ColumnStore:
         if not document.frozen:
             document._mutation_listeners.append(store._on_mutation)
         document.column_store = store
-    store.warm()
     return store
 
 

@@ -59,6 +59,9 @@ from repro.errors import (
     IntegrityViolationError,
     RecoveryError,
     SchemaError,
+    UpdateApplicationError,
+    XMLParseError,
+    XUpdateError,
 )
 from repro.service.locks import ReadWriteLock
 from repro.service.snapshots import DocumentSnapshot, SnapshotManager
@@ -320,10 +323,13 @@ class CheckingService:
         (truncating any torn trailing record), and replays every
         record with ``seq >= snapshot.lsn`` through the checker —
         re-checking it, so tampered logs cannot smuggle an illegal
-        update in.  Replay is idempotent: a crash during recovery
-        leaves snapshot and log unchanged, and a retry succeeds.  Like
-        :meth:`open_durable`, the recovered service reads the live
-        tree under the store's read lock.
+        update in.  State this code cannot read back (a snapshot
+        document the parser refuses, a record that no longer parses or
+        applies) raises a coded :class:`RecoveryError`, never the raw
+        parse or apply error.  Replay is idempotent: a crash during
+        recovery leaves snapshot and log unchanged, and a retry
+        succeeds.  Like :meth:`open_durable`, the recovered service
+        reads the live tree under the store's read lock.
         """
         state_dir = Path(state_dir)
         snapshot = load_snapshot(state_dir)
@@ -357,8 +363,14 @@ class CheckingService:
                 f"the snapshot is current through {snapshot.lsn}; the "
                 "log has lost fsync'd records",
                 code="recover.log-corrupt")
-        documents = [parse_document(text)
-                     for text in snapshot.documents]
+        try:
+            documents = [parse_document(text)
+                         for text in snapshot.documents]
+        except XMLParseError as error:
+            raise RecoveryError(
+                f"snapshot (through sequence {snapshot.lsn}) holds a "
+                f"document that does not parse: {error}",
+                code="recover.snapshot-corrupt") from error
         service = cls(schema, documents, checker_factory,
                       snapshot_reads=False)
         committed: list[CommittedUpdate] = []
@@ -372,7 +384,13 @@ class CheckingService:
                     UpdateDecision(True, applied=True)))
                 continue
             fail.point("persistence.replay_record")
-            decision = service.checker.try_execute(record.text)
+            try:
+                decision = service.checker.try_execute(record.text)
+            except (XMLParseError, XUpdateError,
+                    UpdateApplicationError) as error:
+                raise RecoveryError(
+                    f"logged update {record.seq} cannot be replayed: "
+                    f"{error}", code="recover.replay-rejected") from error
             if not decision.applied:
                 raise RecoveryError(
                     f"logged update {record.seq} is no longer "

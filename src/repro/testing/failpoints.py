@@ -127,10 +127,8 @@ SITES: dict[str, str] = {
         "CheckingService, after the checker committed and before the "
         "commit-log append — the applied update goes unlogged",
     "planner.stats.refresh":
-        "check planner, while refreshing per-document statistics for "
-        "a (re)plan",
-    "planner.plan_cache.insert":
-        "check planner, before a fresh plan enters the plan cache",
+        "check planner, while reading per-document statistics for a "
+        "plan — the check keeps no plan and plans again next call",
     "columns.delta.apply":
         "column store mutation listener, after the store is marked "
         "dirty and before the delta patches any index — the store "

@@ -17,8 +17,8 @@ asserts the **invariant battery**:
    immediately re-acquirable after the workload;
 5. *caches cold-rebuild clean* — each document's incremental tag index
    agrees with a cold reparse of its serialized form, and the guard's
-   full check (through the planner's statistics/plan caches) agrees
-   with a cache-free brute-force check on the reparsed documents;
+   full check (through its checks' plans and the column stores)
+   agrees with a fresh schema's check on the reparsed documents;
 6. *commit-log consistency* — the service commit log is exactly the
    accepted sequence, except for a possible suffix of entries whose
    steps errored *after* the update committed (the
@@ -62,7 +62,6 @@ from repro.xtree.node import Document
 from repro.xtree.parser import parse_document
 from repro.xtree.serializer import serialize
 from repro.xupdate.parser import canonical_update_text
-from repro.xquery import planner
 
 
 class InvariantViolation(AssertionError):
@@ -77,7 +76,10 @@ class InvariantViolation(AssertionError):
 #: Named fault schedules for the CLI and CI matrix.  Each one
 #: concentrates on a different seam of the pipeline; ``chaos`` arms a
 #: low-probability fault on every seam at once (seeded, so the run is
-#: still deterministic for a given harness seed).
+#: still deterministic for a given harness seed).  A schedule arming
+#: ``service.locks.*`` runs on the locked-read service, which takes
+#: no snapshot, so ``chaos`` leaves the ``service.snapshots.*`` seams
+#: to ``mvcc``.
 SCHEDULES: dict[str, str] = {
     "apply": ("xupdate.apply.pre_op=count:3;"
               "xupdate.apply.post_op=count:7"),
@@ -85,8 +87,7 @@ SCHEDULES: dict[str, str] = {
                  "xupdate.rollback.post=count:2;"
                  "core.guard.probe.mid=count:2"),
     "guard": ("core.guard.post_check=count:2;"
-              "planner.stats.refresh=count:4;"
-              "planner.plan_cache.insert=count:2"),
+              "planner.stats.refresh=count:4"),
     "service": ("service.store.pre_commit_append=count:2;"
                 "service.locks.post_write_acquire=count:4;"
                 "service.locks.post_read_acquire=count:2"),
@@ -112,14 +113,10 @@ SCHEDULES: dict[str, str] = {
               "service.locks.post_write_acquire=prob:0.03:18;"
               "service.locks.post_read_acquire=prob:0.03:19;"
               "planner.stats.refresh=prob:0.03:20;"
-              "planner.plan_cache.insert=prob:0.03:21;"
               "columns.delta.apply=prob:0.03:24;"
               "columns.delta.settle=prob:0.03:25;"
               "columns.rebuild=prob:0.03:26;"
-              "columns.batch.settle=prob:0.03:27;"
-              "service.snapshots.publish=prob:0.03:28;"
-              "service.snapshots.pin=prob:0.03:29;"
-              "service.snapshots.retire=prob:0.03:30"),
+              "columns.batch.settle=prob:0.03:27"),
 }
 
 #: Corpus knobs for the harness: small enough that a full run with
@@ -528,12 +525,13 @@ def run_scenario(seed: int, schedule: "str | dict" = "chaos",
     (``"site=trigger;..."`` or a dict).  ``mix`` picks the workload
     shape (:data:`_MIXES`): ``"default"`` or ``"read-heavy"`` (mostly
     snapshot-path reads, for the publication/retirement seams).
-    Schedules that arm a ``persistence.*`` site run against a
-    *durable* service (write-ahead log and snapshots in a scratch
-    directory) and additionally verify that a post-workload recovery
-    reproduces a state consistent with its own commit log.  Raises
-    :class:`InvariantViolation` when the battery fails; otherwise
-    returns the :class:`FaultRunReport`.
+    Schedules that arm a ``persistence.*`` or ``service.locks.*``
+    site run against a *durable* service (write-ahead log and
+    snapshots in a scratch directory, reads under the store's read
+    lock, as a shard worker runs) and additionally verify that a
+    post-workload recovery reproduces a state consistent with its own
+    commit log.  Raises :class:`InvariantViolation` when the battery
+    fails; otherwise returns the :class:`FaultRunReport`.
     """
     if isinstance(schedule, str) and schedule in SCHEDULES:
         name, spec_text = schedule, SCHEDULES[schedule]
@@ -543,9 +541,9 @@ def run_scenario(seed: int, schedule: "str | dict" = "chaos",
         name = ";".join(f"{k}={v}" for k, v in schedule.items())
         spec_text = name
     spec = parse_schedule(spec_text)
-    durable = any(site.startswith("persistence.") for site in spec)
+    durable = any(site.startswith(("persistence.", "service.locks."))
+                  for site in spec)
 
-    planner.clear_caches()
     schema = make_schema()
     pub_doc, rev_doc = _fresh_corpus(seed)
     state_dir = None
@@ -646,13 +644,12 @@ def _run_scenario_body(seed: int, name: str, spec_text: str,
     _check_tag_indexes(service.store.documents, report)
     _check_column_stores(service.store.documents, report)
 
-    # the guard's full check runs through the planner's statistics and
-    # plan caches; a cache poisoned by a mid-fault must not change the
-    # verdict relative to a cache-free check on reparsed documents
+    # the guard's full check runs through its checks' plans and the
+    # column stores; state poisoned by a mid-fault must not change the
+    # verdict relative to a fresh schema (no plan) on reparsed documents
     live_violations = service.verify_consistency()
     cold_docs = [parse_document(text) for text in live]
     cold_checker = BruteForceChecker(make_schema(), cold_docs)
-    planner.clear_caches()
     cold_violations = cold_checker.check_only()
     if sorted(live_violations) != sorted(cold_violations):
         raise _violation(
@@ -828,7 +825,6 @@ def run_restart_scenario(seed: int, site: str,
 def _run_restart_body(seed: int, site: str, trigger: str, ops: int,
                       state_dir: str,
                       report: RestartRunReport) -> None:
-    planner.clear_caches()
     schema = make_schema()
     pub_doc, rev_doc = _fresh_corpus(seed)
     # the replay_record site fires during recovery, not the workload:

@@ -14,7 +14,7 @@ column stores' :class:`~repro.relational.columns.PathIndex`:
   (:meth:`repro.xtree.node.Document.tag_count` /
   :meth:`~repro.xtree.node.Document.tag_distinct_count`, maintained
   under the per-document lock) — exact counts of the state the plan
-  is about to run on, re-read whenever the revision vector moved;
+  is compiled on;
 * **planning** — independent quantifier bindings are reordered
   greedily by estimated cardinality x selectivity (hash-joinable
   bindings are discounted by the key's distinct count), conjuncts are
@@ -31,10 +31,10 @@ column stores' :class:`~repro.relational.columns.PathIndex`:
   through a bridging :class:`~repro.xquery.engine.QueryContext`, so
   planned evaluation is *total*: every query the engine accepts runs,
   with identical verdicts;
-* **caching** — plans are cached per (query, document set) and
-  revalidated against the documents' revision vector; the compiled
-  closures are shared per (query, strategy), so a statistics refresh
-  that does not change the chosen order costs only the re-estimate.
+* **ownership** — this module keeps no plan.  A compiled plan holds
+  no document, so the prepared check that asked for it keeps it
+  (:meth:`repro.xquery.translate.TranslatedQuery.truth`, one plan per
+  size class of its documents); ad-hoc queries are planned per call.
 
 Planned evaluation serves *truth* (effective-boolean-value) queries —
 the form every integrity check takes.  Sequence order is not part of
@@ -47,11 +47,9 @@ asserts verdict-for-verdict.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
-from repro.analysis.concurrency import make_lock
 from repro.errors import XQueryEvaluationError
 from repro.testing.failpoints import FailPointError, fail
 from repro.xquery import engine, functions
@@ -59,13 +57,9 @@ from repro.xquery.ast import (
     AxisStep,
     BinaryOp,
     ContextItem,
-    ElementConstructor,
     Expression,
-    FLWOR,
-    ForClause,
     FunctionCall,
     IfExpr,
-    LetClause,
     Literal,
     PathExpr,
     Quantified,
@@ -73,7 +67,6 @@ from repro.xquery.ast import (
     TextLiteral,
     UnaryOp,
     VarRef,
-    WhereClause,
     boolean_filter_safe,
 )
 from repro.xquery.engine import QueryContext
@@ -98,7 +91,9 @@ __all__ = [
     "columnar_enabled",
     "enabled",
     "explain_query",
+    "plan",
     "query_truth_planned",
+    "run",
     "unplanned",
     "without_columns",
 ]
@@ -190,9 +185,6 @@ class Statistics:
         total = sum(document.tag_distinct_count(tag)
                     for document in self.documents)
         return max(1.0, float(total))
-
-    def revision_vector(self) -> tuple[int, ...]:
-        return tuple(document.revision for document in self.documents)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +459,7 @@ class _Runtime:
     """
 
     __slots__ = ("documents", "env", "item", "position", "size",
-                 "profile", "cache", "backends")
+                 "profile", "cache", "backends", "fallback")
 
     def __init__(self, documents: tuple[Document, ...],
                  env: dict[str, Sequence]) -> None:
@@ -482,6 +474,8 @@ class _Runtime:
         #: (quantifier index, backend, reason) records; populated when
         #: :func:`explain_query` sets it to a list
         self.backends: list[tuple[int, str, str | None]] | None = None
+        #: the evaluation error that sent this run to the engine
+        self.fallback: str | None = None
         #: per-evaluation memo (hash-join/probe indexes): documents
         #: cannot change mid-check, so one lookup per plan node is
         #: enough
@@ -535,9 +529,9 @@ class _Plan:
 
     __slots__ = ("orders", "stats", "infos")
 
-    def __init__(self, orders: dict[Quantified, tuple[int, ...]],
-                 stats: Statistics) -> None:
-        self.orders = orders
+    def __init__(self, stats: Statistics) -> None:
+        #: quantifier → chosen binding order, filled as compiled
+        self.orders: dict[Quantified, tuple[int, ...]] = {}
         self.stats = stats
         self.infos: list[_QuantifierInfo] = []
 
@@ -611,69 +605,6 @@ def _join_equality(name: str, bound: set[str], name_set: frozenset[str],
         if right == {name} and left <= bound:
             return factor, factor.right, factor.left
     return None
-
-
-def _collect_quantifieds(expression: Expression,
-                         found: list[Quantified]) -> None:
-    if isinstance(expression, Quantified):
-        found.append(expression)
-        for _, source in expression.bindings:
-            _collect_quantifieds(source, found)
-        _collect_quantifieds(expression.condition, found)
-    elif isinstance(expression, PathExpr):
-        if expression.start is not None:
-            _collect_quantifieds(expression.start, found)
-        for step in expression.steps:
-            for predicate in step.predicates:
-                _collect_quantifieds(predicate, found)
-    elif isinstance(expression, BinaryOp):
-        _collect_quantifieds(expression.left, found)
-        _collect_quantifieds(expression.right, found)
-    elif isinstance(expression, UnaryOp):
-        _collect_quantifieds(expression.operand, found)
-    elif isinstance(expression, FunctionCall):
-        for argument in expression.args:
-            _collect_quantifieds(argument, found)
-    elif isinstance(expression, SequenceExpr):
-        for item in expression.items:
-            _collect_quantifieds(item, found)
-    elif isinstance(expression, IfExpr):
-        _collect_quantifieds(expression.condition, found)
-        _collect_quantifieds(expression.then_branch, found)
-        _collect_quantifieds(expression.else_branch, found)
-    elif isinstance(expression, FLWOR):
-        for clause in expression.clauses:
-            if isinstance(clause, (ForClause, LetClause)):
-                _collect_quantifieds(clause.source, found)
-            else:
-                assert isinstance(clause, WhereClause)
-                _collect_quantifieds(clause.condition, found)
-        _collect_quantifieds(expression.result, found)
-    elif isinstance(expression, ElementConstructor):
-        for _, value in expression.attributes:
-            _collect_quantifieds(value, found)
-        for child in expression.children:
-            _collect_quantifieds(child, found)
-
-
-def _strategy_for(expression: Expression,
-                  stats: Statistics) -> tuple[tuple, ...]:
-    """The stats-dependent part of a plan: every quantifier's order.
-
-    Compiled closures are cached by (query, strategy) — a statistics
-    refresh that leaves every order unchanged reuses them as-is.
-    """
-    quantifieds: list[Quantified] = []
-    _collect_quantifieds(expression, quantifieds)
-    orders: dict[Quantified, tuple[int, ...]] = {}
-    items: list[tuple] = []
-    for quantified in quantifieds:
-        if quantified in orders:
-            continue
-        order = _choose_order(quantified, stats)
-        orders[quantified] = order
-        items.append((quantified, order))
-    return tuple(items)
 
 
 # ---------------------------------------------------------------------------
@@ -1307,7 +1238,7 @@ def _compile_quantified_truth(quantified: Quantified,
 
 def _compile_some(quantified: Quantified, pl: _Plan) -> TruthClosure:
     order = pl.orders.get(quantified)
-    if order is None:  # explain/compile without a precomputed strategy
+    if order is None:
         order = _choose_order(quantified, pl.stats)
         pl.orders[quantified] = order
     bindings = [quantified.bindings[index] for index in order]
@@ -1457,80 +1388,43 @@ def _compile_every(quantified: Quantified, pl: _Plan) -> TruthClosure:
 
 
 # ---------------------------------------------------------------------------
-# Plan cache and entry points
+# Entry points
 # ---------------------------------------------------------------------------
 
-class _PlanEntry:
-    __slots__ = ("revisions", "strategy", "truth_fn")
+def plan(expression: Expression,
+         documents: tuple[Document, ...]) -> TruthClosure:
+    """Plan ``expression`` on the documents' current statistics and
+    compile it.
 
-    def __init__(self, revisions: tuple[int, ...], strategy: tuple,
-                 truth_fn: TruthClosure) -> None:
-        self.revisions = revisions
-        self.strategy = strategy
-        self.truth_fn = truth_fn
-
-
-_PLAN_LOCK = make_lock("planner.plan_cache")
-#: entries each of the two LRUs below keeps
-_CACHE_CAPACITY = 512
-#: (query, document uids) → _PlanEntry.  ``Document.uid`` is never
-#: reused, so the key alone is the documents' identity and an entry
-#: holds no document reference at all
-_PLAN_LRU: "OrderedDict[tuple, _PlanEntry]" = \
-    OrderedDict()  # guarded-by: _PLAN_LOCK
-#: (query, strategy) → truth closure: compiled closures are
-#: document-independent and shared across plan entries
-_COMPILED: "OrderedDict[tuple, TruthClosure]" = \
-    OrderedDict()  # guarded-by: _PLAN_LOCK
+    The closure holds no document (it reads them from the runtime of
+    each :func:`run`), so a caller may keep it for as long as those
+    statistics still describe its documents.
+    """
+    return _compile_truth(expression, _Plan(Statistics(documents)))
 
 
-def _compiled_for(expression: Expression, strategy: tuple,
-                  stats: Statistics) -> TruthClosure:
-    key = (expression, strategy)
-    with _PLAN_LOCK:
-        cached = _COMPILED.get(key)
-        if cached is not None:
-            _COMPILED.move_to_end(key)
-            return cached
-    built = _compile_truth(expression, _Plan(dict(strategy), stats))
-    with _PLAN_LOCK:
-        _COMPILED[key] = built
-        _COMPILED.move_to_end(key)
-        while len(_COMPILED) > _CACHE_CAPACITY:
-            _COMPILED.popitem(last=False)
-    return built
+def run(truth_fn: TruthClosure, expression: Expression,
+        documents: tuple[Document, ...],
+        variables: dict[str, Sequence] | None = None,
+        rt: "_Runtime | None" = None) -> bool:
+    """Evaluate a compiled plan of ``expression`` over ``documents``.
 
-
-def _plan_truth(expression: Expression,
-                documents: tuple[Document, ...]) -> TruthClosure:
-    key = (expression,
-           tuple(document.uid for document in documents))
-    revisions = tuple(document.revision for document in documents)
-    with _PLAN_LOCK:
-        entry = _PLAN_LRU.get(key)
-        if entry is not None:
-            _PLAN_LRU.move_to_end(key)
-    if entry is not None:
-        if entry.revisions == revisions:
-            return entry.truth_fn
-        stats = Statistics(documents)
-        strategy = _strategy_for(expression, stats)
-        if strategy != entry.strategy:
-            entry.truth_fn = _compiled_for(expression, strategy, stats)
-            entry.strategy = strategy
-        entry.revisions = revisions
-        return entry.truth_fn
-    stats = Statistics(documents)
-    strategy = _strategy_for(expression, stats)
-    truth_fn = _compiled_for(expression, strategy, stats)
-    entry = _PlanEntry(revisions, strategy, truth_fn)
-    fail.point("planner.plan_cache.insert")
-    with _PLAN_LOCK:
-        _PLAN_LRU[key] = entry
-        _PLAN_LRU.move_to_end(key)
-        while len(_PLAN_LRU) > _CACHE_CAPACITY:
-            _PLAN_LRU.popitem(last=False)
-    return truth_fn
+    ``rt`` is a runtime the caller prepared (explain's profiling run);
+    when an evaluation error sends the run to the engine, the error's
+    text is left in its ``fallback``.
+    """
+    if rt is None:
+        rt = _Runtime(documents, dict(variables) if variables else {})
+    try:
+        return truth_fn(rt)
+    except XQueryEvaluationError as error:
+        # Pre-factor hoisting and conjunct reordering can evaluate a
+        # factor the engine's fixed nesting order never reaches (empty
+        # source, earlier short-circuit).  If that factor raises —
+        # division by zero, unknown function — the engine's evaluation
+        # order decides whether the error is real, so defer to it.
+        rt.fallback = str(error)
+        return engine.query_truth(expression, list(documents), variables)
 
 
 def query_truth_planned(
@@ -1541,7 +1435,8 @@ def query_truth_planned(
 
     The planned counterpart of
     :func:`repro.xquery.engine.query_truth`; verdicts are identical by
-    construction (and by the differential suite).
+    construction (and by the differential suite).  The query is
+    planned afresh on every call.
     """
     if isinstance(query, str):
         from repro.xquery.parser import parse_query
@@ -1550,25 +1445,7 @@ def query_truth_planned(
         documents = (documents,)
     else:
         documents = tuple(documents)
-    truth_fn = _plan_truth(query, documents)
-    rt = _Runtime(documents, dict(variables) if variables else {})
-    try:
-        return truth_fn(rt)
-    except XQueryEvaluationError:
-        # Pre-factor hoisting and conjunct reordering can evaluate a
-        # factor the engine's fixed nesting order never reaches (empty
-        # source, earlier short-circuit).  If that factor raises —
-        # division by zero, unknown function — the engine's evaluation
-        # order decides whether the error is real, so defer to it.
-        from repro.xquery.engine import query_truth
-        return query_truth(query, list(documents), variables)
-
-
-def clear_caches() -> None:
-    """Drop every cached plan and compiled closure (tests, benchmarks)."""
-    with _PLAN_LOCK:
-        _PLAN_LRU.clear()
-        _COMPILED.clear()
+    return run(plan(query, documents), query, documents, variables)
 
 
 # ---------------------------------------------------------------------------
@@ -1594,19 +1471,12 @@ def explain_query(
     if isinstance(documents, Document):
         documents = [documents]
     docs = tuple(documents)
-    stats = Statistics(docs)
-    pl = _Plan(dict(_strategy_for(query, stats)), stats)
+    pl = _Plan(Statistics(docs))
     truth_fn = _compile_truth(query, pl)
     rt = _Runtime(docs, dict(variables) if variables else {})
     rt.profile = {}
     rt.backends = []
-    fallback_reason: str | None = None
-    try:
-        verdict = truth_fn(rt)
-    except XQueryEvaluationError as error:
-        from repro.xquery.engine import query_truth
-        verdict = query_truth(query, list(docs), variables)
-        fallback_reason = str(error)
+    verdict = run(truth_fn, query, docs, variables, rt)
     lines: list[str] = []
     for info in pl.infos:
         lines.append(f"{info.kind} quantifier "
@@ -1631,9 +1501,8 @@ def explain_query(
                 f"  est~{binding.estimate:g}"
                 f"  examined={counters[0]}  passed={counters[1]}"
                 f"{moved}")
-    if fallback_reason is not None:
-        lines.append(
-            f"backend: unplanned fallback ({fallback_reason})")
+    if rt.fallback is not None:
+        lines.append(f"backend: unplanned fallback ({rt.fallback})")
     lines.append(f"verdict: {'true' if verdict else 'false'}")
     return "\n".join(lines)
 

@@ -27,7 +27,7 @@ evaluation of the same denial is the differential-testing oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 from repro.datalog.atoms import (
     Aggregate,
@@ -75,6 +75,13 @@ class TranslatedQuery:
     evaluated as-is (:meth:`truth`).  The legacy text path
     (:meth:`instantiate`) remains for ad-hoc queries and as the
     differential-testing baseline.
+
+    The check owns its compiled plans (``plans``), one per *size
+    class* of the documents it runs on: the bit length of each
+    document's element count.  Writes within a class reuse the plan;
+    a document crossing a power of two gets a fresh one, planned on
+    its statistics then.  A plan holds no document, so documents of
+    the same size class (service groups sharing one schema) share it.
     """
 
     text: str
@@ -86,6 +93,9 @@ class TranslatedQuery:
     prepared: Expression | None = None
     #: parameter name → external variable name used in ``prepared``
     variable_names: dict[str, str] = field(default_factory=dict)
+    #: size class → compiled plan of ``prepared`` (see above)
+    plans: dict[tuple[int, ...], Callable] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def instantiate(self, bindings: Mapping[str, object]) -> str:
         """Fill the placeholders with concrete update values."""
@@ -122,14 +132,22 @@ class TranslatedQuery:
         from repro.xquery import planner
         from repro.xquery.engine import query_truth
 
-        if self.prepared is not None:
-            variables = self.variables_for(bindings or {}) \
-                if self.parameters else None
-            if planner.enabled():
-                return planner.query_truth_planned(
-                    self.prepared, documents, variables)
+        if self.prepared is None:
+            return query_truth(self.instantiate(bindings or {}),
+                               documents)
+        variables = self.variables_for(bindings or {}) \
+            if self.parameters else None
+        if not planner.enabled():
             return query_truth(self.prepared, documents, variables)
-        return query_truth(self.instantiate(bindings or {}), documents)
+        docs = (documents,) if isinstance(documents, Document) \
+            else tuple(documents)
+        size_class = tuple(document.element_count().bit_length()
+                           for document in docs)
+        truth_fn = self.plans.get(size_class)
+        if truth_fn is None:
+            truth_fn = planner.plan(self.prepared, docs)
+            self.plans[size_class] = truth_fn
+        return planner.run(truth_fn, self.prepared, docs, variables)
 
     def _binding(self, bindings: Mapping[str, object], name: str,
                  kind: str) -> object:

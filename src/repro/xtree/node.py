@@ -27,8 +27,8 @@ from repro.errors import FrozenDocumentError
 
 #: process-wide document identity counter; ``id()`` can be reused by a
 #: new document after the original dies, so caches that key on
-#: document identity (the planner's plan cache) use ``uid``
-#: instead — unique for the lifetime of the process
+#: document identity (the snapshot publisher's clone reuse) use
+#: ``uid`` instead — unique for the lifetime of the process
 _DOCUMENT_UIDS = itertools.count(1)
 
 
@@ -274,8 +274,7 @@ class Element(Node):
 
 
 @guarded_by("self._lock", "_next_id", "_nodes_by_id", "_elements_by_tag",
-            "_tag_revisions", "_tag_order_cache", "_tag_stats_cache",
-            "_mutation_listeners")
+            "_tag_revisions", "_tag_order_cache", "_mutation_listeners")
 class Document:
     """An XML document: a root element plus the node-identity machinery.
 
@@ -293,7 +292,7 @@ class Document:
 
     __slots__ = ("root", "_next_id", "_nodes_by_id", "revision",
                  "_elements_by_tag", "_tag_revisions", "_tag_order_cache",
-                 "_tag_stats_cache", "_lock", "_mutation_listeners",
+                 "_lock", "_mutation_listeners",
                  "column_store", "uid", "_frozen", "__weakref__")
 
     def __init__(self, root: Element) -> None:
@@ -324,9 +323,6 @@ class Document:
         self._tag_revisions: dict[str, int] = {}
         #: tag → (tag revision, document-ordered element list)
         self._tag_order_cache: dict[str, tuple[int, list[Element]]] = {}
-        #: tag → (tag revision, distinct direct-text value count); the
-        #: planner's per-tag statistics, recomputed lazily per revision
-        self._tag_stats_cache: dict[str, tuple[int, int]] = {}
         #: callables ``(kind, node, parent)`` invoked (under the lock,
         #: after index bookkeeping) for every adopt/orphan.  Listeners
         #: must never raise: they run inside structural mutation, where
@@ -425,7 +421,6 @@ class Document:
     def _bump_tag(self, tag: str) -> None:
         self._tag_revisions[tag] = self._tag_revisions.get(tag, 0) + 1
         self._tag_order_cache.pop(tag, None)
-        self._tag_stats_cache.pop(tag, None)
 
     def tag_revision(self, tag: str) -> int:
         """Change counter for one node type (0 if never present).
@@ -477,44 +472,19 @@ class Document:
 
         The planner's stand-in for a value-index histogram: the
         selectivity of an equality on ``tag``'s text is estimated as
-        ``1 / tag_distinct_count(tag)``.  Recomputed lazily and cached
-        per tag revision (like the document-order cache), all under the
-        per-document lock.
+        ``1 / tag_distinct_count(tag)``.  Counted under the
+        per-document lock when a check is planned, which happens once
+        per size class, so nothing is cached.
         """
         with self._lock:
-            revision = self._tag_revisions.get(tag, 0)
-            cached = self._tag_stats_cache.get(tag)
-            if cached is not None and cached[0] == revision:
-                return cached[1]
-            bucket = self._elements_by_tag.get(tag)
-            if not bucket:
-                distinct = 0
-            else:
-                distinct = len({
-                    element.text() for element in bucket.values()})
-            self._tag_stats_cache[tag] = (revision, distinct)
-            return distinct
+            bucket = self._elements_by_tag.get(tag, {})
+            return len({element.text() for element in bucket.values()})
 
     def element_count(self) -> int:
         """Total number of currently attached elements."""
         with self._lock:
             return sum(len(bucket)
                        for bucket in self._elements_by_tag.values())
-
-    def statistics_snapshot(
-            self, tags: "list[str]") -> dict[str, tuple[int, int, int]]:
-        """Atomic ``tag → (count, distinct, tag revision)`` snapshot.
-
-        Taken under the document lock in one critical section, so the
-        per-tag numbers are mutually consistent even while a writer
-        thread is between adopt/orphan calls on other documents.
-        """
-        with self._lock:
-            return {
-                tag: (self.tag_count(tag), self.tag_distinct_count(tag),
-                      self._tag_revisions.get(tag, 0))
-                for tag in tags
-            }
 
     def allocate_id(self) -> int:
         """Return a fresh node identifier (never used in this document)."""
@@ -553,7 +523,7 @@ class Document:
 
         After freezing, any structural mutation (adopt/orphan) raises
         :class:`~repro.errors.FrozenDocumentError`.  Derived-state
-        caches (tag order, statistics) still fill lazily under the
+        caches (the tag order) still fill lazily under the
         document lock; only the tree itself is fixed.  Freezing is
         one-way.
         """

@@ -18,7 +18,7 @@ import pytest
 from repro.core.guard import BruteForceChecker, IntegrityGuard
 from repro.core.guard import UpdateDecision
 from repro.service.store import CheckingService
-from repro.testing.failpoints import fail
+from repro.testing.failpoints import fail, parse_schedule
 from repro.testing.harness import (
     SCHEDULES,
     InvariantViolation,
@@ -59,6 +59,27 @@ class TestFaultMatrix:
             "python -m repro faultcheck --seed 7 " \
             "--schedule apply --ops 20"
         assert "seed=7" in report.summary()
+
+
+#: the named schedules whose every site fires on a fixed hit
+COUNT_SCHEDULES = sorted(
+    name for name, spec in SCHEDULES.items()
+    if all(trigger.kind == "count"
+           for trigger in parse_schedule(spec).values()))
+
+
+class TestScheduleSites:
+    """A site a schedule arms but the workload never reaches tests
+    nothing: every ``count:`` site must fire."""
+
+    @pytest.mark.parametrize("schedule", COUNT_SCHEDULES)
+    def test_every_armed_site_fires(self, schedule):
+        report = run_scenario(1, schedule, ops=40)
+        armed = parse_schedule(SCHEDULES[schedule])
+        silent = sorted(site for site in armed
+                        if report.site_counts.get(site, (0, 0))[1] == 0)
+        assert not silent, \
+            f"{schedule!r} never fired {silent}: {report.summary()}"
 
 
 class TestFaultFreeEquivalence:

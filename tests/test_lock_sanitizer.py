@@ -79,20 +79,20 @@ def test_two_thread_order_inversion_detected(armed):
     otherwise be an actual deadlock candidate."""
     seed = random.Random(0xC0FFEE)
     document = sanitizer.make_rlock("document")
-    plans = sanitizer.make_lock("planner.plan_cache")
+    log = sanitizer.make_lock("service.persistence")
     b_may_start = threading.Event()
     failures: list = []
 
     def thread_a() -> None:
         with document:          # canonical: document first ...
             b_may_start.set()
-            with plans:         # ... plan cache inside
+            with log:           # ... log lock inside
                 pass
 
     def thread_b() -> None:
         b_may_start.wait(timeout=10.0)
         try:
-            with plans:
+            with log:
                 document.acquire()  # inversion: must raise, not block
                 document.release()
         except sanitizer.LockOrderViolation as error:
@@ -112,10 +112,10 @@ def test_two_thread_order_inversion_detected(armed):
     assert len(violations) == 1
     violation = violations[0]
     assert violation.acquiring == "document"
-    assert violation.holding == "planner.plan_cache"
+    assert violation.holding == "service.persistence"
     assert violation.thread == "order-b"
     rendered = violation.render()
-    assert "stack holding 'planner.plan_cache'" in rendered
+    assert "stack holding 'service.persistence'" in rendered
     assert "stack acquiring 'document'" in rendered
     # both stacks carry real frames from this file
     assert rendered.count("test_lock_sanitizer") >= 2

@@ -43,7 +43,7 @@ from repro.testing.harness import (
     RESTART_SITES,
     run_restart_scenario,
 )
-from repro.xtree import parse_document
+from repro.xtree import parse_document, serialize
 from repro.xupdate import canonical_update_text, parse_modifications
 from tests.conftest import REV_XML
 
@@ -183,6 +183,13 @@ def schema():
 @pytest.fixture()
 def state_dir(tmp_path):
     return tmp_path / "state"
+
+
+def _append(select, content):
+    return ('<xupdate:modifications version="1.0" '
+            'xmlns:xupdate="http://www.xmldb.org/xupdate">'
+            f'<xupdate:append select="{select}">{content}'
+            "</xupdate:append></xupdate:modifications>")
 
 
 def fresh_documents():
@@ -336,6 +343,42 @@ class TestDurableService:
         log.close()
         with pytest.raises(RecoveryError, match="no longer accepted"):
             CheckingService.recover(schema, state_dir)
+
+    def test_too_deep_snapshot_is_a_coded_recovery_error(
+            self, schema, state_dir):
+        # state an older build could write: a document 257 deep, one
+        # more than the parser reads back
+        deep = "<review>" + "<x>" * 256 + "</x>" * 256 + "</review>"
+        pub_text = serialize(fresh_documents()[0])
+        write_snapshot(state_dir, 0, [pub_text, deep])
+        with pytest.raises(RecoveryError,
+                           match="does not parse: elements nest "
+                                 "deeper than 256") as info:
+            CheckingService.recover(schema, state_dir)
+        assert info.value.code == "recover.snapshot-corrupt"
+
+    def test_record_stacking_past_the_depth_limit_is_rejected(
+            self, schema, state_dir):
+        # rev[1] is the third level: a chain of 253 reaches 256 exactly
+        height = 253
+        service = CheckingService.open_durable(
+            schema, fresh_documents(), state_dir)
+        chain = ("<deep>" + "<x>" * (height - 1) + "</x>" * (height - 1)
+                 + "</deep>")
+        assert service.try_execute(
+            _append("/review/track[1]/rev[1]", chain)).applied
+        service.close()
+        # a record an older build accepted: it nests the document 257
+        # deep, which this build refuses to apply
+        deepest = "/review/track[1]/rev[1]/deep" + "/x" * (height - 1)
+        log = DurableLog(state_dir / WAL_NAME)
+        assert log.append(_append(deepest, "<x/>")) == 1
+        log.close()
+        with pytest.raises(RecoveryError,
+                           match="logged update 1 cannot be replayed: "
+                                 ".*nest 257 deep") as info:
+            CheckingService.recover(schema, state_dir)
+        assert info.value.code == "recover.replay-rejected"
 
     def test_checkpoint_bounds_replay(self, schema, state_dir):
         service = CheckingService.open_durable(

@@ -23,11 +23,11 @@ from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.datagen.workload import legal_submission
 from repro.relational.incremental import store_of
 from repro.service.store import CheckingService
+from repro.testing.failpoints import FailPointError, fail
 from repro.xquery import parse_query
 from repro.xquery.engine import query_truth
 from repro.xquery.planner import (
     Statistics,
-    clear_caches,
     explain_query,
     query_truth_planned,
     unplanned,
@@ -328,10 +328,10 @@ class TestStatistics:
 class TestStatisticsRace:
     """Satellite: a statistics refresh must not race a writer.
 
-    Reader threads hammer the per-tag statistics (counts, distinct
-    counts, snapshots) while a writer applies real updates through the
-    tag index.  Every read must observe an internally consistent
-    bucket — no exceptions, no impossible values.
+    Reader threads hammer the per-tag statistics (counts and distinct
+    counts) while a writer applies real updates through the tag index.
+    Every read must observe an internally consistent bucket — no
+    exceptions, no impossible values.
     """
 
     def test_stats_reads_race_concurrent_writer(self):
@@ -349,12 +349,11 @@ class TestStatisticsRace:
                 while not stop.is_set():
                     assert rev_doc.tag_count("name") > 0
                     assert rev_doc.tag_distinct_count("name") > 0
-                    # the snapshot holds the document lock across both
-                    # reads, so count and distinct are consistent
-                    snapshot = rev_doc.statistics_snapshot(
-                        ["rev", "sub", "name"])
-                    for tag, (total, unique, _) in snapshot.items():
-                        assert 0 <= unique <= total, tag
+                    # the writer only adds elements, so a distinct count
+                    # read before the count can never exceed it
+                    for tag in ("rev", "sub", "name"):
+                        unique = rev_doc.tag_distinct_count(tag)
+                        assert 0 <= unique <= rev_doc.tag_count(tag), tag
                     stats = Statistics(tuple(documents))
                     assert stats.count("sub") >= 0
             except BaseException as error:  # noqa: BLE001
@@ -377,9 +376,32 @@ class TestStatisticsRace:
             == len(list(rev_doc.iter_elements("sub")))
 
 
+def _fresh_check():
+    """The conflict constraint's prepared full check, from a fresh
+    schema: it holds no plan yet."""
+    return make_schema().constraints[0].full_queries[0]
+
+
+def _submission(rev_doc, index, author):
+    operation = parse_modifications(
+        submission_xupdate(1, 1, f"Paper {index}", author))[0]
+    apply_operation(rev_doc, operation)
+
+
+def _reviewer(rev_doc):
+    rev = rev_doc.root.first_child("track").first_child("rev")
+    return rev.first_child("name").text()
+
+
+#: counts plans made (each reads the statistics once) without firing
+COUNT_PLANS = {"planner.stats.refresh": "prob:0"}
+
+
 class TestPlanCache:
+    """A prepared check owns its plans, one per size class of its
+    documents; ad-hoc queries are planned per call."""
+
     def test_plan_revalidates_after_mutation(self, documents):
-        clear_caches()
         query = parse_query(QUERIES[0])
         assert query_truth_planned(query, documents) \
             == query_truth(query, documents)
@@ -397,16 +419,65 @@ class TestPlanCache:
         from repro.xquery import planner
         assert planner.enabled()
 
-    def test_plan_cache_holds_documents_weakly(self):
-        clear_caches()
+    def test_in_class_writes_do_not_replan(self):
+        documents = _fresh_documents()
+        rev_doc = documents[1]
+        check = _fresh_check()
+        assert check.truth(documents) is False
+        size_class = rev_doc.element_count().bit_length()
+        with fail.armed(COUNT_PLANS) as handle:
+            for index in range(3):
+                _submission(rev_doc, index, f"Fresh Author {index}")
+                assert rev_doc.element_count().bit_length() == size_class
+                assert check.truth(documents) is False
+            _submission(rev_doc, 3, _reviewer(rev_doc))
+            assert rev_doc.element_count().bit_length() == size_class
+            assert check.truth(documents) is True
+        assert handle.hits("planner.stats.refresh") == 0
+        assert len(check.plans) == 1
+
+    def test_growing_past_a_power_of_two_replans_once(self):
+        documents = _fresh_documents()
+        rev_doc = documents[1]
+        check = _fresh_check()
+        assert check.truth(documents) is False
+        size_class = rev_doc.element_count().bit_length()
+        with fail.armed(COUNT_PLANS) as handle:
+            index = 0
+            while rev_doc.element_count().bit_length() == size_class:
+                _submission(rev_doc, index, f"Fresh Author {index}")
+                index += 1
+                assert check.truth(documents) is False
+            for more in range(3):
+                _submission(rev_doc, index + more, "Another Author")
+                assert check.truth(documents) is False
+        assert index > 1
+        assert handle.hits("planner.stats.refresh") == 1
+        assert len(check.plans) == 2
+
+    def test_fault_on_first_sight_stores_no_plan(self):
+        documents = _fresh_documents()
+        _submission(documents[1], 0, _reviewer(documents[1]))
+        check = _fresh_check()
+        with fail.armed({"planner.stats.refresh": "count:1"}) as handle:
+            with pytest.raises(FailPointError):
+                check.truth(documents)
+        assert handle.fired("planner.stats.refresh")
+        assert check.plans == {}
+        assert check.truth(documents) \
+            == query_truth(check.prepared, documents) is True
+        assert len(check.plans) == 1
+
+    def test_a_checks_plans_hold_no_document(self):
+        check = _fresh_check()
         local_docs = _fresh_documents()
-        expression = parse_query("count(//pub) >= 2")
-        assert query_truth_planned(expression, local_docs) \
-            == query_truth(expression, local_docs)
+        assert check.truth(local_docs) \
+            == query_truth(check.prepared, local_docs)
+        assert check.plans
         references = [weakref.ref(document) for document in local_docs]
         del local_docs
         gc.collect()
-        # cached plan entries must not pin the document trees
+        # the plan stays on the check; the document trees do not
         assert all(reference() is None for reference in references)
 
 

@@ -339,6 +339,24 @@ def test_too_deep_update_is_a_parse_error(tmp_path):
     worker.close()
 
 
+def test_unreadable_snapshot_answers_its_recovery_code(tmp_path):
+    """A shard whose snapshot holds a document the parser refuses
+    (257 deep) answers the coded recovery error, not the raw parse
+    error."""
+    from repro.service.net.worker import ShardWorker
+    from repro.service.persistence import write_snapshot
+
+    worker = ShardWorker(0, 1, tmp_path / "state", make_config())
+    deep = "<review>" + "<x>" * 256 + "</x>" * 256 + "</review>"
+    pub_text = make_config().documents[0]
+    write_snapshot(worker.shard_dir("main"), 0, [pub_text, deep])
+    response = worker.handle({"op": "read", "uid": "main"})
+    assert (response["ok"], response["code"]) \
+        == (False, "recover.snapshot-corrupt")
+    assert "elements nest deeper than 256" in response["error"]
+    worker.close()
+
+
 def test_stacked_insert_past_the_depth_limit_is_refused(tmp_path):
     """Each fragment parses, but the second insert would nest the
     document deeper than the parser re-reads: it is refused when
