@@ -18,8 +18,8 @@ from repro.service import CheckingService
 
 
 def _service_for(scenario, snapshot_reads=True):
-    return CheckingService.from_checker(scenario.guard,
-                                        snapshot_reads=snapshot_reads)
+    return CheckingService(scenario.guard.schema, scenario.guard.documents,
+                           snapshot_reads=snapshot_reads)
 
 
 def test_guard_reject_direct(benchmark, conflict_scenario, size_kib):

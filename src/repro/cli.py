@@ -389,13 +389,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
         from repro.xupdate.parser import parse_modifications
 
         for operation in parse_modifications(_read(args.update)):
-            checks = guard._checks_for(operation)
+            checks = guard._checks_for([operation])
             if checks is None:
                 print(f"-- {operation.select}: no registered pattern "
                       "(brute-force fallback, nothing to plan)")
                 continue
-            document = guard._document_for(operation)
-            bindings = checks.analyzed.bind(document, operation)
+            bindings = checks.bind([operation], guard._document_for)
             for check in checks.optimized:
                 if check.trivial:
                     continue

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Iterator
 
 from repro.core.schema import ConstraintSchema, PatternChecks
 from repro.datalog.database import FactDatabase
@@ -142,9 +143,10 @@ class _CheckerBase:
         update after it is checked and applied into its transaction log
         but before listeners run and the log commits.
 
-        This is the write-ahead seam: the durable service appends the
-        update to its commit log here (log-then-apply).  Outside a
-        batch the hook also fsyncs, so an update a listener observes as
+        This is the commit-log seam: the service appends the update to
+        its commit log here, and a durable service writes it to its
+        write-ahead log first (log-then-apply).  Outside a batch the
+        durable hook also fsyncs, so an update a listener observes as
         accepted is already on stable storage; inside the durable
         service's ``check_batch`` a listener observes a batch update
         before the batch's fsync, which runs once after the last
@@ -241,7 +243,7 @@ class _CheckerBase:
         Semantically identical to calling :meth:`try_execute` in a
         loop — update *k* is checked against the state left by updates
         1..k−1, and an illegal update is rejected without affecting the
-        rest.  Subclasses override this to share work across the batch.
+        rest.
         """
         return [self.try_execute(update) for update in updates]
 
@@ -287,11 +289,10 @@ class BruteForceChecker(_CheckerBase):
 class IntegrityGuard(_CheckerBase):
     """Pre-update checking with the compiled optimized constraints.
 
-    Every apply sequence — the per-operation path, the deferred
-    transaction path and the brute-force probes — runs inside a
-    :class:`TransactionLog`, so an exception at any point (failed
-    select, ambiguous select, violation mid-probe, a raising listener)
-    restores the exact pre-call state.
+    Every update runs inside one :class:`TransactionLog` and is applied
+    into it exactly once, so an exception at any point (failed select,
+    ambiguous select, violation mid-probe, a raising listener) restores
+    the exact pre-call state.
     """
 
     def try_execute(self, update: "str | Operation") -> UpdateDecision:
@@ -301,70 +302,47 @@ class IntegrityGuard(_CheckerBase):
             decision = self._commit_sequence(update, decision, log)
         return decision
 
-    def check_batch(
-            self,
-            updates: "list[str | Operation]") -> list[UpdateDecision]:
-        """:meth:`try_execute` per update, settling the column stores
-        in between.
-
-        Decisions are identical to the sequential loop (each update is
-        checked against the state left by its predecessors).  The
-        checks probe the stores' delta-maintained value indexes, so
-        there is nothing to repair between updates; a store a crashed
-        delta left dirty rebuilds here instead of on the next check's
-        critical path.
-        """
-        decisions: list[UpdateDecision] = []
-        for update in updates:
-            decisions.append(self.try_execute(update))
-            try:
-                fail.point("core.guard.batch.settle")
-                incremental.settle_batch(self.documents)
-            except Exception:
-                # settling is cache maintenance: a failure must not
-                # lose an update that already committed, and a store
-                # left dirty rebuilds on its next read anyway
-                pass
-        return decisions
-
     def _decide(self, operations: list[Operation],
                 log: TransactionLog) -> UpdateDecision:
         """Check and (when legal) apply, recording undo records in
-        ``log``.  The caller owns commit/rollback."""
-        if len(operations) > 1:
-            transaction = self._try_transaction(operations, log)
-            if transaction is not None:
-                return transaction
-        decision = UpdateDecision(True, optimized=True)
-        for operation in operations:
-            step = self._check_one(operation)
-            if not step.legal:
-                step.applied = False
-                step.rolled_back = bool(len(log))
+        ``log``.  The caller owns commit/rollback.
+
+        A registered multi-append transaction is one step, checked
+        once against the pre-transaction state (definition 2's deferred
+        semantics: constraints need not hold between its operations).
+        Otherwise every operation is a step, checked against the state
+        its predecessors left.
+        """
+        decision = UpdateDecision(True)
+        for step, checks in self._steps(operations):
+            outcome = self._check(step, checks, log)
+            if not outcome.legal:
+                outcome.rolled_back = bool(len(log))
                 if len(log):
                     log.rollback()
-                return step
-            decision.optimized = decision.optimized and step.optimized
-            fail.point("core.guard.post_check")
-            self._apply(log, operation)
+                return outcome
+            decision.optimized = decision.optimized and outcome.optimized
         decision.applied = True
         return decision
 
-    def _try_transaction(self, operations: list[Operation],
-                         log: TransactionLog) -> UpdateDecision | None:
-        """Deferred checking for a registered multi-append transaction.
+    def _steps(self, operations: list[Operation]
+               ) -> "Iterator[tuple[list[Operation], PatternChecks | None]]":
+        if len(operations) > 1:
+            checks = self._checks_for(operations)
+            if checks is not None:
+                yield operations, checks
+                return
+        for operation in operations:
+            yield [operation], self._checks_for([operation])
 
-        The whole operation set is checked *once* against the
-        pre-transaction state (definition 2's transaction semantics:
-        constraints need not hold between the operations); ``None``
-        means no transaction pattern matches and the caller falls back
-        to per-operation checking.  A legal transaction is applied into
-        ``log``, so a failure on the k-th apply rolls back the first
-        k−1 instead of leaving them committed.
-        """
-        from repro.xupdate.parser import InsertOperation as _Insert
-        if not all(isinstance(op, _Insert) and op.kind == "append"
-                   for op in operations):
+    def _checks_for(self, operations: list[Operation]
+                    ) -> PatternChecks | None:
+        """The registered pattern ``operations`` instantiate, if any:
+        one operation's, or a multi-append transaction's."""
+        if len(operations) > 1 and not all(
+                isinstance(operation, InsertOperation)
+                and operation.kind == "append"
+                for operation in operations):
             return None
         try:
             signatures = tuple(
@@ -372,104 +350,54 @@ class IntegrityGuard(_CheckerBase):
                 for operation in operations)
         except SimplificationError:
             return None
-        checks = self.schema.checks_for_transaction(signatures)
-        if checks is None:
-            return None
-        bindings = checks.analyzed.bind(
-            self.documents, operations,  # type: ignore[arg-type]
-            self._document_for)
-        violated: list[str] = []
-        for check in checks.optimized:
-            if check.trivial:
-                continue
-            for query in check.queries:
-                if query.truth(self.documents, bindings):
-                    violated.append(check.constraint.name)
-                    break
-        if checks.fallback:
-            probe = self._transaction_probe(
-                operations, [c.name for c in checks.fallback])
-            violated.extend(probe)
-        if violated:
-            return UpdateDecision(False, violated, optimized=True)
-        fail.point("core.guard.post_check")
-        for operation in operations:
-            self._apply(log, operation)
-        return UpdateDecision(True, optimized=True, applied=True)
+        return self.schema.checks_for(
+            signatures if len(signatures) > 1 else signatures[0])
 
-    def _transaction_probe(self, operations: list[Operation],
-                           only: list[str]) -> list[str]:
-        """Apply all, check the given constraints, roll everything back."""
-        with TransactionLog() as probe:
+    def _check(self, operations: list[Operation],
+               checks: PatternChecks | None,
+               log: TransactionLog) -> UpdateDecision:
+        """Decide one step and, when it is legal, leave it applied in
+        ``log``.
+
+        The optimized checks run first, on the state before the step,
+        with the bindings computed before anything is applied.  The
+        constraints they do not cover — every constraint for an
+        insertion no pattern matches, the pattern's fallback list, the
+        deletion-unsafe ones for a removal — are decided by the probe
+        of footnote 4: apply into ``log``, run the full check of those
+        constraints, and leave the step applied if none is violated.
+        Deletions against monotone constraints need no check at all
+        (see :mod:`repro.simplify.deletion`; safety per constraint is
+        decided once, at schema-compile time).  A decision a probe took
+        part in is not ``optimized``.
+        """
+        violated: list[str] = []
+        if checks is not None:
+            bindings = checks.bind(operations, self._document_for)
+            for check in checks.optimized:
+                if not check.trivial and any(
+                        query.truth(self.documents, bindings)
+                        for query in check.queries):
+                    violated.append(check.constraint.name)
+            probed = [constraint.name for constraint in checks.fallback]
+        elif isinstance(operations[0], RemoveOperation):
+            probed = self.schema.deletion_unsafe_constraints()
+        else:
+            probed = [constraint.name
+                      for constraint in self.schema.constraints]
+        if probed:
             for operation in operations:
-                self._apply(probe, operation)
+                self._apply(log, operation)
             fail.point("core.guard.probe.mid")
-            return [name for name in self.verify_consistency()
-                    if name in only]
-
-    def _check_one(self, operation: Operation) -> UpdateDecision:
-        if isinstance(operation, RemoveOperation):
-            return self._check_removal(operation)
-        checks = self._checks_for(operation)
-        if checks is None:
-            return self._brute_force_probe(operation)
-        assert isinstance(operation, InsertOperation)
-        document = self._document_for(operation)
-        bindings = checks.analyzed.bind(document, operation)
-        violated: list[str] = []
-        for check in checks.optimized:
-            if check.trivial:
-                continue
-            for query in check.queries:
-                if query.truth(self.documents, bindings):
-                    violated.append(check.constraint.name)
-                    break
-        if checks.fallback:
-            probe = self._brute_force_probe(
-                operation, [c.name for c in checks.fallback])
-            violated.extend(probe.violated)
-            if not probe.optimized:
-                return UpdateDecision(not violated, violated,
-                                      optimized=False)
-        return UpdateDecision(not violated, violated, optimized=True)
-
-    def _check_removal(self, operation: RemoveOperation) -> UpdateDecision:
-        """Deletions against monotone constraints need no check at all.
-
-        Removing tuples cannot create a new satisfying binding for a
-        positive denial body with upward-monotone aggregates (see
-        repro.simplify.deletion); constraints outside that fragment are
-        verified by the brute-force probe.  Safety per constraint is
-        decided once, at schema-compile time.
-        """
-        unsafe = self.schema.deletion_unsafe_constraints()
-        if not unsafe:
-            return UpdateDecision(True, optimized=True)
-        return self._brute_force_probe(operation, only=unsafe)
-
-    def _checks_for(self, operation: Operation) -> PatternChecks | None:
-        try:
-            signature = signature_of(operation, self.schema.relational)
-        except SimplificationError:
-            return None
-        return self.schema.checks_for(signature)
-
-    def _brute_force_probe(self, operation: Operation,
-                           only: list[str] | None = None) -> UpdateDecision:
-        """Apply-check-rollback for unrecognized updates (footnote 4).
-
-        The update is applied, the (full) constraints are checked, and
-        the update is always rolled back — the caller re-applies it if
-        the probe reports legality, keeping a single application path.
-        """
-        with TransactionLog() as probe:
-            self._apply(probe, operation)
-            fail.point("core.guard.probe.mid")
-            violated = [
-                name for name in self.verify_consistency()
-                if only is None or name in only
-            ]
-        return UpdateDecision(not violated, violated, optimized=False)
+            violated.extend(name for name in self.verify_consistency()
+                            if name in probed)
+        if not violated:
+            fail.point("core.guard.post_check")
+            if not probed:
+                for operation in operations:
+                    self._apply(log, operation)
+        return UpdateDecision(not violated, violated,
+                              optimized=not probed)
 
 
 class DatalogChecker:

@@ -34,6 +34,7 @@ from repro.relational.prune import prune_denials
 from repro.relational.schema import RelationalSchema
 from repro.simplify import simp
 from repro.simplify.optimize import always_violated, optimize
+from repro.simplify.update import UpdatePattern
 from repro.xpathlog import (compile_constraint, compile_rule,
                             parse_constraint, parse_rule)
 from repro.xpathlog.ast import Constraint
@@ -84,29 +85,38 @@ class OptimizedCheck:
         return any(always_violated(denial) for denial in self.simplified)
 
 
+#: what a pattern is registered under: one operation's signature, or
+#: the signature sequence of a multi-append transaction
+PatternKey = UpdateSignature | tuple[UpdateSignature, ...]
+
+
 @dataclass
 class PatternChecks:
-    """Everything compiled for one update pattern."""
+    """Everything compiled for one update pattern.
 
-    analyzed: AnalyzedUpdate
+    The pattern is one operation or a multi-append transaction: either
+    way a set of parametric additions in the sense of definition 2, so
+    Simp specializes the constraints once for the whole set and a
+    transaction is checked *deferred* — intermediate states between its
+    operations are never verified.
+    """
+
+    analyzed: "AnalyzedUpdate | AnalyzedTransaction"
     optimized: list[OptimizedCheck]
     #: constraints whose simplification failed: brute-force at run time
     fallback: list[CompiledConstraint] = field(default_factory=list)
 
-
-@dataclass
-class TransactionChecks:
-    """Compiled checks for a multi-operation (all-append) transaction.
-
-    The transaction is one update pattern in the sense of definition 2
-    — a set of parametric additions — so Simp specializes the
-    constraints once for the whole set and checking is *deferred*:
-    intermediate states between the operations are never verified.
-    """
-
-    analyzed: AnalyzedTransaction
-    optimized: list[OptimizedCheck]
-    fallback: list[CompiledConstraint] = field(default_factory=list)
+    def bind(self, operations: list[Operation],
+             document_for) -> dict[str, object]:
+        """Parameter bindings of concrete ``operations`` against the
+        present state; ``document_for(operation)`` names the document
+        an operation's select resolves in."""
+        if isinstance(self.analyzed, AnalyzedTransaction):
+            return self.analyzed.bind(
+                operations, document_for)  # type: ignore[arg-type]
+        operation = operations[0]
+        return self.analyzed.bind(
+            document_for(operation), operation)  # type: ignore[arg-type]
 
 
 class ConstraintSchema:
@@ -141,9 +151,7 @@ class ConstraintSchema:
             self.views[rule.head_name] = compile_rule(
                 rule, self.relational, self.views)
         self.constraints: list[CompiledConstraint] = []
-        self.patterns: dict[UpdateSignature, PatternChecks] = {}
-        self.transaction_patterns: dict[
-            tuple[UpdateSignature, ...], TransactionChecks] = {}
+        self.patterns: dict[PatternKey, PatternChecks] = {}
         for index, item in enumerate(constraints):
             source = item if isinstance(item, Constraint) \
                 else parse_constraint(item)
@@ -183,72 +191,35 @@ class ConstraintSchema:
 
     # -- pattern registration ---------------------------------------------------
 
-    def register_pattern(self,
-                         example: "str | Operation") -> UpdateSignature:
+    def register_pattern(self, example: "str | Operation") -> PatternKey:
         """Compile the optimized checks for an update pattern.
 
         ``example`` is a representative XUpdate statement (or parsed
         operation); its concrete values are irrelevant — only the
-        signature matters.  Returns the signature under which the
-        checks are stored.
+        signature matters.  A statement with several ``append``
+        operations registers them as one transaction pattern.  Returns
+        the key under which the checks are stored: the operation's
+        signature, or the transaction's signature sequence.
         """
         operations = self._operations_of(example)
         if len(operations) > 1:
-            return self._register_transaction(operations)
-        operation = operations[0]
-        analyzed = analyze_operation(operation, self.relational)
-        if analyzed.signature in self.patterns:
-            return analyzed.signature
-        pattern_name = str(analyzed.signature)
-        self.diagnostics.extend(pattern_diagnostics(
-            pattern_name, operation, self.relational, self.dtd_view))
-        checks: list[OptimizedCheck] = []
-        fallback: list[CompiledConstraint] = []
-        for constraint in self.constraints:
-            try:
-                simplified = simp(constraint.denials, analyzed.pattern,
-                                  analyzed.hypotheses)
-                simplified = prune_denials(simplified, self.relational)
-                simplified = self._reject_unbindable(simplified, analyzed)
-                queries = translate_denials(simplified, self.relational)
-            except SimplificationError as error:
-                fallback.append(constraint)
-                self.diagnostics.append(brute_force_diagnostic(
-                    pattern_name, constraint.name, str(error)))
-                continue
-            check = OptimizedCheck(constraint, simplified, queries)
-            if check.always_violated:
-                self.diagnostics.append(always_violated_diagnostic(
-                    pattern_name, constraint.name))
-            checks.append(check)
-        self.patterns[analyzed.signature] = PatternChecks(
-            analyzed, checks, fallback)
-        return analyzed.signature
+            analyzed: "AnalyzedUpdate | AnalyzedTransaction" = \
+                analyze_transaction(operations, self.relational)
+            key: PatternKey = analyzed.signatures
+        else:
+            analyzed = analyze_operation(operations[0], self.relational)
+            key = analyzed.signature
+        if key not in self.patterns:
+            self.patterns[key] = self._compile_pattern(analyzed, operations)
+        return key
 
-    def _reject_unbindable(self, denials: list[Denial],
-                           analyzed: AnalyzedUpdate) -> list[Denial]:
-        """Refuse checks that still mention unbindable fresh ids.
-
-        Fresh node identifiers do not exist before the update, so a
-        simplified denial that refers to one cannot be evaluated in the
-        present state.  The Δ hypotheses normally eliminate all such
-        denials; any survivor means the fragment is outside what we can
-        soundly pre-check.
-        """
-        fresh = analyzed.pattern.fresh_parameters
-        for denial in denials:
-            remaining = denial.parameters() & fresh
-            if remaining:
-                raise SimplificationError(
-                    f"simplified check {denial} still references fresh "
-                    f"node identifiers {sorted(p.name for p in remaining)}")
-        return denials
-
-    def _register_transaction(self, operations: list[Operation]):
-        analyzed = analyze_transaction(operations, self.relational)
-        if analyzed.signatures in self.transaction_patterns:
-            return analyzed.signatures
-        pattern_name = analyzed.pattern.name or "transaction"
+    def _compile_pattern(self,
+                         analyzed: "AnalyzedUpdate | AnalyzedTransaction",
+                         operations: list[Operation]) -> PatternChecks:
+        """Simp, pruning and translation of every constraint for one
+        pattern; a constraint none of them can handle soundly is left
+        to the brute-force fallback (footnote 4)."""
+        pattern_name = analyzed.pattern.name or ""
         for operation in operations:
             self.diagnostics.extend(pattern_diagnostics(
                 pattern_name, operation, self.relational, self.dtd_view))
@@ -259,12 +230,7 @@ class ConstraintSchema:
                 simplified = simp(constraint.denials, analyzed.pattern,
                                   analyzed.hypotheses)
                 simplified = prune_denials(simplified, self.relational)
-                for denial in simplified:
-                    remaining = denial.parameters() \
-                        & analyzed.pattern.fresh_parameters
-                    if remaining:
-                        raise SimplificationError(
-                            f"check {denial} references fresh ids")
+                self._reject_unbindable(simplified, analyzed.pattern)
                 queries = translate_denials(simplified, self.relational)
             except SimplificationError as error:
                 fallback.append(constraint)
@@ -276,17 +242,30 @@ class ConstraintSchema:
                 self.diagnostics.append(always_violated_diagnostic(
                     pattern_name, constraint.name))
             checks.append(check)
-        self.transaction_patterns[analyzed.signatures] = TransactionChecks(
-            analyzed, checks, fallback)
-        return analyzed.signatures
+        return PatternChecks(analyzed, checks, fallback)
 
-    def checks_for(self, signature: UpdateSignature) -> PatternChecks | None:
-        return self.patterns.get(signature)
+    @staticmethod
+    def _reject_unbindable(denials: list[Denial],
+                           pattern: UpdatePattern) -> None:
+        """Refuse checks that still mention unbindable fresh ids.
 
-    def checks_for_transaction(
-            self, signatures: tuple[UpdateSignature, ...]
-    ) -> TransactionChecks | None:
-        return self.transaction_patterns.get(signatures)
+        Fresh node identifiers do not exist before the update, so a
+        simplified denial that refers to one cannot be evaluated in the
+        present state.  The Δ hypotheses normally eliminate all such
+        denials; any survivor means the fragment is outside what we can
+        soundly pre-check.
+        """
+        for denial in denials:
+            remaining = denial.parameters() & pattern.fresh_parameters
+            if remaining:
+                raise SimplificationError(
+                    f"simplified check {denial} still references fresh "
+                    f"node identifiers {sorted(p.name for p in remaining)}")
+
+    def checks_for(self, key: PatternKey) -> PatternChecks | None:
+        """The checks registered under an operation's signature or a
+        transaction's signature sequence."""
+        return self.patterns.get(key)
 
     @staticmethod
     def _operations_of(example: "str | Operation") -> list[Operation]:
@@ -352,8 +331,8 @@ class ConstraintSchema:
             for denial in compiled.denials:
                 lines.append(f"    {denial}")
         lines.append("Patterns:")
-        for signature, checks in self.patterns.items():
-            lines.append(f"  {signature} "
+        for checks in self.patterns.values():
+            lines.append(f"  {checks.analyzed.pattern.name} "
                          f"(U = {checks.analyzed.pattern})")
             for check in checks.optimized:
                 for denial in check.simplified:

@@ -38,9 +38,6 @@ class Atom:
             result |= term_parameters(arg)
         return result
 
-    def is_ground(self) -> bool:
-        return not self.variables()
-
     def __str__(self) -> str:
         inner = ",".join(str(arg) for arg in self.args)
         return f"{self.predicate}({inner})"
@@ -97,9 +94,6 @@ class Comparison:
     def swapped(self) -> "Comparison":
         """The same condition with the operands exchanged."""
         return Comparison(_SWAPPED_OP[self.op], self.right, self.left)
-
-    def is_symmetric(self) -> bool:
-        return self.op in ("eq", "ne")
 
     def __str__(self) -> str:
         return f"{self.left} {_COMPARISON_SYMBOLS[self.op]} {self.right}"
@@ -256,16 +250,6 @@ class Negation:
 
 
 Literal = Union[Atom, Comparison, AggregateCondition, Negation]
-
-
-def literal_variables(literal: Literal) -> set[Variable]:
-    """Variables of any literal kind."""
-    return literal.variables()
-
-
-def literal_parameters(literal: Literal) -> set[Parameter]:
-    """Parameters of any literal kind."""
-    return literal.parameters()
 
 
 def comparison_truth(comparison: Comparison) -> bool | None:

@@ -34,10 +34,6 @@ class FactDatabase:
             if pred == predicate and column < len(stored):
                 index.setdefault(stored[column], []).append(stored)
 
-    def add_all(self, predicate: str, rows: Iterable[Iterable[object]]) -> None:
-        for row in rows:
-            self.add(predicate, row)
-
     def remove(self, predicate: str, row: Iterable[object]) -> bool:
         """Remove one occurrence of a fact; returns whether it existed."""
         stored = tuple(row)

@@ -148,13 +148,6 @@ class Substitution:
                                       self.apply_term(literal.bound))
         raise TypeError(f"unknown literal kind: {literal!r}")
 
-    # -- parameters --------------------------------------------------------------
-
-    @staticmethod
-    def for_parameters(values: Mapping[Parameter, Term]) -> "ParameterBinding":
-        """Build a parameter-instantiation map (see ParameterBinding)."""
-        return ParameterBinding(values)
-
 
 class ParameterBinding:
     """A parameter→term mapping applied at update time.

@@ -111,10 +111,6 @@ class SimplificationError(ReproError):
     (brute-force) check in this case, mirroring footnote 4 of the paper."""
 
 
-class PatternMatchError(ReproError):
-    """A concrete update does not match any registered update pattern."""
-
-
 class IntegrityViolationError(ReproError):
     """Raised by the guard when an update would violate integrity.
 

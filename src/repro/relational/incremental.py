@@ -29,8 +29,6 @@ lock.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.analysis.concurrency import guarded_by, requires_lock
 from repro.relational.columns import Downpath, PathIndex, chain_reaches
 from repro.testing.failpoints import fail
@@ -77,11 +75,6 @@ class ColumnStore:
     def dirty(self) -> bool:
         with self.document._lock:
             return self._synced_revision != self.document.revision
-
-    def settle(self) -> None:
-        """Eagerly rebuild if dirty (batch boundaries call this)."""
-        with self.document._lock:
-            self._validate()
 
     # -- construction / validation --------------------------------------
 
@@ -233,19 +226,3 @@ def store_of(document: Document) -> ColumnStore | None:
     """The attached column store, if any."""
     store = document.column_store
     return store if isinstance(store, ColumnStore) else None
-
-
-def settle_batch(documents: Iterable[Document]) -> None:
-    """Batch-boundary settling: eagerly rebuild dirty stores.
-
-    Called from ``IntegrityGuard.check_batch`` after every update, so
-    a batch whose deltas crashed mid-maintenance pays its rebuild here
-    instead of on the next check's critical path.  The
-    ``columns.batch.settle`` failpoint injects crashes at this
-    boundary; a fault simply leaves the store dirty (self-healing).
-    """
-    fail.point("columns.batch.settle")
-    for document in documents:
-        store = store_of(document)
-        if store is not None:
-            store.settle()

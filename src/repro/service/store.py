@@ -1,9 +1,9 @@
 """Thread-safe document collection and checking façade.
 
 :class:`DocumentStore` owns the documents and their reader–writer
-lock; :class:`CheckingService` composes a store with one of the
-run-time checkers and exposes the checker interface with the locking
-discipline applied:
+lock; :class:`CheckingService` composes a store with an
+:class:`~repro.core.guard.IntegrityGuard` and exposes the checker
+interface with the locking discipline applied:
 
 * writers (``try_execute`` / ``execute``) are serialized — at most one
   update mutates the documents at a time, and the underlying
@@ -26,6 +26,9 @@ The service also keeps a *commit log* — the updates that were actually
 applied, in commit order — which makes the final state reproducible by
 a sequential replay (the oracle the concurrency stress tests check
 against, and the natural hook for future replication/sharding layers).
+Every service appends to it from the checker's pre-commit hook, inside
+the update's transaction, so an update is in the commit log exactly
+when it commits.
 
 Opened through :meth:`CheckingService.open_durable`, the commit log is
 additionally *write-ahead durable*: every accepted update is appended
@@ -45,15 +48,10 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.analysis.concurrency import guarded_by, requires_lock
-from repro.core.guard import (
-    IntegrityGuard,
-    UpdateDecision,
-    _CheckerBase,
-    verify_documents,
-)
+from repro.core.guard import IntegrityGuard, UpdateDecision, verify_documents
 from repro.core.schema import ConstraintSchema
 from repro.errors import (
     IntegrityViolationError,
@@ -189,36 +187,34 @@ class RecoveryInfo:
             "_committed", "_pending_mark", "_last_snapshot_lsn",
             "_in_batch")
 class CheckingService:
-    """Thread-safe façade over a run-time checker.
+    """Thread-safe façade over the run-time checker.
 
-    Wraps a checker (an :class:`IntegrityGuard` by default) and a
-    :class:`DocumentStore`, serializing writers while letting read-only
-    checks run concurrently.  All consistency guarantees of the
+    Wraps an :class:`IntegrityGuard` and a :class:`DocumentStore`,
+    serializing writers while letting read-only checks run
+    concurrently.  All consistency guarantees of the
     underlying checker — illegal updates never applied, failed updates
     fully rolled back — therefore hold under concurrent callers too.
     """
 
     def __init__(self, schema: ConstraintSchema,
-                 documents: "Iterable[Document] | DocumentStore",
-                 checker_factory: Callable[..., _CheckerBase]
-                 = IntegrityGuard, *,
+                 documents: "Iterable[Document] | DocumentStore", *,
                  snapshot_reads: bool = True) -> None:
         self.snapshot_reads = snapshot_reads
         self.snapshots = SnapshotManager()
         if isinstance(documents, DocumentStore):
             # the store may already be shared with running threads, and
-            # the checker factory walks the document list (root-tag
-            # routing, column-store attachment) — hold the read lock
-            # for the whole walk, not just the property access
+            # the guard walks the document list (root-tag routing,
+            # column-store attachment) — hold the read lock for the
+            # whole walk, not just the property access
             self.store = documents
             with self.store.read_locked():
-                self.checker = checker_factory(
+                self.checker = IntegrityGuard(
                     schema, self.store.documents)
                 self._publish()
         else:
             self.store = DocumentStore(documents)
             # construction: the fresh store is not shared yet
-            self.checker = checker_factory(
+            self.checker = IntegrityGuard(
                 schema, self.store.documents)  # lock: ignore
             self._publish()  # lock: ignore
         self._committed: list[CommittedUpdate] = []
@@ -233,32 +229,7 @@ class CheckingService:
         self._in_batch = False
         #: populated by :meth:`recover` on recovered instances
         self.last_recovery: "RecoveryInfo | None" = None
-
-    @classmethod
-    def from_checker(cls, checker: _CheckerBase, *,
-                     snapshot_reads: bool = True) -> "CheckingService":
-        """Wrap an existing checker (and its documents) in a service.
-
-        The checker must not be driven directly afterwards — every call
-        has to go through the service for the locking to mean anything.
-        """
-        service = cls.__new__(cls)
-        service.snapshot_reads = snapshot_reads
-        service.snapshots = SnapshotManager()
-        service.store = DocumentStore(checker.documents)
-        service.checker = checker
-        # construction: the service is not shared with any thread yet
-        service._publish()  # lock: ignore
-        service._committed = []  # lock: ignore
-        service._durable = None
-        service._state_dir = None
-        service._durable_sync = True
-        service._snapshot_interval = 0
-        service._last_snapshot_lsn = 0  # lock: ignore
-        service._pending_mark = None  # lock: ignore
-        service._in_batch = False  # lock: ignore
-        service.last_recovery = None
-        return service
+        self.checker.set_pre_commit(self._pre_commit, self._abort_commit)
 
     @requires_lock("self.store.lock")
     def _publish(self) -> None:
@@ -277,8 +248,6 @@ class CheckingService:
     def open_durable(cls, schema: ConstraintSchema,
                      documents: "Iterable[Document] | DocumentStore",
                      state_dir: "str | Path", *,
-                     checker_factory: Callable[..., _CheckerBase]
-                     = IntegrityGuard,
                      snapshot_interval: int = 64,
                      sync: bool = True) -> "CheckingService":
         """Open a durable service rooted at ``state_dir``.
@@ -299,10 +268,9 @@ class CheckingService:
         state_dir = Path(state_dir)
         if has_durable_state(state_dir):
             return cls.recover(
-                schema, state_dir, checker_factory=checker_factory,
+                schema, state_dir,
                 snapshot_interval=snapshot_interval, sync=sync)
-        service = cls(schema, documents, checker_factory,
-                      snapshot_reads=False)
+        service = cls(schema, documents, snapshot_reads=False)
         write_snapshot(state_dir, 0, service.store.snapshot(),
                        sync=sync)
         wal = DurableLog(state_dir / WAL_NAME, sync=sync)
@@ -313,8 +281,6 @@ class CheckingService:
     @classmethod
     def recover(cls, schema: ConstraintSchema,
                 state_dir: "str | Path", *,
-                checker_factory: Callable[..., _CheckerBase]
-                = IntegrityGuard,
                 snapshot_interval: int = 64,
                 sync: bool = True) -> "CheckingService":
         """Rebuild a durable service from ``state_dir`` after a crash.
@@ -340,8 +306,7 @@ class CheckingService:
                 code="recover.no-state")
         wal = DurableLog(state_dir / WAL_NAME, sync=sync)
         try:
-            service = cls._recover(
-                schema, snapshot, wal, checker_factory)
+            service = cls._recover(schema, snapshot, wal)
         except BaseException:
             wal.close()
             raise
@@ -352,9 +317,7 @@ class CheckingService:
 
     @classmethod
     def _recover(cls, schema: ConstraintSchema, snapshot: Snapshot,
-                 wal: DurableLog,
-                 checker_factory: Callable[..., _CheckerBase]
-                 ) -> "CheckingService":
+                 wal: DurableLog) -> "CheckingService":
         """Snapshot + WAL tail → a service at the pre-crash state."""
         records = wal.records()
         if wal.next_seq < snapshot.lsn:
@@ -371,15 +334,15 @@ class CheckingService:
                 f"snapshot (through sequence {snapshot.lsn}) holds a "
                 f"document that does not parse: {error}",
                 code="recover.snapshot-corrupt") from error
-        service = cls(schema, documents, checker_factory,
-                      snapshot_reads=False)
-        committed: list[CommittedUpdate] = []
+        service = cls(schema, documents, snapshot_reads=False)
         replayed = 0
         for record in records:
             if record.seq < snapshot.lsn:
                 # already reflected in the snapshot: enters the commit
                 # log as history, not the checker
-                committed.append(CommittedUpdate(
+                # construction: the service is not shared with any
+                # thread yet
+                service._committed.append(CommittedUpdate(  # lock: ignore
                     record.seq, record.text,
                     UpdateDecision(True, applied=True)))
                 continue
@@ -398,11 +361,10 @@ class CheckingService:
                     f"(violated: {decision.violated}); the log or "
                     "snapshot has been corrupted",
                     code="recover.replay-rejected")
-            committed.append(CommittedUpdate(
-                record.seq, record.text, decision))
+            # the pre-commit hook logged the record at commit-log
+            # position record.seq: the log's sequences run from 0
+            # without a gap (see persistence._scan)
             replayed += 1
-        # construction: the service is not shared with any thread yet
-        service._committed = committed  # lock: ignore
         service.last_recovery = RecoveryInfo(
             snapshot_lsn=snapshot.lsn, replayed=replayed,
             total_records=len(records))
@@ -417,8 +379,6 @@ class CheckingService:
         self._durable_sync = sync
         self._snapshot_interval = max(1, snapshot_interval)
         self._last_snapshot_lsn = last_snapshot_lsn  # lock: ignore
-        self.checker.set_pre_commit(
-            self._durable_pre_commit, self._durable_abort)
 
     @property
     def durable(self) -> bool:
@@ -436,43 +396,45 @@ class CheckingService:
         return self._durable is not None and self._durable.crashed
 
     @requires_lock("self.store.lock")
-    def _durable_pre_commit(self, update: "str | Operation",
-                            decision: UpdateDecision) -> None:
-        """The write-ahead append (the checker's pre-commit hook).
+    def _pre_commit(self, update: "str | Operation",
+                    decision: UpdateDecision) -> None:
+        """The commit-log append (the checker's pre-commit hook).
 
         Runs inside the checker's transactional scope for every update
         it decided to apply, before listeners observe the decision and
-        before the in-memory commit.  A single update fsyncs here: the
-        fsync completing is its commit point.  Inside
+        before the in-memory commit.  A durable service first writes
+        the update ahead to its log: a single update fsyncs here, and
+        the fsync completing is its commit point; inside
         :meth:`check_batch` the record is only written, and the batch's
-        one fsync (:meth:`_check_batch_durable`) is the commit point of
+        one fsync (:meth:`_check_batch_locked`) is the commit point of
         every update in it.  Any exception here aborts the update — the
         checker rolls the in-memory application back and
-        :meth:`_durable_abort` reconciles the log.
+        :meth:`_abort_commit` reconciles the logs.
         """
         wal = self._durable
-        assert wal is not None
-        self._pending_mark = (wal.next_seq, len(self._committed))
-        seq = wal.append(canonical_update_text(update))
-        if not self._in_batch:
-            wal.sync()
-        try:
-            fail.point("persistence.post_append_pre_apply")
-        except BaseException:
-            # the record is durable but the update will never commit
-            # in this process: exactly the crash window recovery must
-            # close by replaying the trailing record
-            wal.mark_crashed()
-            raise
+        seq = len(self._committed) if wal is None else wal.next_seq
+        self._pending_mark = (seq, len(self._committed))
+        if wal is not None:
+            seq = wal.append(canonical_update_text(update))
+            if not self._in_batch:
+                wal.sync()
+            try:
+                fail.point("persistence.post_append_pre_apply")
+            except BaseException:
+                # the record is durable but the update will never
+                # commit in this process: exactly the crash window
+                # recovery must close by replaying the trailing record
+                wal.mark_crashed()
+                raise
         fail.point("service.store.pre_commit_append")
         self._committed.append(
             CommittedUpdate(seq, update, decision))
 
     @requires_lock("self.store.lock")
-    def _durable_abort(self, update: "str | Operation") -> None:
-        """Reconcile the WAL with an update that aborted post-append.
+    def _abort_commit(self, update: "str | Operation") -> None:
+        """Reconcile the logs with an update that aborted post-append.
 
-        Truncates the log and the in-memory commit log back to the
+        Truncates the write-ahead log and the commit log back to the
         mark taken at hook entry — unless a simulated crash fired, in
         which case the on-disk artifacts (a torn half-record, a
         logged-but-unapplied record) are exactly what the restart
@@ -480,17 +442,19 @@ class CheckingService:
         """
         wal, mark = self._durable, self._pending_mark
         self._pending_mark = None
-        if wal is None or mark is None or wal.crashed:
+        if mark is None or (wal is not None and wal.crashed):
             return
         seq, committed_length = mark
-        wal.truncate_to_seq(seq)
+        if wal is not None:
+            wal.truncate_to_seq(seq)
         del self._committed[committed_length:]
 
     @requires_lock("self.store.lock")
-    def _check_batch_durable(
+    def _check_batch_locked(
             self,
             updates: "list[str | Operation]") -> list[UpdateDecision]:
-        """The checker's batch with one WAL fsync for all of it.
+        """The checker's batch, with one WAL fsync for all of it when
+        the service is durable.
 
         Each applied update's record is written by the pre-commit hook
         and the fsync runs once, after the last update — also when the
@@ -501,14 +465,14 @@ class CheckingService:
         recovers exactly what reached the disk.
         """
         wal = self._durable
-        assert wal is not None
-        first_seq = wal.next_seq
+        first_seq = None if wal is None else wal.next_seq
         self._in_batch = True
         try:
             return self.checker.check_batch(updates)
         finally:
             self._in_batch = False
-            if wal.next_seq != first_seq and not wal.crashed:
+            if wal is not None and wal.next_seq != first_seq \
+                    and not wal.crashed:
                 wal.sync()
 
     @requires_lock("self.store.lock")
@@ -573,21 +537,14 @@ class CheckingService:
         """Check and (when legal) apply one update, exclusively.
 
         Exactly :meth:`IntegrityGuard.try_execute` under the writer
-        lock; applied updates are appended to the commit log.
+        lock; the pre-commit hook appends an applied update to the
+        commit log.
         """
         with self.store.write_locked():
             try:
                 decision = self.checker.try_execute(update)
                 if decision.applied:
-                    if self._durable is None:
-                        fail.point("service.store.pre_commit_append")
-                        self._committed.append(CommittedUpdate(
-                            len(self._committed), update, decision))
-                    else:
-                        # the durable pre-commit hook already logged
-                        # and appended inside the checker's
-                        # transaction scope
-                        self._maybe_snapshot()
+                    self._maybe_snapshot()
             except BaseException:
                 # the checker may have committed without a publication
                 # reaching the readers: flag the published snapshot so
@@ -610,29 +567,17 @@ class CheckingService:
             updates: "list[str | Operation]") -> list[UpdateDecision]:
         """Check and apply a batch of updates under one lock round.
 
-        Exactly :meth:`~repro.core.guard.IntegrityGuard.check_batch`
-        with the writer lock acquired (and one snapshot published)
-        *once* for the whole batch; applied updates enter
-        the commit log in batch order.  Decisions match the sequential
-        :meth:`try_execute` loop update for update.  A durable service
-        fsyncs its write-ahead log once for the batch, before it
-        returns (group commit).
+        The checker's :meth:`try_execute` loop with the writer lock
+        acquired (and one snapshot published) *once* for the whole
+        batch; applied updates enter the commit log in batch order.
+        Decisions match the sequential :meth:`try_execute` loop update
+        for update.  A durable service fsyncs its write-ahead log once
+        for the batch, before it returns (group commit).
         """
         with self.store.write_locked():
             try:
-                if self._durable is None:
-                    decisions = self.checker.check_batch(updates)
-                    for update, decision in zip(updates, decisions):
-                        if decision.applied:
-                            fail.point(
-                                "service.store.pre_commit_append")
-                            self._committed.append(CommittedUpdate(
-                                len(self._committed), update,
-                                decision))
-                else:
-                    # per-update logging happened in the hook
-                    decisions = self._check_batch_durable(updates)
-                    self._maybe_snapshot()
+                decisions = self._check_batch_locked(updates)
+                self._maybe_snapshot()
             except BaseException:
                 self.snapshots.invalidate()
                 raise

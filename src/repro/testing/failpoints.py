@@ -109,14 +109,13 @@ SITES: dict[str, str] = {
         "TransactionLog abort, after every compensation ran — the "
         "rollback succeeded but its caller sees an error",
     "core.guard.post_check":
-        "IntegrityGuard, between a passed check and the apply — "
-        "early detection decided, execution fails anyway",
+        "IntegrityGuard, after a step's check passed and before its "
+        "apply (after the probe's apply, for a probed step) — the "
+        "decision is made, execution fails anyway",
     "core.guard.probe.mid":
-        "apply-check-rollback probe, between the probe apply and the "
-        "consistency check — the probe must still roll back",
-    "core.guard.batch.settle":
-        "IntegrityGuard.check_batch, after an update settled and "
-        "before the column stores are settled for the next one",
+        "apply-check probe, between the probe apply and the "
+        "consistency check — the update's transaction log must roll "
+        "the probe back",
     "service.locks.post_read_acquire":
         "ReadWriteLock.read_locked, after acquisition — the reader "
         "dies while holding the lock",
@@ -124,8 +123,10 @@ SITES: dict[str, str] = {
         "ReadWriteLock.write_locked, after acquisition — the writer "
         "dies while holding the lock",
     "service.store.pre_commit_append":
-        "CheckingService, after the checker committed and before the "
-        "commit-log append — the applied update goes unlogged",
+        "CheckingService pre-commit hook, after the update is applied "
+        "(and, when durable, written ahead) and before the commit-log "
+        "append — the update must roll back, unlogged and unseen by "
+        "listeners",
     "planner.stats.refresh":
         "check planner, while reading per-document statistics for a "
         "plan — the check keeps no plan and plans again next call",
@@ -137,9 +138,6 @@ SITES: dict[str, str] = {
         "column store mutation listener, after the delta patched the "
         "indexes and before the document revision is stamped back — "
         "a fully-applied delta is discarded and rebuilt",
-    "columns.batch.settle":
-        "IntegrityGuard.check_batch settling, before dirty column "
-        "stores are eagerly rebuilt at the batch boundary",
     "columns.rebuild":
         "column store validation, before a dirty store rebuilds its "
         "materialized value indexes from the DOM",

@@ -91,12 +91,9 @@ SCHEDULES: dict[str, str] = {
     "service": ("service.store.pre_commit_append=count:2;"
                 "service.locks.post_write_acquire=count:4;"
                 "service.locks.post_read_acquire=count:2"),
-    "batch": ("core.guard.batch.settle=count:1;"
-              "columns.batch.settle=count:2"),
     "columnar": ("columns.delta.apply=count:2;"
                  "columns.delta.settle=count:5;"
-                 "columns.rebuild=count:1;"
-                 "columns.batch.settle=count:1"),
+                 "columns.rebuild=count:1"),
     "wal": "persistence.post_append_pre_apply=count:3",
     "wal-torn": "persistence.pre_fsync=count:3",
     "snapshot": "persistence.snapshot_rename=count:1",
@@ -108,15 +105,13 @@ SCHEDULES: dict[str, str] = {
               "xupdate.rollback.pre=prob:0.03:13;"
               "core.guard.post_check=prob:0.05:14;"
               "core.guard.probe.mid=prob:0.05:15;"
-              "core.guard.batch.settle=prob:0.05:16;"
               "service.store.pre_commit_append=prob:0.05:17;"
               "service.locks.post_write_acquire=prob:0.03:18;"
               "service.locks.post_read_acquire=prob:0.03:19;"
               "planner.stats.refresh=prob:0.03:20;"
               "columns.delta.apply=prob:0.03:24;"
               "columns.delta.settle=prob:0.03:25;"
-              "columns.rebuild=prob:0.03:26;"
-              "columns.batch.settle=prob:0.03:27"),
+              "columns.rebuild=prob:0.03:26"),
 }
 
 #: Corpus knobs for the harness: small enough that a full run with
@@ -459,31 +454,15 @@ def _check_commit_log(service: CheckingService,
                       report) -> None:
     committed_texts = [canonical_update_text(entry.update)
                        for entry in service.committed_updates()]
-    if committed_texts == accepted:
-        return
-    if service.durable:
-        # log-then-apply: the write-ahead append happens *before* the
-        # listener observes the decision, so the commit log must be
-        # exactly the accepted sequence — the applied-but-unlogged
-        # window of the volatile path does not exist
+    if committed_texts != accepted:
+        # the commit-log append runs inside the checker's transaction,
+        # before the listeners observe the decision, in both modes: an
+        # update is logged exactly when a listener saw it accepted
         raise _violation(
             report, "commit-log",
-            "durable commit log diverged from the accepted sequence: "
+            "commit log diverged from the accepted sequence: "
             f"{len(committed_texts)} committed vs "
             f"{len(accepted)} accepted")
-    # volatile path: a fault between the document commit and the log
-    # append may legitimately drop entries — but only ever *later*
-    # accepted entries, never reorderings or inventions
-    it = iter(accepted)
-    for text in committed_texts:
-        for candidate in it:
-            if candidate == text:
-                break
-        else:
-            raise _violation(
-                report, "commit-log",
-                "commit log contains an update the listeners never "
-                f"saw accepted:\n{text}")
 
 
 def _check_snapshot_epochs(service: CheckingService,

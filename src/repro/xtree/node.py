@@ -274,7 +274,7 @@ class Element(Node):
 
 
 @guarded_by("self._lock", "_next_id", "_nodes_by_id", "_elements_by_tag",
-            "_tag_revisions", "_tag_order_cache", "_mutation_listeners")
+            "_tag_order_cache", "_mutation_listeners")
 class Document:
     """An XML document: a root element plus the node-identity machinery.
 
@@ -284,14 +284,13 @@ class Document:
     than any ever assigned.
 
     The document also maintains an *incremental element-by-tag index*:
-    every adopt/orphan keeps a per-tag bucket of attached elements and a
-    per-tag revision counter.  Query engines use the buckets to answer
-    ``//tag`` steps without walking the tree, and the tag revisions to
-    invalidate derived caches only when a relevant node type changed.
+    every adopt/orphan keeps a per-tag bucket of attached elements, and
+    query engines use the buckets to answer ``//tag`` steps without
+    walking the tree.
     """
 
     __slots__ = ("root", "_next_id", "_nodes_by_id", "revision",
-                 "_elements_by_tag", "_tag_revisions", "_tag_order_cache",
+                 "_elements_by_tag", "_tag_order_cache",
                  "_lock", "_mutation_listeners",
                  "column_store", "uid", "_frozen", "__weakref__")
 
@@ -303,12 +302,12 @@ class Document:
         #: set once by :meth:`freeze` before the document is shared
         #: with reader threads; plain reads are GIL-atomic
         self._frozen = False
-        #: guards the id counter, the tag index and its revision
-        #: counters.  Structural mutations (adopt/orphan) must be
-        #: serialized externally (e.g. the DocumentStore writer lock);
-        #: this lock only makes the *derived* index state — lazy
-        #: document-order fills, revision reads — safe for concurrent
-        #: readers.  Reentrant: adopt() allocates ids under the lock.
+        #: guards the id counter and the tag index.  Structural
+        #: mutations (adopt/orphan) must be serialized externally (e.g.
+        #: the DocumentStore writer lock); this lock only makes the
+        #: *derived* index state — lazy document-order fills — safe for
+        #: concurrent readers.  Reentrant: adopt() allocates ids under
+        #: the lock.
         self._lock = make_rlock("document")
         self.root = root
         self._next_id = 1
@@ -318,11 +317,9 @@ class Document:
         self.revision = 0
         #: tag → {node_id: element} of currently attached elements
         self._elements_by_tag: dict[str, dict[int, Element]] = {}
-        #: tag → monotone counter, bumped when a node of (or under) the
-        #: tag is attached or detached
-        self._tag_revisions: dict[str, int] = {}
-        #: tag → (tag revision, document-ordered element list)
-        self._tag_order_cache: dict[str, tuple[int, list[Element]]] = {}
+        #: tag → document-ordered element list, dropped whenever an
+        #: element of the tag is attached or detached
+        self._tag_order_cache: dict[str, list[Element]] = {}
         #: callables ``(kind, node, parent)`` invoked (under the lock,
         #: after index bookkeeping) for every adopt/orphan.  Listeners
         #: must never raise: they run inside structural mutation, where
@@ -363,9 +360,6 @@ class Document:
             if isinstance(current, Element):
                 self._index_element(current)
                 stack.extend(reversed(current.children))
-            elif isinstance(current, Text) and current.parent is not None:
-                # a text change is a change to its parent's node type
-                self._bump_tag(current.parent.tag)
         for listener in self._mutation_listeners:
             listener("adopt", node, node.parent)
 
@@ -374,8 +368,8 @@ class Document:
 
         ``parent`` is the element the node was detached from; callers
         that null ``node.parent`` before orphaning (``Element.remove``)
-        pass it so tag-revision bookkeeping and mutation listeners can
-        still see where the change happened.
+        pass it so mutation listeners can still see where the change
+        happened.
         """
         with self._lock:
             self._orphan_locked(node, parent)
@@ -390,8 +384,6 @@ class Document:
         self.revision += 1
         if parent is None:
             parent = node.parent
-        if isinstance(node, Text) and parent is not None:
-            self._bump_tag(parent.tag)
         stack = [node]
         while stack:
             current = stack.pop()
@@ -402,7 +394,7 @@ class Document:
                     bucket = self._elements_by_tag.get(current.tag)
                     if bucket is not None:
                         bucket.pop(current.node_id, None)
-                    self._bump_tag(current.tag)
+                    self._tag_order_cache.pop(current.tag, None)
             if isinstance(current, Element):
                 stack.extend(reversed(current.children))
         for listener in self._mutation_listeners:
@@ -415,43 +407,28 @@ class Document:
         assert element.node_id is not None
         self._elements_by_tag.setdefault(
             element.tag, {})[element.node_id] = element
-        self._bump_tag(element.tag)
-
-    @requires_lock("self._lock")
-    def _bump_tag(self, tag: str) -> None:
-        self._tag_revisions[tag] = self._tag_revisions.get(tag, 0) + 1
-        self._tag_order_cache.pop(tag, None)
-
-    def tag_revision(self, tag: str) -> int:
-        """Change counter for one node type (0 if never present).
-
-        Bumped whenever an element with this tag — or a text node
-        directly under one — is attached or detached.  Caches derived
-        from a set of tags stay valid while all their tag revisions do.
-        """
-        with self._lock:
-            return self._tag_revisions.get(tag, 0)
+        self._tag_order_cache.pop(element.tag, None)
 
     def elements_by_tag(self, tag: str) -> list[Element]:
         """All attached elements with ``tag``, in document order.
 
         Served from the incremental index; the document-order sort is
-        computed lazily and cached per tag revision, so repeated
-        ``//tag`` steps between updates cost a dictionary lookup.
-        Mutating the returned list is not allowed.
+        computed lazily and cached until an element of the tag is
+        attached or detached, so repeated ``//tag`` steps between
+        updates cost a dictionary lookup.  Mutating the returned list
+        is not allowed.
         """
         with self._lock:
-            revision = self._tag_revisions.get(tag, 0)
             cached = self._tag_order_cache.get(tag)
-            if cached is not None and cached[0] == revision:
-                return cached[1]
+            if cached is not None:
+                return cached
             bucket = self._elements_by_tag.get(tag)
             if not bucket:
                 elements: list[Element] = []
             else:
                 elements = sorted(bucket.values(),
                                   key=_document_order_key)
-            self._tag_order_cache[tag] = (revision, elements)
+            self._tag_order_cache[tag] = elements
             return elements
 
     # -- planner statistics --------------------------------------------------

@@ -334,8 +334,7 @@ class AnalyzedTransaction:
     hypotheses: list[Denial]
     parts: list[tuple[AnalyzedUpdate, dict[str, str]]]
 
-    def bind(self, documents: "list[Document]",
-             operations: list[InsertOperation],
+    def bind(self, operations: list[InsertOperation],
              resolve_document) -> dict[str, object]:
         """Combined parameter bindings for the concrete operations.
 

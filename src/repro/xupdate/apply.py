@@ -77,10 +77,10 @@ class TransactionLog:
     :meth:`apply` executes one operation and records its undo record,
     and :meth:`rollback` undoes the whole sequence newest-first.  Used
     as a context manager the log is *abort-by-default*: leaving the
-    block without :meth:`commit` — an exception, or a deliberate
-    apply-check-rollback probe — restores the exact pre-transaction
-    state.  Each undo record is rolled back at most once, whichever
-    combination of explicit and exit-time rollback runs.
+    block without :meth:`commit` — an exception, or an update its
+    checker refused — restores the exact pre-transaction state.  Each
+    undo record is rolled back at most once, whichever combination of
+    explicit and exit-time rollback runs.
     """
 
     def __init__(self) -> None:

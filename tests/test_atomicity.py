@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BruteForceChecker, IntegrityGuard
-from repro.datagen.running_example import make_schema
+from repro.core import BruteForceChecker, ConstraintSchema, IntegrityGuard
+from repro.datagen.running_example import PUB_DTD, REV_DTD, make_schema
 from repro.errors import (
     AmbiguousSelectError,
     SchemaError,
@@ -170,6 +170,105 @@ class TestSeededFailures:
         except UpdateApplicationError:
             pass
         assert snapshot(checker) == before
+
+
+def append_pub(title: str, *authors: str) -> str:
+    names = "".join(f"<aut><name>{author}</name></aut>"
+                    for author in authors)
+    return ('<xupdate:append select="/dblp">'
+            f"<pub><title>{title}</title>{names}</pub>"
+            "</xupdate:append>")
+
+
+REFERENTIAL = (
+    "<- //sub/title/text() -> T /\\ not(//pub[/title/text() -> T])")
+
+
+def _running_example():
+    return make_schema(), [parse_document(PUB_XML),
+                           parse_document(REV_XML)]
+
+
+def _two_sub_transaction_registered():
+    # conflict_of_interest cannot be simplified for the transaction
+    # (XIC404): the probe decides it
+    schema, documents = _running_example()
+    schema.register_pattern(multi_update(
+        append_sub(GOOD, "x", "y"), append_sub(GOOD, "x", "y")))
+    return schema, documents
+
+
+def _referential():
+    # a deletion can violate a negated body: removals are probed
+    schema = ConstraintSchema([PUB_DTD, REV_DTD], [REFERENTIAL])
+    documents = [
+        parse_document("<dblp><pub><title>Streams</title><aut><name>X"
+                       "</name></aut></pub><pub><title>Unused</title>"
+                       "<aut><name>Y</name></aut></pub></dblp>"),
+        parse_document("<review><track><name>T</name><rev><name>R"
+                       "</name><sub><title>Streams</title><auts><name>X"
+                       "</name></auts></sub></rev></track></review>"),
+    ]
+    return schema, documents
+
+
+#: case → (schema and documents, update, legal, applies, rollbacks)
+APPLY_ONCE_CASES = {
+    "legal-unregistered-append": (
+        _running_example,
+        multi_update(append_pub("Fresh", "Nobody One")), True, 1, 0),
+    # Alice reviews Erin's submission, so co-authoring with Erin is a
+    # conflict of interest
+    "illegal-unregistered-append": (
+        _running_example,
+        multi_update(append_pub("Fresh", "Alice", "Erin")), False, 1, 1),
+    "registered-pattern-with-fallback": (
+        _two_sub_transaction_registered,
+        multi_update(append_sub(GOOD, "First", "Someone New"),
+                     append_sub(GOOD, "Second", "Someone Else")),
+        True, 2, 0),
+    "removal-under-deletion-unsafe-constraint": (
+        _referential,
+        multi_update('<xupdate:remove select="/dblp/pub[2]"/>'),
+        True, 1, 0),
+}
+
+
+class TestAppliedOnce:
+    """Every operation of an update is applied exactly once, and
+    rolled back only when the update is refused — the guard's probe
+    included, just as the brute-force oracle does it."""
+
+    @pytest.mark.parametrize("checker_cls", CHECKERS,
+                             ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("case", sorted(APPLY_ONCE_CASES))
+    def test_apply_and_rollback_counts(self, case, checker_cls,
+                                       monkeypatch):
+        build, update, legal, applies, rollbacks = APPLY_ONCE_CASES[case]
+        schema, documents = build()
+        checker = checker_cls(schema, documents)
+        counts = {"apply": 0, "rollback": 0}
+        original_apply = TransactionLog.apply
+        original_rollback = AppliedOperation.rollback
+
+        def counting_apply(self, document, operation):
+            counts["apply"] += 1
+            return original_apply(self, document, operation)
+
+        def counting_rollback(self):
+            counts["rollback"] += 1
+            return original_rollback(self)
+
+        monkeypatch.setattr(TransactionLog, "apply", counting_apply)
+        monkeypatch.setattr(AppliedOperation, "rollback",
+                            counting_rollback)
+        before = snapshot(checker)
+        decision = checker.try_execute(update)
+        assert (decision.legal, decision.applied) == (legal, legal)
+        assert (counts["apply"], counts["rollback"]) \
+            == (applies, rollbacks)
+        if not legal:
+            assert snapshot(checker) == before
 
 
 class TestTransactionLog:

@@ -18,8 +18,9 @@ import pytest
 from repro.core.guard import BruteForceChecker, IntegrityGuard
 from repro.core.guard import UpdateDecision
 from repro.service.store import CheckingService
-from repro.testing.failpoints import fail, parse_schedule
+from repro.testing.failpoints import SITES, fail, parse_schedule
 from repro.testing.harness import (
+    RESTART_SITES,
     SCHEDULES,
     InvariantViolation,
     run_matrix,
@@ -80,6 +81,17 @@ class TestScheduleSites:
                         if report.site_counts.get(site, (0, 0))[1] == 0)
         assert not silent, \
             f"{schedule!r} never fired {silent}: {report.summary()}"
+
+
+class TestNoOrphanSites:
+    def test_every_site_is_armed_somewhere(self):
+        """A catalogued site no schedule or restart entry arms is never
+        exercised; ``parse_schedule`` already rejects the reverse case,
+        a schedule naming a site the catalog does not know."""
+        armed = set(RESTART_SITES)
+        for spec in SCHEDULES.values():
+            armed |= set(parse_schedule(spec))
+        assert sorted(set(SITES) - armed) == []
 
 
 class TestFaultFreeEquivalence:
@@ -153,10 +165,12 @@ class TestMutations:
         # revert early detection entirely: every update is declared
         # legal without checking, so illegal ones get applied and the
         # brute-force oracle disagrees
-        monkeypatch.setattr(
-            IntegrityGuard, "_check_one",
-            lambda self, operation: UpdateDecision(True,
-                                                   optimized=True))
+        def unchecked(self, operations, checks, log):
+            for operation in operations:
+                self._apply(log, operation)
+            return UpdateDecision(True, optimized=True)
+
+        monkeypatch.setattr(IntegrityGuard, "_check", unchecked)
         with pytest.raises(InvariantViolation) as info:
             run_scenario(1, {}, ops=30)
         assert "verdict-agreement" in str(info.value)

@@ -489,6 +489,40 @@ class TestSequenceNumbering:
             service.close()
 
 
+class TestCommitHookFault:
+    """The commit-log append runs inside the update's transaction in
+    both modes: a fault there aborts the update, so nothing is applied,
+    nothing is logged and no listener hears of it."""
+
+    @pytest.mark.parametrize("durable", [False, True],
+                             ids=["volatile", "durable"])
+    def test_pre_commit_append_fault_aborts_update(
+            self, schema, state_dir, durable):
+        documents = fresh_documents()
+        if durable:
+            service = CheckingService.open_durable(
+                schema, documents, state_dir)
+        else:
+            service = CheckingService(schema, documents)
+        try:
+            before = [serialize(document) for document in documents]
+            heard: list = []
+            service.subscribe(lambda update, decision: heard.append(
+                decision))
+            with fail.armed("service.store.pre_commit_append=count:1"):
+                with pytest.raises(FailPointError):
+                    service.try_execute(
+                        submission_xupdate(1, 1, "Doomed", "Author X"))
+            assert [serialize(document) for document in documents] \
+                == before
+            assert service.committed_updates() == []
+            assert service.wal_records() == []
+            assert heard == []
+        finally:
+            if durable:
+                service.close()
+
+
 class TestGroupCommit:
     """A durable ``check_batch`` fsyncs its write-ahead log once, after
     the last update; ``try_execute`` still fsyncs every applied update

@@ -47,9 +47,6 @@ def _strip_prepared(schema) -> None:
     for checks in schema.patterns.values():
         for check in checks.optimized:
             queries.extend(check.queries)
-    for checks in schema.transaction_patterns.values():
-        for check in checks.optimized:
-            queries.extend(check.queries)
     for query in queries:
         query.prepared = None
 
@@ -139,7 +136,9 @@ class TestDifferential:
         left = prepared_guard.try_execute(update)
         right = text_guard.try_execute(update)
         assert left == right
-        assert left.legal and left.optimized and left.applied
+        # conflict_of_interest falls back to the probe for this
+        # transaction (XIC404), so the decision is not optimized
+        assert left.legal and left.applied and not left.optimized
 
 
 class TestNoReparse:
@@ -248,10 +247,10 @@ class TestTagIndex:
         for tag in ("track", "rev", "sub", "name"):
             assert document.elements_by_tag(tag) \
                 == self._expected(document, tag)
-        revision = document.tag_revision("sub")
+        subs = document.elements_by_tag("sub")
         records = apply_text(
             document, submission_xupdate(1, 1, "New", "Author"))
-        assert document.tag_revision("sub") > revision
+        assert len(document.elements_by_tag("sub")) == len(subs) + 1
         for tag in ("sub", "auts", "name", "title"):
             assert document.elements_by_tag(tag) \
                 == self._expected(document, tag)
@@ -261,14 +260,14 @@ class TestTagIndex:
             assert document.elements_by_tag(tag) \
                 == self._expected(document, tag)
 
-    def test_unrelated_tag_revision_untouched(self):
+    def test_unrelated_tag_list_untouched(self):
         document = parse_document(
             "<review><track><name>T</name><rev><name>R</name>"
             "<sub><title>a</title><auts><name>A</name></auts></sub>"
             "</rev></track></review>")
-        track_revision = document.tag_revision("track")
+        tracks = document.elements_by_tag("track")
         apply_text(document, submission_xupdate(1, 1, "New", "Author"))
-        assert document.tag_revision("track") == track_revision
+        assert document.elements_by_tag("track") is tracks
 
 
 _TITLE_APPEND = """<xupdate:modifications version="1.0"

@@ -10,9 +10,10 @@ simplified as one pattern and checked once, before anything executes.
 import pytest
 
 from repro.core import ConstraintSchema, IntegrityGuard
-from repro.datagen.running_example import PUB_DTD, REV_DTD
+from repro.datagen.running_example import PUB_DTD, REV_DTD, make_schema
 from repro.datalog import Parameter as P
 from repro.errors import SimplificationError
+from repro.service.net.worker import decision_to_json
 from repro.xtree import parse_document, serialize
 from repro.xupdate import parse_modifications
 from repro.xupdate.analyze import analyze_transaction
@@ -99,9 +100,7 @@ class TestAnalysis:
                                                 docs):
         operations = parse_modifications(two_subs("a", "b"))
         analyzed = analyze_transaction(operations, relational_schema)
-        bindings = analyzed.bind(
-            docs, operations,
-            lambda op: docs[1])
+        bindings = analyzed.bind(operations, lambda op: docs[1])
         positions = sorted(
             value for name, value in bindings.items()
             if name.startswith("ps"))
@@ -118,7 +117,10 @@ class TestDeferredSemantics:
         # the sub's title only exists because the SAME transaction adds
         # the pub: deferred checking accepts
         decision = guard.try_execute(pub_and_sub("Fresh Title", "New A"))
-        assert decision.legal and decision.applied and decision.optimized
+        # REFERENTIAL cannot be simplified for this transaction (XIC404):
+        # the probe decides it
+        assert decision.legal and decision.applied
+        assert not decision.optimized
         titles = [p.first_child("title").text()
                   for p in docs[0].iter_elements("pub")]
         assert "Fresh Title" in titles
@@ -160,3 +162,29 @@ class TestDeferredSemantics:
         subs = [s.first_child("title").text()
                 for s in docs[1].iter_elements("sub")]
         assert subs == ["Streams", "First", "Second"]
+
+
+class TestProbedTransactionsAreNotOptimized:
+    """A decision that a probe took part in reports ``optimized: false``
+    on the wire, for a transaction as for a single operation."""
+
+    def _decide(self, schema, pattern, update, docs):
+        schema.register_pattern(pattern)
+        assert any(diagnostic.code == "XIC404"
+                   for diagnostic in schema.diagnostics), \
+            "the registered transaction must need a probe"
+        decision = IntegrityGuard(schema, docs).try_execute(update)
+        assert decision.legal and decision.applied
+        return decision_to_json(decision)
+
+    def test_only_constraint_brute_forced(self, docs):
+        schema = ConstraintSchema([PUB_DTD, REV_DTD], [REFERENTIAL])
+        wire = self._decide(schema, pub_and_sub("x", "y"),
+                            pub_and_sub("Fresh Title", "New A"), docs)
+        assert wire["optimized"] is False
+
+    def test_one_of_two_constraints_brute_forced(self, docs):
+        schema = make_schema()
+        wire = self._decide(schema, two_subs("a", "b"),
+                            two_subs("First", "Second"), docs)
+        assert wire["optimized"] is False
