@@ -2,7 +2,6 @@ PYTHON ?= python3
 BENCH_SIZES ?= 32,64,128
 
 .PHONY: install test bench bench-e2e bench-e2e-smoke bench-e2e-ab \
-	bench-columnar bench-columnar-smoke \
 	bench-service bench-service-smoke \
 	examples lint lint-concurrency stress faultcheck \
 	faultcheck-restart serve-check clean
@@ -40,27 +39,6 @@ PAIRS ?= 10
 
 bench-e2e-ab:
 	$(PYTHON) scripts/e2e_ab.py --base $(BASE) --pairs $(PAIRS)
-
-# columnar backend ablation (vectorized frontier steps vs the same
-# plan searched tuple-at-a-time) across all sizes; emits
-# BENCH_columnar.json and gates on the >=2x acceptance floor at the
-# largest size
-bench-columnar:
-	REPRO_BENCH_SIZES_KIB=$(BENCH_SIZES) \
-		$(PYTHON) -m pytest benchmarks/test_columnar_ablation.py \
-		--benchmark-only --benchmark-min-rounds=3 \
-		--benchmark-json=BENCH_columnar.json
-	$(PYTHON) scripts/check_ablation_gate.py BENCH_columnar.json
-
-# one-round CI smoke at the smallest size, gated against the committed
-# BENCH_columnar.json baseline ratios (>20% regression fails)
-bench-columnar-smoke:
-	REPRO_BENCH_SIZES_KIB=32 \
-		$(PYTHON) -m pytest benchmarks/test_columnar_ablation.py \
-		--benchmark-only --benchmark-min-rounds=1 \
-		--benchmark-json=BENCH_columnar_smoke.json
-	$(PYTHON) scripts/check_ablation_gate.py BENCH_columnar_smoke.json \
-		--baseline BENCH_columnar.json
 
 # service load harness: closed-loop readers + paced writer against
 # one CheckingService, snapshot vs locked read modes; emits

@@ -23,7 +23,7 @@ and seed are exactly the benchmark's.
 Usage::
 
     python3 scripts/count_calls.py read_check_128k --cycles 40 \\
-        repro.xquery.columnar:_Scan.expand \\
+        repro.xquery.columnar:_Eval.expand \\
         repro.relational.incremental:ColumnStore.value_index \\
         repro.xtree.node:Document.elements_by_tag
 """

@@ -383,7 +383,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     schema = _build_schema(args)
     documents = _load_documents(args.document)
     # constructing the guard attaches the column stores, so explain
-    # reports the backend (columnar / planned-DOM) each check would use
+    # runs each check on the value indexes the guard's checks read
     guard = IntegrityGuard(schema, documents)
     if args.update:
         from repro.xupdate.parser import parse_modifications

@@ -1,36 +1,49 @@
-"""Set-at-a-time evaluation of planned quantifiers over column stores.
+"""Set-at-a-time evaluation of planned quantifiers: the planner's one
+way to evaluate a ``some``.
 
-The planner's tuple-at-a-time search (``_compile_some``) walks one
-nested-loop tree per candidate tuple.  This module lowers the same
-chosen binding order to a *frontier* pipeline: each level is one
-vectorized operation over a whole column of candidate rows —
+The planner chooses a binding order
+(:func:`repro.xquery.planner._choose_order`); this module lowers it to
+a *frontier* pipeline in which each level is one operation over a
+whole column of candidate rows —
 
-* ``_Scan`` — all elements of a tag, from the document's tag index
-  (:meth:`~repro.xtree.node.Document.elements_by_tag`);
 * ``_Down`` — a chain of child steps,
   :meth:`~repro.xtree.node.Element.element_children`: the DOM's
   child lists are the ``IdParent`` lookup;
 * ``_Values`` — a trailing ``text()``/attribute step, served by the
-  store's :class:`~repro.relational.columns.PathIndex` atoms, one row
-  per atom, carried as canonical hash-key sets;
+  value index's atoms, one row per atom, carried as canonical
+  hash-key sets;
 * ``_Parent`` — the parent step (DOM parent pointers);
-* ``_Const`` — a quantifier-variable-free source (outer-variable
-  parameters like ``$__p_ir/name/text()``), evaluated once and
-  cross-expanded;
 * ``_Join`` — an uncorrelated ``//tag`` source with an equality
-  conjunct, probed against the store's hook-maintained value index.
+  conjunct, probed against the value index;
+* ``_Eval`` — any other source, through its compiled closure: run
+  once and cross-expanded when it reads no variable of the quantifier
+  (a ``//tag`` scan, an outer parameter such as
+  ``$__p_ir/name/text()``), else once per distinct row with the row's
+  variables bound.
 
-Equality conjuncts become key-set intersection filters.  Only ``=``
-is vectorized: by the :func:`repro.xquery.optimizer.hash_keys`
-invariant, two atoms general-compare equal iff the index-side keys of
-one meet the probe-side keys of the other, so equality is decided
-entirely in key space.  Everything else —
-other comparison operators, function calls, nested quantifiers,
-sources outside the fragment — makes :func:`lower_some` refuse, and
-the planner keeps its tuple-at-a-time search (verdict parity is the
-differential suite's job).  At run time, a missing store or an
-oversized frontier raises :class:`Bail` and the planner falls back the
-same way.
+Value indexes come from one accessor,
+:func:`repro.xquery.planner._value_index`: the attached column store's
+delta-maintained :class:`~repro.relational.columns.PathIndex`, or one
+built for the evaluation.
+
+Conjuncts become filters.  An ``=`` between key-space sides — a bare
+variable, a plain downpath from one, an expression free of the
+quantifier's variables — is a *key filter*: by the
+:func:`repro.xquery.optimizer.hash_keys` invariant, two atoms
+general-compare equal iff the index-side keys of one meet the
+probe-side keys of the other, so equality is decided by key-set
+intersection.  Every other conjunct (``<``, ``!=``, aggregates such as
+``count(…) >= 3``, nested quantifiers) is a *row filter*: its truth
+closure, compiled once, runs per surviving row with the row's
+variables bound in the runtime environment.  A variable that a row
+filter or another binding's source reads is carried as items, never as
+key sets.
+
+``every`` arrives here as ``not(some … satisfies not(…))``.  Lowering
+refuses only a quantifier that binds one name twice, and a frontier
+beyond :data:`_FRONTIER_CAP` rows raises :class:`Bail`; the planner
+sends either to the reference engine (verdict parity is the
+differential suite's job).
 """
 
 from __future__ import annotations
@@ -40,7 +53,6 @@ from typing import Callable
 from repro.xquery import planner as _planner
 from repro.xquery.ast import BinaryOp, Expression, PathExpr, VarRef
 from repro.xquery.optimizer import (
-    focus_free,
     free_variables,
     hash_keys,
     matching_keys,
@@ -48,11 +60,13 @@ from repro.xquery.optimizer import (
 )
 from repro.xquery.planner import _eval_downpath, _Runtime
 from repro.xquery.values import atomize
-from repro.xtree.node import Element
+from repro.xtree.node import Element, Text
 
-#: refuse frontiers beyond this many rows and fall back to the
-#: tuple-at-a-time search, whose memory use is bounded by depth
+#: frontiers beyond this many rows raise :class:`Bail`, and the
+#: quantifier is evaluated by the reference engine instead
 _FRONTIER_CAP = 200_000
+
+_MISSING = object()
 
 Downpath = tuple[tuple[str, str], ...]
 
@@ -61,39 +75,30 @@ class Bail(Exception):
     """Raised mid-run when vectorized evaluation cannot proceed."""
 
 
-class _RunContext:
-    """Per-run caches: value indexes, per-item key sets."""
-
-    __slots__ = ("rt", "indexes", "item_keys")
-
-    def __init__(self, rt: _Runtime) -> None:
-        self.rt = rt
-        #: (doc id, tag, steps) → PathIndex
-        self.indexes: dict[tuple, object] = {}
-        #: (side kind, steps?, probe form?) → id(item) → frozenset of
-        #: hash keys
-        self.item_keys: dict[tuple, dict[int, frozenset]] = {}
-
-    def index_for(self, element: Element, tag: str, steps: Downpath):
-        document = element.document
-        if document is None:
-            return None
-        key = (id(document), tag, steps)
-        index = self.indexes.get(key)
-        if index is None:
-            index = document.column_store.value_index(tag, steps)
-            self.indexes[key] = index
-        return index
+def _index_of(rt: _Runtime, indexes: dict, element: Element,
+              tag: str | None, steps: Downpath):
+    """The value index serving ``element/steps``, if one applies;
+    ``indexes`` memoises it per document for one call."""
+    document = element.document
+    if tag is None or element.tag != tag or document is None:
+        return None
+    index = indexes.get(id(document))
+    if index is None:
+        index = indexes[id(document)] = _planner._value_index(
+            rt, document, tag, steps)
+    return index
 
 
 # ---------------------------------------------------------------------------
-# Comparison sides (filters and join probes)
+# Key-filter sides (``=`` conjuncts and join probes)
 # ---------------------------------------------------------------------------
 #
-# ``keys_fn(ctx, cols, probe)`` returns row → key set: the index-side
+# ``keys_fn(rt, cols, probe)`` returns row → key set: the index-side
 # keys of the row's atoms, or with ``probe`` the keys they match
 # (:func:`repro.xquery.optimizer.matching_keys`).  An ``=`` holds on a
-# row iff one side's index form meets the other's probe form.
+# row iff one side's index form meets the other's probe form.  Memos
+# are keyed by ``id`` and live for one call, while the column holds
+# every item alive.
 
 def _keys(sequence: list, probe: bool) -> frozenset:
     if probe:
@@ -114,7 +119,7 @@ class _SideVar:
     def refs(self) -> frozenset[str]:
         return frozenset((self.name,))
 
-    def keys_fn(self, ctx: _RunContext, cols: dict[str, list],
+    def keys_fn(self, rt: _Runtime, cols: dict[str, list],
                 probe: bool) -> Callable[[int], frozenset]:
         column = cols[self.name]
         if self.is_keys:
@@ -129,7 +134,7 @@ class _SideVar:
                     matched = matching[keys] = matching_keys(keys)
                 return matched
             return matching_of
-        memo = ctx.item_keys.setdefault(("item", probe), {})
+        memo: dict[int, frozenset] = {}
 
         def keys_of(i: int) -> frozenset:
             item = column[i]
@@ -141,9 +146,9 @@ class _SideVar:
 
 
 class _SidePath:
-    """A downward path rooted at an ITEMS variable.
+    """A plain downpath rooted at a quantifier variable.
 
-    Served by the store's value index when the variable's tag is known
+    Served by the value index when the variable's tag is known
     statically; computed per distinct item otherwise — the formula is
     identical either way (``atomize`` × ``hash_keys``).
     """
@@ -159,10 +164,11 @@ class _SidePath:
     def refs(self) -> frozenset[str]:
         return frozenset((self.name,))
 
-    def keys_fn(self, ctx: _RunContext, cols: dict[str, list],
+    def keys_fn(self, rt: _Runtime, cols: dict[str, list],
                 probe: bool) -> Callable[[int], frozenset]:
         column = cols[self.name]
-        memo = ctx.item_keys.setdefault(("path", self.steps, probe), {})
+        memo: dict[int, frozenset] = {}
+        indexes: dict[int, object] = {}
         tag = self.tag
         steps = self.steps
 
@@ -174,8 +180,7 @@ class _SidePath:
             if not isinstance(item, Element):
                 keys = frozenset()
             else:
-                index = ctx.index_for(item, tag, steps) \
-                    if tag is not None and item.tag == tag else None
+                index = _index_of(rt, indexes, item, tag, steps)
                 if index is None:
                     keys = _keys(_eval_downpath(steps, item), probe)
                 else:
@@ -188,7 +193,8 @@ class _SidePath:
 
 
 class _SideConst:
-    """A quantifier-variable-free expression, evaluated once per run."""
+    """An expression free of the quantifier's variables: evaluated once
+    per run."""
 
     __slots__ = ("closure",)
 
@@ -198,45 +204,61 @@ class _SideConst:
     def refs(self) -> frozenset[str]:
         return frozenset()
 
-    def keys_fn(self, ctx: _RunContext, cols: dict[str, list],
+    def keys_fn(self, rt: _Runtime, cols: dict[str, list],
                 probe: bool) -> Callable[[int], frozenset]:
-        keys = _keys(self.closure(ctx.rt), probe)
+        keys = _keys(self.closure(rt), probe)
         return lambda i: keys
 
 
-_Side = "_SideVar | _SidePath | _SideConst"
+class _RowFilter:
+    """Any other conjunct: its truth closure, per row."""
+
+    __slots__ = ("truth", "names")
+
+    def __init__(self, truth: Callable, names: tuple[str, ...]) -> None:
+        self.truth = truth
+        self.names = names
+
+    def refs(self) -> frozenset[str]:
+        return frozenset(self.names)
+
+    def holds_fn(self, rt: _Runtime,
+                 cols: dict[str, list]) -> Callable[[int], bool]:
+        """Row → truth, with the row's variables bound in ``rt.env``
+        for the call (the caller restores the environment)."""
+        env = rt.env
+        truth = self.truth
+        columns = [(name, cols[name]) for name in self.names]
+
+        def holds(i: int) -> bool:
+            for name, column in columns:
+                env[name] = [column[i]]
+            return truth(rt)
+        return holds
+
+
+def _bound_env(rt: _Runtime, names) -> dict:
+    """The environment entries that binding ``names`` will overwrite."""
+    return {name: rt.env.get(name, _MISSING) for name in names}
+
+
+def _restore_env(rt: _Runtime, saved: dict) -> None:
+    for name, value in saved.items():
+        if value is _MISSING:
+            rt.env.pop(name, None)
+        else:
+            rt.env[name] = value
 
 
 # ---------------------------------------------------------------------------
 # Frontier operations (one per binding, in the planner's chosen order)
 # ---------------------------------------------------------------------------
 
-class _Scan:
-    """All elements of ``//tag`` (level 0 only)."""
-
-    __slots__ = ("name", "tag")
-    kind = "scan"
-
-    def __init__(self, name: str, tag: str) -> None:
-        self.name = name
-        self.tag = tag
-
-    def refs(self) -> frozenset[str]:
-        return frozenset()
-
-    def expand(self, ctx: _RunContext, cols: dict[str, list],
-               count: int) -> tuple[list[int], list]:
-        elements: list = []
-        for document in ctx.rt.documents:
-            elements.extend(document.elements_by_tag(self.tag))
-        return [0] * len(elements), elements
-
-
 class _Down:
-    """A chain of named child steps from an ITEMS variable."""
+    """A chain of named child steps from an element variable."""
 
     __slots__ = ("name", "source", "tags")
-    kind = "down"
+    kind = "correlated scan"
 
     def __init__(self, name: str, source: str,
                  tags: tuple[str, ...]) -> None:
@@ -247,7 +269,7 @@ class _Down:
     def refs(self) -> frozenset[str]:
         return frozenset((self.source,))
 
-    def expand(self, ctx: _RunContext, cols: dict[str, list],
+    def expand(self, rt: _Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
         column = cols[self.source]
         take: list[int] = []
@@ -278,12 +300,11 @@ class _Values:
     """A value-producing downpath (trailing ``text()``/attribute).
 
     One row per atom; the carried value is the atom's index-side
-    hash-key set, which is all any surviving use (an ``=`` side or a
-    join probe) ever needs.
+    hash-key set, which is all a key filter or a join probe needs.
     """
 
     __slots__ = ("name", "source", "steps", "source_tag")
-    kind = "values"
+    kind = "correlated scan"
 
     def __init__(self, name: str, source: str, steps: Downpath,
                  source_tag: str | None) -> None:
@@ -295,13 +316,13 @@ class _Values:
     def refs(self) -> frozenset[str]:
         return frozenset((self.source,))
 
-    def expand(self, ctx: _RunContext, cols: dict[str, list],
+    def expand(self, rt: _Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
         column = cols[self.source]
         take: list[int] = []
         values: list = []
-        tag = self.source_tag
         memo: dict[int, list[frozenset]] = {}
+        indexes: dict[int, object] = {}
         for i in range(count):
             item = column[i]
             key_sets = memo.get(id(item))
@@ -309,8 +330,8 @@ class _Values:
                 if not isinstance(item, Element):
                     atoms: tuple = ()
                 else:
-                    index = ctx.index_for(item, tag, self.steps) \
-                        if tag is not None and item.tag == tag else None
+                    index = _index_of(rt, indexes, item,
+                                      self.source_tag, self.steps)
                     if index is not None:
                         atoms = index.atoms_of.get(
                             item.node_id or -1, ())
@@ -327,10 +348,10 @@ class _Values:
 
 
 class _Parent:
-    """The parent step from an ITEMS variable."""
+    """The parent step from a node variable."""
 
     __slots__ = ("name", "source")
-    kind = "parent"
+    kind = "correlated scan"
 
     def __init__(self, name: str, source: str) -> None:
         self.name = name
@@ -339,57 +360,81 @@ class _Parent:
     def refs(self) -> frozenset[str]:
         return frozenset((self.source,))
 
-    def expand(self, ctx: _RunContext, cols: dict[str, list],
+    def expand(self, rt: _Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
         column = cols[self.source]
         take: list[int] = []
         values: list = []
         for i in range(count):
             item = column[i]
-            parent = item.parent if isinstance(item, Element) else None
+            parent = item.parent if isinstance(item, (Element, Text)) \
+                else None
             if parent is not None:
                 take.append(i)
                 values.append(parent)
         return take, values
 
 
-class _Const:
-    """A quantifier-variable-free source: evaluate once, cross-expand."""
+class _Eval:
+    """Any source, through its compiled closure.
 
-    __slots__ = ("name", "closure")
-    kind = "const"
+    With no quantifier variable in ``names`` the source is evaluated
+    once and cross-expanded; otherwise once per distinct combination
+    of the row's ``names`` values, bound in ``rt.env``.
+    """
 
-    def __init__(self, name: str, closure: Callable) -> None:
+    __slots__ = ("name", "closure", "names", "kind")
+
+    def __init__(self, name: str, closure: Callable,
+                 names: tuple[str, ...]) -> None:
         self.name = name
         self.closure = closure
+        self.names = names
+        self.kind = "correlated scan" if names else "scan"
 
     def refs(self) -> frozenset[str]:
-        return frozenset()
+        return frozenset(self.names)
 
-    def expand(self, ctx: _RunContext, cols: dict[str, list],
+    def expand(self, rt: _Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
-        items = list(self.closure(ctx.rt))
-        if count * len(items) > _FRONTIER_CAP:
-            raise Bail("constant cross-expansion exceeds frontier cap")
+        if not self.names:
+            items = list(self.closure(rt))
+            if count == 1:
+                return [0] * len(items), items
+            if count * len(items) > _FRONTIER_CAP:
+                raise Bail("constant cross-expansion exceeds frontier cap")
+            return ([i for i in range(count) for _ in items],
+                    items * count)
+        columns = [(name, cols[name]) for name in self.names]
+        env = rt.env
+        saved = _bound_env(rt, self.names)
         take: list[int] = []
         values: list = []
-        for i in range(count):
-            for item in items:
-                take.append(i)
-                values.append(item)
+        memo: dict[tuple, list] = {}
+        try:
+            for i in range(count):
+                row = tuple(id(column[i]) for _, column in columns)
+                items = memo.get(row)
+                if items is None:
+                    for name, column in columns:
+                        env[name] = [column[i]]
+                    items = memo[row] = list(self.closure(rt))
+                for item in items:
+                    take.append(i)
+                    values.append(item)
+                if len(values) > _FRONTIER_CAP:
+                    raise Bail("frontier exceeds row cap")
+        finally:
+            _restore_env(rt, saved)
         return take, values
 
 
 class _Join:
-    """An uncorrelated ``//tag`` source probed through a value index.
-
-    The vectorized form of the planner's ``_HashJoinStep``: both probe
-    the store's delta-maintained index; this one answers a whole
-    frontier column per call.
-    """
+    """An uncorrelated ``//tag`` source probed through a value index:
+    a whole frontier column per call."""
 
     __slots__ = ("name", "tag", "steps", "probe")
-    kind = "join"
+    kind = "hash join"
 
     def __init__(self, name: str, tag: str, steps: Downpath,
                  probe: object) -> None:
@@ -401,11 +446,12 @@ class _Join:
     def refs(self) -> frozenset[str]:
         return self.probe.refs()  # type: ignore[attr-defined]
 
-    def expand(self, ctx: _RunContext, cols: dict[str, list],
+    def expand(self, rt: _Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
-        indexes = [document.column_store.value_index(self.tag, self.steps)
-                   for document in ctx.rt.documents]
-        keys_of = self.probe.keys_fn(ctx, cols, True)  # type: ignore
+        indexes = [_planner._value_index(rt, document, self.tag,
+                                         self.steps)
+                   for document in rt.documents]
+        keys_of = self.probe.keys_fn(rt, cols, True)  # type: ignore
         take: list[int] = []
         values: list = []
         matched_memo: dict[frozenset, list[Element]] = {}
@@ -413,18 +459,8 @@ class _Join:
             keys = keys_of(i)
             matched = matched_memo.get(keys)
             if matched is None:
-                matched = []
-                seen: set[int] = set()
-                for key in keys:
-                    for index in indexes:
-                        bucket = index.buckets.get(key)
-                        if not bucket:
-                            continue
-                        for node_id, element in bucket.items():
-                            if node_id not in seen:
-                                seen.add(node_id)
-                                matched.append(element)
-                matched_memo[keys] = matched
+                matched = matched_memo[keys] = _planner._probe(
+                    indexes, keys)
             for element in matched:
                 take.append(i)
                 values.append(element)
@@ -436,29 +472,38 @@ class _Join:
 # ---------------------------------------------------------------------------
 
 class _Level:
-    """One binding: expand, filter by key intersection, project, dedup.
+    """One binding: expand, filter, project, dedup.
 
     ``carry`` is every variable the level itself needs materialized
     (filter sides plus downstream ``keep``); ``keep`` is what survives
-    into the next level.
+    into the next level.  ``typed`` marks the kept columns that may
+    hold atoms, which dedup by type as well as value (``1``, ``1.0``
+    and ``true()`` are one Python key, not one XQuery value).
     """
 
-    __slots__ = ("op", "filters", "keep", "carry")
+    __slots__ = ("op", "filters", "checks", "bound", "keep", "carry",
+                 "typed")
 
-    def __init__(self, op, filters: list[tuple], keep: tuple[str, ...],
-                 carry: tuple[str, ...]) -> None:
+    def __init__(self, op, filters: list[tuple],
+                 checks: list[_RowFilter], keep: tuple[str, ...],
+                 carry: tuple[str, ...], typed: tuple[bool, ...]) -> None:
         self.op = op
         self.filters = filters
+        self.checks = checks
+        #: the variables the row filters bind in ``rt.env``
+        self.bound = tuple(sorted({name for check in checks
+                                   for name in check.names}))
         self.keep = keep
         self.carry = carry
+        self.typed = typed
 
-    def apply(self, ctx: _RunContext, cols: dict[str, list], count: int,
+    def apply(self, rt: _Runtime, cols: dict[str, list], count: int,
               qindex: int, level: int) -> tuple[dict[str, list], int]:
-        take, values = self.op.expand(ctx, cols, count)
+        take, values = self.op.expand(rt, cols, count)
         total = len(values)
         if total > _FRONTIER_CAP:
             raise Bail("frontier exceeds row cap")
-        profile = ctx.rt.profile
+        profile = rt.profile
         counters = None if profile is None \
             else profile.setdefault((qindex, level), [0, 0])
         if counters is not None:
@@ -471,17 +516,26 @@ class _Level:
             # Nothing survives this level: the frontier collapses to a
             # single witness row, and filters can short-circuit on the
             # first surviving row.
-            survived = self._any_row(ctx, expanded, total)
+            survived = self._any_row(rt, expanded, total)
             if counters is not None:
                 counters[1] += 1 if survived else 0
             return {}, (1 if survived else 0)
         kept: list[int] | None = None  # None = every row survives
         for left, right in self.filters:
-            left_of = left.keys_fn(ctx, expanded, False)
-            right_of = right.keys_fn(ctx, expanded, True)
+            left_of = left.keys_fn(rt, expanded, False)
+            right_of = right.keys_fn(rt, expanded, True)
             candidates = range(total) if kept is None else kept
             kept = [i for i in candidates
                     if not left_of(i).isdisjoint(right_of(i))]
+        if self.checks:
+            saved = _bound_env(rt, self.bound)
+            try:
+                for check in self.checks:
+                    holds = check.holds_fn(rt, expanded)
+                    candidates = range(total) if kept is None else kept
+                    kept = [i for i in candidates if holds(i)]
+            finally:
+                _restore_env(rt, saved)
         if kept is None:
             projected = {variable: expanded[variable]
                          for variable in self.keep}
@@ -496,53 +550,60 @@ class _Level:
         # multiplicative, and truth only needs one witness per
         # combination of values still in play.
         if count > 1:
-            try:
-                columns = [projected[variable] for variable in self.keep]
-                seen: set[tuple] = set()
-                rows: list[int] = []
-                if len(columns) == 1:
-                    unique: list = []
-                    for item in columns[0]:
-                        if item not in seen:
-                            seen.add(item)
-                            unique.append(item)
-                    if len(unique) != count:
-                        projected = {self.keep[0]: unique}
-                        count = len(unique)
-                else:
-                    for i, row in enumerate(zip(*columns)):
-                        if row not in seen:
-                            seen.add(row)
-                            rows.append(i)
-                    if len(rows) != count:
-                        projected = {
-                            variable: [projected[variable][i]
-                                       for i in rows]
-                            for variable in self.keep}
-                        count = len(rows)
-            except TypeError:  # pragma: no cover - all carried values
-                pass           # are hashable today; stay safe anyway
+            columns = [
+                [(type(item), item) for item in projected[variable]]
+                if typed else projected[variable]
+                for variable, typed in zip(self.keep, self.typed)]
+            seen: set = set()
+            rows: list[int] = []
+            for i, row in enumerate(zip(*columns) if len(columns) > 1
+                                    else columns[0]):
+                if row not in seen:
+                    seen.add(row)
+                    rows.append(i)
+            if len(rows) != count:
+                projected = {variable: [projected[variable][i]
+                                        for i in rows]
+                             for variable in self.keep}
+                count = len(rows)
         return projected, count
 
-    def _any_row(self, ctx: _RunContext, expanded: dict[str, list],
+    def _any_row(self, rt: _Runtime, expanded: dict[str, list],
                  total: int) -> bool:
         """Whether any row survives every filter (early exit)."""
-        if not self.filters:
-            return total > 0
-        sides = [(left.keys_fn(ctx, expanded, False),
-                  right.keys_fn(ctx, expanded, True))
+        sides = [(left.keys_fn(rt, expanded, False),
+                  right.keys_fn(rt, expanded, True))
                  for left, right in self.filters]
-        if len(sides) == 1:
-            left_of, right_of = sides[0]
+        if not self.checks:
+            if not sides:
+                return total > 0
+            if len(sides) == 1:
+                left_of, right_of = sides[0]
+                for i in range(total):
+                    if not left_of(i).isdisjoint(right_of(i)):
+                        return True
+                return False
             for i in range(total):
-                if not left_of(i).isdisjoint(right_of(i)):
+                if all(not left_of(i).isdisjoint(right_of(i))
+                       for left_of, right_of in sides):
                     return True
             return False
-        for i in range(total):
-            if all(not left_of(i).isdisjoint(right_of(i))
-                   for left_of, right_of in sides):
-                return True
-        return False
+        saved = _bound_env(rt, self.bound)
+        try:
+            checks = [check.holds_fn(rt, expanded) for check in self.checks]
+            for i in range(total):
+                for left_of, right_of in sides:
+                    if left_of(i).isdisjoint(right_of(i)):
+                        break
+                else:
+                    for holds in checks:
+                        if not holds(i):
+                            break
+                    else:
+                        return True
+            return False
+        finally:
+            _restore_env(rt, saved)
 
 
 class VectorSome:
@@ -554,29 +615,16 @@ class VectorSome:
         self.levels = levels
         self.qindex = qindex
 
-    def ready(self, rt: _Runtime) -> str | None:
-        """``None`` when runnable, else the reason it is not."""
-        if not _planner.columnar_enabled():
-            return ("frontier lowering disabled; "
-                    "value indexes still store-served")
-        for document in rt.documents:
-            if document.column_store is None:
-                return ("no column store attached; "
-                        "value indexes built per evaluation")
-        return None
-
     def run(self, rt: _Runtime) -> bool:
         """Existential truth by frontier evaluation.
 
         Raises :class:`Bail` when the frontier outgrows the cap; the
-        caller falls back to the tuple-at-a-time search.
+        caller falls back to the reference engine.
         """
-        ctx = _RunContext(rt)
         cols: dict[str, list] = {}
         count = 1
         for level, spec in enumerate(self.levels):
-            cols, count = spec.apply(ctx, cols, count, self.qindex,
-                                     level)
+            cols, count = spec.apply(rt, cols, count, self.qindex, level)
             if count == 0:
                 return False
         return True
@@ -590,145 +638,161 @@ def lower_some(bindings, name_set: frozenset[str], qindex: int,
                pl) -> "tuple[VectorSome | None, str | None]":
     """Lower one planned ``some`` quantifier to a vector plan.
 
-    ``bindings`` is the planner's per-binding description, already in
-    the chosen order: ``(name, source, factors, equality, correlated)``
-    with ``equality`` the ``(factor, key_side, probe_side)`` conjunct a
-    hash join would consume (or ``None``).  Returns ``(plan, None)``
-    or ``(None, reason)`` — any construct outside the vectorizable
-    fragment refuses the whole quantifier, never one binding.
+    ``bindings`` is ``(name, source, factors)`` per binding, in the
+    planner's chosen order, each with the conjuncts that become
+    decidable once it is bound.  Returns ``(plan, None)`` or
+    ``(None, reason)``.
     """
-    kinds: dict[str, tuple[str, str | None]] = {}
-    lowered: list[tuple] = []
-    names = [name for name, *_ in bindings]
+    names = [name for name, _, _ in bindings]
     if len(set(names)) != len(names):
         return None, "duplicate binding variable"
-    for level, (name, source, factors, equality, correlated) \
-            in enumerate(bindings):
-        op, reason = _lower_binding(name, source, equality, correlated,
-                                    level, kinds, name_set, pl)
-        if op is None:
-            return None, reason
-        filters = []
-        consumed = equality[0] if isinstance(op, _Join) \
-            and equality is not None else None
+    # A variable is carried as key sets only if nothing but a key
+    # filter's bare side reads it.
+    items_read: set[str] = set()
+    for _, source, factors in bindings:
+        items_read |= free_variables(source) & name_set
+        for factor in factors:
+            sides = _key_sides(factor, name_set)
+            if sides is None:
+                items_read |= free_variables(factor) & name_set
+            else:
+                items_read.update(
+                    root for root in (_path_root(side, name_set)
+                                      for side in sides)
+                    if root is not None)
+    kinds: dict[str, tuple[str, str | None]] = {}
+    lowered: list[tuple] = []
+    for index, (name, source, factors) in enumerate(bindings):
+        op, consumed = _lower_binding(
+            name, source, factors, set(names[:index]), kinds,
+            name in items_read, name_set, pl)
+        filters: list[tuple] = []
+        checks: list[_RowFilter] = []
         for factor in factors:
             if factor is consumed:
                 continue
-            comparison, why = _lower_filter(factor, kinds, name_set, pl)
-            if comparison is None:
-                return None, why
-            filters.append(comparison)
-        lowered.append((op, filters))
+            sides = _key_sides(factor, name_set)
+            if sides is not None:
+                filters.append(tuple(_lower_side(side, kinds, name_set, pl)
+                                     for side in sides))
+            else:
+                checks.append(_RowFilter(
+                    _planner._compile_truth(factor, pl),
+                    tuple(sorted(free_variables(factor) & name_set))))
+        lowered.append((op, filters, checks))
     needed: frozenset[str] = frozenset()
     shapes: list[tuple[tuple[str, ...], tuple[str, ...]]] = []
-    for op, filters in reversed(lowered):
+    for op, filters, checks in reversed(lowered):
         keep = tuple(sorted(needed))
         side_refs: frozenset[str] = frozenset()
         for left, right in filters:
             side_refs |= left.refs() | right.refs()
+        for check in checks:
+            side_refs |= check.refs()
         carry = tuple(sorted(set(keep) | side_refs))
         shapes.append((keep, carry))
         needed = (needed | side_refs | op.refs()) - {op.name}
     shapes.reverse()
-    levels = [_Level(op, filters, keep, carry)
-              for (op, filters), (keep, carry) in zip(lowered, shapes)]
+    levels = [
+        _Level(op, filters, checks, keep, carry,
+               tuple(kinds[variable][0] == "items" for variable in keep))
+        for (op, filters, checks), (keep, carry)
+        in zip(lowered, shapes)]
     return VectorSome(levels, qindex), None
 
 
-def _lower_binding(name: str, source: Expression, equality, correlated,
-                   level: int, kinds: dict, name_set: frozenset[str],
-                   pl) -> "tuple[object | None, str | None]":
+def _key_sides(factor: Expression, name_set: frozenset[str]
+               ) -> "tuple[Expression, Expression] | None":
+    """``(left, right)`` when ``factor`` is an ``=`` decidable in key
+    space, else None (a row filter)."""
+    if not isinstance(factor, BinaryOp) or factor.op != "=":
+        return None
+    for side in (factor.left, factor.right):
+        if isinstance(side, VarRef) and side.name in name_set:
+            continue
+        root = _path_root(side, name_set)
+        if root is not None:
+            if _planner._var_downpath(side, root) is None:
+                return None
+            continue
+        if free_variables(side) & name_set:
+            return None
+    return factor.left, factor.right
+
+
+def _path_root(side: Expression, name_set: frozenset[str]) -> str | None:
+    """The quantifier variable a path side starts at, if any."""
+    if isinstance(side, PathExpr) and isinstance(side.start, VarRef) \
+            and side.start.name in name_set:
+        return side.start.name
+    return None
+
+
+def _lower_side(side: Expression, kinds: dict, name_set: frozenset[str],
+                pl) -> "_SideVar | _SidePath | _SideConst":
+    if isinstance(side, VarRef) and side.name in name_set:
+        return _SideVar(side.name, kinds[side.name][0] == "keys")
+    root = _path_root(side, name_set)
+    if root is not None:
+        return _SidePath(root, _planner._var_downpath(side, root),
+                         kinds[root][1])
+    return _SideConst(_planner._compile(side, pl))
+
+
+def _lower_binding(name: str, source: Expression, factors: list,
+                   bound: set[str], kinds: dict, as_items: bool,
+                   name_set: frozenset[str], pl) -> tuple[object, object]:
+    """``(op, consumed factor)``; records the variable's kind:
+    ``keys`` (hash-key sets), ``nodes`` (of a known tag, or None) or
+    ``items`` (anything a source yields)."""
+    correlated = free_variables(source) & name_set
     tag = _planner._simple_descendant_tag(source)
-    if equality is not None and tag is not None:
-        steps = _planner._var_downpath(equality[1], name)
-        if steps is not None:
-            probe, why = _lower_side(equality[2], kinds, name_set, pl)
-            if probe is not None:
-                kinds[name] = ("items", tag)
-                return _Join(name, tag, steps, probe), None
-            return None, f"join probe for ${name}: {why}"
-        return None, f"join key side for ${name} is not a downpath"
-    if correlated:
-        return _lower_correlated(name, source, kinds, name_set)
-    if tag is not None:
-        if level == 0:
-            kinds[name] = ("items", tag)
-            return _Scan(name, tag), None
-        return None, f"uncorrelated scan of //{tag} after level 0"
-    if not (free_variables(source) & name_set) and focus_free(source):
-        kinds[name] = ("items", None)
-        return _Const(name, _planner._compile(source, pl)), None
-    return None, f"source of ${name} outside the columnar fragment"
+    if tag is not None and not correlated:
+        kinds[name] = ("nodes", tag)
+        equality = _planner._join_equality(name, bound, name_set, factors)
+        if equality is not None \
+                and _key_sides(equality[0], name_set) is not None:
+            steps = _planner._var_downpath(equality[1], name)
+            if steps is not None:
+                probe = _lower_side(equality[2], kinds, name_set, pl)
+                return _Join(name, tag, steps, probe), equality[0]
+        return _Eval(name, _planner._compile(source, pl), ()), None
+    op = _lower_navigation(name, source, kinds, as_items)
+    if op is not None:
+        return op, None
+    kinds[name] = ("items", None)
+    return _Eval(name, _planner._compile(source, pl),
+                 tuple(sorted(correlated))), None
 
 
-def _lower_correlated(name: str, source: Expression, kinds: dict,
-                      name_set: frozenset[str]
-                      ) -> "tuple[object | None, str | None]":
+def _lower_navigation(name: str, source: Expression, kinds: dict,
+                      as_items: bool) -> object | None:
+    """A child/parent/value step from a node variable, or None (also
+    for a value step whose variable must be carried ``as_items``)."""
     if not isinstance(source, PathExpr) \
             or not isinstance(source.start, VarRef):
-        return None, f"correlated source of ${name} is not a var path"
+        return None
     root = source.start.name
-    if root not in kinds:
-        return None, f"source of ${name} uses an outer-scope variable"
-    root_kind, root_tag = kinds[root]
-    if root_kind != "items":
-        return None, f"source of ${name} navigates from a value"
+    if kinds.get(root, ("",))[0] != "nodes":
+        return None
+    root_tag = kinds[root][1]
     steps = source.steps
     if len(steps) == 1 and steps[0].axis == "parent" \
             and not steps[0].predicates \
             and not any(source.descendant_flags):
-        kinds[name] = ("items", None)
-        return _Parent(name, root), None
+        kinds[name] = ("nodes", None)
+        return _Parent(name, root)
     downpath = _planner._var_downpath(source, root)
     if downpath is None:
-        return None, f"source of ${name} is not a plain downpath"
+        return None
     last_axis, last_test = downpath[-1]
-    prefix = downpath[:-1]
     if any(axis != "child" or nodetest == "text()"
-           for axis, nodetest in prefix):
-        return None, f"source of ${name} mixes values into the path"
+           for axis, nodetest in downpath[:-1]):
+        return None
     if last_axis == "attribute" or last_test == "text()":
+        if as_items:
+            return None
         kinds[name] = ("keys", None)
-        return _Values(name, root, downpath, root_tag), None
-    kinds[name] = ("items", last_test)
-    return _Down(name, root,
-                 tuple(nodetest for _, nodetest in downpath)), None
-
-
-def _lower_filter(factor: Expression, kinds: dict,
-                  name_set: frozenset[str],
-                  pl) -> "tuple[tuple | None, str | None]":
-    if not isinstance(factor, BinaryOp) or factor.op != "=":
-        return None, "non-equality conjunct"
-    left, left_why = _lower_side(factor.left, kinds, name_set, pl)
-    if left is None:
-        return None, left_why
-    right, right_why = _lower_side(factor.right, kinds, name_set, pl)
-    if right is None:
-        return None, right_why
-    return (left, right), None
-
-
-def _lower_side(expression: Expression, kinds: dict,
-                name_set: frozenset[str],
-                pl) -> "tuple[object | None, str | None]":
-    if isinstance(expression, VarRef) and expression.name in name_set:
-        bound = kinds.get(expression.name)
-        if bound is None:
-            return None, f"${expression.name} referenced before binding"
-        return _SideVar(expression.name, bound[0] == "keys"), None
-    if isinstance(expression, PathExpr) \
-            and isinstance(expression.start, VarRef) \
-            and expression.start.name in name_set:
-        root = expression.start.name
-        bound = kinds.get(root)
-        if bound is None or bound[0] != "items":
-            return None, f"path from ${root} is not navigable"
-        steps = _planner._var_downpath(expression, root)
-        if steps is None:
-            return None, f"path from ${root} is not a plain downpath"
-        return _SidePath(root, steps, bound[1]), None
-    if not (free_variables(expression) & name_set) \
-            and focus_free(expression):
-        return _SideConst(_planner._compile(expression, pl)), None
-    return None, "comparison side outside the columnar fragment"
+        return _Values(name, root, downpath, root_tag)
+    kinds[name] = ("nodes", last_test)
+    return _Down(name, root, tuple(nodetest for _, nodetest in downpath))

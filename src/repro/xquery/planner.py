@@ -23,14 +23,20 @@ column stores' :class:`~repro.relational.columns.PathIndex`:
   already-bound variables become hash joins, and equality predicates
   on ``//tag`` steps are turned into value-index probes;
 * **compilation** — the plan is compiled to Python closures over a
-  mutable variable environment and evaluated depth-first with early
-  exit: ``some`` stops at the first witness, ``every`` at the first
-  counterexample, and binding sources stream through generators
-  instead of materializing node sequences.  Constructs outside the
-  compiled fragment fall back to :func:`repro.xquery.engine._evaluate`
-  through a bridging :class:`~repro.xquery.engine.QueryContext`, so
-  planned evaluation is *total*: every query the engine accepts runs,
-  with identical verdicts;
+  mutable variable environment.  Every quantifier is lowered to one
+  set-at-a-time frontier plan (:mod:`repro.xquery.columnar`; ``every``
+  as ``not(some … satisfies not(…))``) whose conjuncts are key-set
+  filters or per-row truth closures; a frontier beyond the row cap,
+  and the rare shape lowering refuses, run in the reference engine.
+  Constructs outside the compiled fragment fall back to
+  :func:`repro.xquery.engine._evaluate` through a bridging
+  :class:`~repro.xquery.engine.QueryContext`, so planned evaluation is
+  *total*: every query the engine accepts runs, with identical
+  verdicts;
+* **value indexes** — one accessor, :func:`_value_index`, serves the
+  frontier's joins and the probe steps: the attached column store's
+  delta-maintained index, or one built for the evaluation when no
+  store is attached or its rebuild faulted;
 * **ownership** — this module keeps no plan.  A compiled plan holds
   no document, so the prepared check that asked for it keeps it
   (:meth:`repro.xquery.translate.TranslatedQuery.truth`, one plan per
@@ -48,7 +54,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable
 
 from repro.errors import XQueryEvaluationError
 from repro.testing.failpoints import FailPointError, fail
@@ -74,7 +80,6 @@ from repro.xquery.optimizer import (
     conjuncts,
     focus_free,
     free_variables,
-    hash_keys,
     probe_keys,
 )
 from repro.xquery.values import (
@@ -86,16 +91,17 @@ from repro.xquery.values import (
 )
 from repro.xtree.node import Document, Element, Node, Text
 
+if TYPE_CHECKING:
+    from repro.relational.columns import PathIndex
+
 __all__ = [
     "Statistics",
-    "columnar_enabled",
     "enabled",
     "explain_query",
     "plan",
     "query_truth_planned",
     "run",
     "unplanned",
-    "without_columns",
 ]
 
 
@@ -127,30 +133,9 @@ def unplanned():
         _STATE.enabled = previous
 
 
-def columnar_enabled() -> bool:
-    """Whether ``some`` quantifiers may run as vectorized frontier
-    plans (:class:`repro.xquery.columnar.VectorSome`) on this thread.
-
-    Read by the frontier lowering only: probe steps and hash joins are
-    served from the attached column stores' value indexes either way
-    (:func:`_columnar_probe_map`)."""
-    return getattr(_STATE, "columnar", True)
-
-
-@contextmanager
-def without_columns():
-    """Temporarily ablate the vectorized frontier lowering.
-
-    The second ablation switch: benchmarks compare frontier-at-a-time
-    against tuple-at-a-time search with plans, value indexes and
-    corpus held equal.
-    """
-    previous = columnar_enabled()
-    _STATE.columnar = False
-    try:
-        yield
-    finally:
-        _STATE.columnar = previous
+#: ``benchmarks/e2e/layers.py`` still times a ``truth_planned_ms`` row
+#: under this name; the alias goes when that row does
+without_columns = unplanned
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +430,6 @@ def _probe_spec(
 # Runtime
 # ---------------------------------------------------------------------------
 
-_MISSING = object()
-
-
 class _Runtime:
     """Mutable evaluation state threaded through compiled closures.
 
@@ -476,9 +458,7 @@ class _Runtime:
         self.backends: list[tuple[int, str, str | None]] | None = None
         #: the evaluation error that sent this run to the engine
         self.fallback: str | None = None
-        #: per-evaluation memo (hash-join/probe indexes): documents
-        #: cannot change mid-check, so one lookup per plan node is
-        #: enough
+        #: value indexes built for this evaluation (:func:`_value_index`)
         self.cache: dict = {}
 
     def context(self) -> QueryContext:
@@ -816,49 +796,6 @@ def _compile_path(path: PathExpr, pl: _Plan) -> Closure:
     return run
 
 
-def _compile_path_iter(
-        path: PathExpr,
-        pl: _Plan) -> Callable[[_Runtime], Iterator]:
-    """Streaming path evaluation: one item at a time through the steps.
-
-    Used for quantifier binding sources, where an early exit at the
-    first witness makes materializing the full node sequence wasted
-    work.  Cross-parent deduplication is skipped — duplicates cannot
-    change an existential verdict, and downward paths (the translated
-    checks' shape) never produce any.
-    """
-    start_fn = _compile_start(path, pl)
-    step_fns = [
-        _compile_step(step, descendant, pl)
-        for step, descendant in zip(path.steps, path.descendant_flags)]
-    depth = len(step_fns)
-
-    def run(rt: _Runtime) -> Iterator:
-        def advance(level: int, items: Sequence) -> Iterator:
-            if level == depth:
-                yield from items
-                return
-            step_fn = step_fns[level]
-            for item in items:
-                yield from advance(level + 1, step_fn(rt, [item]))
-        yield from advance(0, start_fn(rt))
-    return run
-
-
-def _compile_iter(source: Expression,
-                  pl: _Plan) -> Callable[[_Runtime], Iterator]:
-    if isinstance(source, PathExpr) and source.start is None \
-            and len(source.steps) > 1:
-        # absolute multi-step paths can expand large intermediate
-        # frontiers — stream them so an early exit stops the walk
-        return _compile_path_iter(source, pl)
-    # correlated and single-step sources are small (or served whole
-    # from the tag index): a materialized list iterates faster than a
-    # recursive generator
-    fn = _compile(source, pl)
-    return lambda rt: iter(fn(rt))
-
-
 StepClosure = Callable[[_Runtime, Sequence], Sequence]
 
 
@@ -881,23 +818,15 @@ def _compile_step(step: AxisStep, descendant: bool,
     if probe is not None:
         downpath, probe_expr = probe
         probe_fn = _compile(probe_expr, pl)
-        memo_token = object()
 
         def probe_step(rt: _Runtime, items: Sequence) -> Sequence:
             documents = _documents_only(items)
             if documents is None:
                 return generic(rt, items)
-            index_map = rt.cache.get(memo_token)
-            if index_map is None:
-                index_map = _value_index(tag, downpath, documents)
-                rt.cache[memo_token] = index_map
-            matched: Sequence = []
-            seen: set[int] = set()
-            for key in probe_keys(probe_fn(rt)):
-                for element in index_map.get(key, ()):
-                    if id(element) not in seen:
-                        seen.add(id(element))
-                        matched.append(element)
+            matched = _probe(
+                [_value_index(rt, document, tag, downpath)
+                 for document in documents],
+                probe_keys(probe_fn(rt)))
             for filter_fn in filters:
                 matched = filter_fn(rt, matched)
             return matched
@@ -1066,161 +995,51 @@ def _parent_step(rt: _Runtime, items: Sequence) -> Sequence:
 # Value indexes
 # ---------------------------------------------------------------------------
 
-class _MergedIndex:
-    """Dict-shaped facade over per-document column-store value indexes.
+def _value_index(rt: _Runtime, document: Document, tag: str,
+                 steps: tuple[tuple[str, str], ...]) -> "PathIndex":
+    """The value index of ``document``'s ``//tag`` keyed by ``steps``.
 
-    Serves the planner's probe steps and hash joins with the
-    ``.get(key) → elements`` contract of a built index map, backed by
-    the stores' delta-maintained
-    :class:`~repro.relational.columns.PathIndex` buckets — always
-    current, never rebuilt per check.
+    The one accessor for every index read: the attached column store's
+    delta-maintained index; or, when no store is attached (reads never
+    attach one) or an injected ``columns.*`` fault kills a dirty
+    store's rebuild, a store built for this evaluation only (memoised
+    in :attr:`_Runtime.cache`) — the attached store stays dirty and
+    heals on a later read.
     """
-
-    __slots__ = ("indexes",)
-
-    def __init__(self, indexes: list) -> None:
-        self.indexes = indexes
-
-    def get(self, key: tuple, default: Sequence = ()) -> Sequence:
-        found: list | None = None
-        for index in self.indexes:
-            bucket = index.buckets.get(key)
-            if bucket:
-                if found is None:
-                    found = list(bucket.values())
-                else:
-                    found.extend(bucket.values())
-        return default if found is None else found
-
-
-def _columnar_probe_map(
-        tag: str, downpath: tuple[tuple[str, str], ...],
-        documents: "list[Document] | tuple[Document, ...]"
-) -> "_MergedIndex | None":
-    """The store-served index for ``//tag`` keyed by ``downpath``.
-
-    ``None`` when a document has no store attached (reads never attach
-    one) or an injected ``columns.*`` fault kills a dirty store's
-    rebuild; the store stays dirty and heals on a later read.
-    """
-    indexes = []
-    for document in documents:
-        store = document.column_store
-        if store is None:
-            return None
+    store = document.column_store
+    if store is not None:
         try:
-            indexes.append(store.value_index(tag, downpath))
+            return store.value_index(tag, steps)
         except FailPointError:
-            return None
-    return _MergedIndex(indexes)
+            pass
+    key = (id(document), tag, steps)
+    index = rt.cache.get(key)
+    if index is None:
+        from repro.relational.incremental import ColumnStore
+        index = rt.cache[key] = ColumnStore(document).value_index(
+            tag, steps)
+    return index
 
 
-def _value_index(tag: str, downpath: tuple[tuple[str, str], ...],
-                 documents: "list[Document] | tuple[Document, ...]"):
-    """``key → //tag elements`` for one evaluation's probes.
-
-    The stores' index when every document has one; otherwise a
-    throw-away map the caller memoises in :attr:`_Runtime.cache` — it
-    is never kept past the evaluation, so nothing has to invalidate it.
-    """
-    served = _columnar_probe_map(tag, downpath, documents)
-    if served is not None:
-        return served
-    index_map: dict[tuple, list] = {}
-    for document in documents:
-        for element in document.elements_by_tag(tag):
-            for value in atomize(_eval_downpath(downpath, element)):
-                for key in hash_keys(value):
-                    index_map.setdefault(key, []).append(element)
-    return index_map
+def _probe(indexes: list, keys) -> list[Element]:
+    """The elements the probe-side ``keys`` hit, each once."""
+    matched: list[Element] = []
+    seen: set[int] = set()
+    for key in keys:
+        for index in indexes:
+            bucket = index.buckets.get(key)
+            if not bucket:
+                continue
+            for element in bucket.values():
+                if id(element) not in seen:
+                    seen.add(id(element))
+                    matched.append(element)
+    return matched
 
 
 # ---------------------------------------------------------------------------
 # Compilation: quantifiers
 # ---------------------------------------------------------------------------
-
-class _ScanStep:
-    __slots__ = ("name", "iterate", "checks", "key")
-
-    def __init__(self, name: str,
-                 iterate: Callable[[_Runtime], Iterator],
-                 checks: list[TruthClosure], key: tuple) -> None:
-        self.name = name
-        self.iterate = iterate
-        self.checks = checks
-        self.key = key
-
-    def items(self, rt: _Runtime) -> Iterator:
-        return self.iterate(rt)
-
-
-class _HashJoinStep:
-    __slots__ = ("name", "bound_fn", "checks", "key", "columnar_spec",
-                 "source_fn", "key_fn", "documents_only")
-
-    def __init__(self, name: str, source: Expression,
-                 new_side: Expression, bound_fn: Closure,
-                 checks: list[TruthClosure], key: tuple,
-                 pl: _Plan) -> None:
-        self.name = name
-        self.bound_fn = bound_fn
-        self.checks = checks
-        self.key = key
-        # ``//tag`` source keyed by a downpath of the bound variable:
-        # the shape a column-store value index can serve directly
-        tag = _simple_descendant_tag(source)
-        steps = _var_downpath(new_side, name) if tag is not None \
-            else None
-        self.columnar_spec = (tag, steps) \
-            if tag is not None and steps is not None else None
-        #: the map depends on the documents alone (no outer variable,
-        #: no focus), so one lookup or build serves the whole
-        #: evaluation; otherwise it is rebuilt per run of the step
-        self.documents_only = True
-        if self.columnar_spec is not None:
-            return
-        # any other shape: a throw-away map of the source's items by
-        # their ``new_side`` values, built when the step runs
-        self.source_fn = _compile(source, pl)
-        self.key_fn = _compile(new_side, pl)
-        self.documents_only = not free_variables(source) \
-            and free_variables(new_side) <= {name} \
-            and focus_free(source) and focus_free(new_side)
-
-    def _build(self, rt: _Runtime) -> dict[tuple, list]:
-        env, name = rt.env, self.name
-        saved = env.get(name, _MISSING)
-        index_map: dict[tuple, list] = {}
-        try:
-            for item in self.source_fn(rt):
-                env[name] = [item]
-                for value in atomize(self.key_fn(rt)):
-                    for key in hash_keys(value):
-                        index_map.setdefault(key, []).append(item)
-        finally:
-            if saved is _MISSING:
-                env.pop(name, None)
-            else:
-                env[name] = saved
-        return index_map
-
-    def items(self, rt: _Runtime) -> Iterator:
-        index_map = rt.cache.get(id(self))
-        if index_map is None:
-            spec = self.columnar_spec
-            if spec is not None:
-                index_map = _value_index(spec[0], spec[1], rt.documents)
-            else:
-                index_map = self._build(rt)
-            if self.documents_only:
-                rt.cache[id(self)] = index_map
-        seen: set[int] = set()
-        for key in probe_keys(self.bound_fn(rt)):
-            for item in index_map.get(key, ()):
-                if id(item) not in seen:
-                    seen.add(id(item))
-                    yield item
-
 
 def _note_backend(rt: _Runtime, index: int, backend: str,
                   reason: str | None) -> None:
@@ -1232,158 +1051,76 @@ def _note_backend(rt: _Runtime, index: int, backend: str,
 def _compile_quantified_truth(quantified: Quantified,
                               pl: _Plan) -> TruthClosure:
     if quantified.kind == "some":
-        return _compile_some(quantified, pl)
-    return _compile_every(quantified, pl)
+        return _compile_some(quantified, quantified, pl)
+    # every $x in S satisfies C  ==  not(some $x in S satisfies not(C))
+    counterexample = _compile_some(
+        Quantified("some", quantified.bindings,
+                   FunctionCall("not", (quantified.condition,))),
+        quantified, pl)
+    return lambda rt: not counterexample(rt)
 
 
-def _compile_some(quantified: Quantified, pl: _Plan) -> TruthClosure:
+def _compile_some(quantified: Quantified, shown: Quantified,
+                  pl: _Plan) -> TruthClosure:
+    """A ``some`` quantifier as a frontier plan (``shown`` is what
+    explain prints: the quantifier as written)."""
+    from repro.xquery import columnar
+
     order = pl.orders.get(quantified)
     if order is None:
         order = _choose_order(quantified, pl.stats)
         pl.orders[quantified] = order
     bindings = [quantified.bindings[index] for index in order]
     names = [name for name, _ in bindings]
-    name_set = frozenset(name for name, _ in quantified.bindings)
-    info = _QuantifierInfo(len(pl.infos), "some", quantified)
+    name_set = frozenset(names)
+    info = _QuantifierInfo(len(pl.infos), shown.kind, shown)
     pl.infos.append(info)
 
-    factors = conjuncts(quantified.condition)
     position = {name: index for index, name in enumerate(names)}
     pre_factors: list[Expression] = []
     slots: list[list[Expression]] = [[] for _ in bindings]
-    for factor in factors:
+    for factor in conjuncts(quantified.condition):
         quantifier_vars = free_variables(factor) & name_set
         if not quantifier_vars:
             pre_factors.append(factor)
             continue
         slots[max(position[name] for name in quantifier_vars)].append(
             factor)
+    pre_checks = [_compile_truth(factor, pl) for factor in pre_factors]
+    vector_plan, reason = columnar.lower_some(
+        [(name, source, slots[index])
+         for index, (name, source) in enumerate(bindings)],
+        name_set, info.index, pl)
 
     anchors: dict[str, str] = {}
-    steps: list = []
-    lowspec: list[tuple] = []
     for index, (name, source) in enumerate(bindings):
         estimate, anchor = _estimate_any(source, pl.stats, anchors)
         if anchor is not None:
             anchors[name] = anchor
-        correlated = bool(free_variables(source) & name_set)
-        equality = None if correlated else _join_equality(
-            name, set(names[:index]), name_set, slots[index])
-        checks = [
-            _compile_truth(factor, pl) for factor in slots[index]
-            if equality is None or factor is not equality[0]]
-        key = (info.index, index)
-        if equality is not None:
-            step: object = _HashJoinStep(
-                name, source, equality[1],
-                _compile(equality[2], pl), checks, key, pl)
-            kind = "hash join"
-        else:
-            step = _ScanStep(name, _compile_iter(source, pl), checks,
-                             key)
-            kind = "correlated scan" if correlated else "scan"
-        steps.append(step)
-        lowspec.append((name, source, slots[index], equality,
-                        correlated))
+        kind = "engine" if vector_plan is None \
+            else vector_plan.levels[index].op.kind
         info.bindings.append(_BindingInfo(
-            name, source, kind, estimate, order[index], key))
-    pre_checks = [_compile_truth(factor, pl) for factor in pre_factors]
-    depth = len(steps)
+            name, source, kind, estimate, order[index],
+            (info.index, index)))
 
-    # Lower the same binding order to a vectorized frontier plan; any
-    # construct outside the columnar fragment refuses the whole
-    # quantifier — ``lower_some`` reports that as ``(None, reason)`` —
-    # and the tuple-at-a-time search below stays in charge.  An
-    # exception here is a lowering bug and propagates.
-    from repro.xquery import columnar as _columnar_module
-    vector_plan, vector_reason = _columnar_module.lower_some(
-        lowspec, name_set, info.index, pl)
     quantifier_index = info.index
+    in_engine = _fallback(quantified)
 
     def truth(rt: _Runtime) -> bool:
         for check in pre_checks:
             if not check(rt):
                 return False
-        if vector_plan is not None:
-            not_ready = vector_plan.ready(rt)
-            if not_ready is None:
-                try:
-                    verdict = vector_plan.run(rt)
-                except _columnar_module.Bail as bail:
-                    _note_backend(rt, quantifier_index, "planned-DOM",
-                                  f"bailed: {bail}")
-                else:
-                    _note_backend(rt, quantifier_index, "columnar",
-                                  None)
-                    return verdict
-            else:
-                _note_backend(rt, quantifier_index, "planned-DOM",
-                              not_ready)
-        else:
-            _note_backend(rt, quantifier_index, "planned-DOM",
-                          vector_reason or "not lowered")
-        env = rt.env
-        profile = rt.profile
-
-        def search(level: int) -> bool:
-            if level == depth:
-                return True
-            step = steps[level]
-            name = step.name
-            saved = env.get(name, _MISSING)
-            counters = None if profile is None \
-                else profile.setdefault(step.key, [0, 0])
-            try:
-                for item in step.items(rt):
-                    if counters is not None:
-                        counters[0] += 1
-                    env[name] = [item]
-                    passed = True
-                    for check in step.checks:
-                        if not check(rt):
-                            passed = False
-                            break
-                    if passed:
-                        if counters is not None:
-                            counters[1] += 1
-                        if search(level + 1):
-                            return True
-                return False
-            finally:
-                if saved is _MISSING:
-                    env.pop(name, None)
-                else:
-                    env[name] = saved
-        return search(0)
-    return truth
-
-
-def _compile_every(quantified: Quantified, pl: _Plan) -> TruthClosure:
-    sources = [(name, _compile_iter(source, pl))
-               for name, source in quantified.bindings]
-    condition = _compile_truth(quantified.condition, pl)
-    depth = len(sources)
-
-    def truth(rt: _Runtime) -> bool:
-        env = rt.env
-
-        def check(level: int) -> bool:
-            if level == depth:
-                return condition(rt)
-            name, iterate = sources[level]
-            saved = env.get(name, _MISSING)
-            try:
-                for item in iterate(rt):
-                    env[name] = [item]
-                    if not check(level + 1):
-                        return False
-                return True
-            finally:
-                if saved is _MISSING:
-                    env.pop(name, None)
-                else:
-                    env[name] = saved
-        return check(0)
+        if vector_plan is None:
+            _note_backend(rt, quantifier_index, "engine", reason)
+            return effective_boolean_value(in_engine(rt))
+        try:
+            verdict = vector_plan.run(rt)
+        except columnar.Bail as bail:
+            _note_backend(rt, quantifier_index, "engine",
+                          f"bailed: {bail}")
+            return effective_boolean_value(in_engine(rt))
+        _note_backend(rt, quantifier_index, "columnar", None)
+        return verdict
     return truth
 
 

@@ -2,9 +2,9 @@
 
 The contract mirrors the planner suite's: the columnar backend may
 only change how fast a verdict arrives, never the verdict.  Every
-test pins the three-way equality
+test pins the equality
 
-    columnar  ==  planned-DOM (``without_columns``)  ==  unplanned
+    columnar  ==  unplanned (the reference engine)
 
 over the fixed query corpus, generated corpora, hypothesis-random
 documents, and update workloads.  Explain output must name the
@@ -38,7 +38,6 @@ from repro.xquery.planner import (
     explain_query,
     query_truth_planned,
     unplanned,
-    without_columns,
 )
 from repro.xtree.node import Element, Text
 from repro.xtree.parser import parse_document
@@ -70,36 +69,33 @@ def _attach_all(documents):
     return documents
 
 
-def _three_way(query, documents):
-    """(columnar, planned-DOM, unplanned) verdict triple."""
+def _two_way(query, documents):
+    """(columnar, unplanned) verdict pair."""
     expression = parse_query(query) if isinstance(query, str) else query
-    columnar = query_truth_planned(expression, documents)
-    with without_columns():
-        planned = query_truth_planned(expression, documents)
-    unplanned = query_truth(expression, documents)
-    return columnar, planned, unplanned
+    return (query_truth_planned(expression, documents),
+            query_truth(expression, documents))
 
 
 class TestVerdictDifferential:
     @pytest.mark.parametrize("query", QUERIES)
     def test_fixed_queries_agree(self, query, documents):
-        columnar, planned, unplanned = _three_way(
+        columnar, unplanned = _two_way(
             query, _attach_all(documents))
-        assert columnar == planned == unplanned
+        assert columnar == unplanned
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_generated_corpus_agrees(self, query, small_corpus):
         documents = _attach_all(list(small_corpus))
-        columnar, planned, unplanned = _three_way(query, documents)
-        assert columnar == planned == unplanned
+        columnar, unplanned = _two_way(query, documents)
+        assert columnar == unplanned
 
     @given(random_corpora())
     @settings(max_examples=30)
     def test_hypothesis_corpora_agree(self, corpus):
         documents = _attach_all(list(corpus))
         for query in QUERIES:
-            columnar, planned, unplanned = _three_way(query, documents)
-            assert columnar == planned == unplanned, query
+            columnar, unplanned = _two_way(query, documents)
+            assert columnar == unplanned, query
 
     @given(random_corpora())
     @settings(max_examples=15)
@@ -107,9 +103,9 @@ class TestVerdictDifferential:
         documents = _attach_all(list(corpus))
         for constraint in SCHEMA.constraints:
             for query in constraint.full_queries:
-                columnar, planned, unplanned = _three_way(
+                columnar, unplanned = _two_way(
                     query.prepared, documents)
-                assert columnar == planned == unplanned, \
+                assert columnar == unplanned, \
                     constraint.name
 
     @given(random_corpora(names=NUMERIC_SPELLINGS))
@@ -120,8 +116,8 @@ class TestVerdictDifferential:
             query.prepared for constraint in SCHEMA.constraints
             for query in constraint.full_queries]
         for query in queries:
-            columnar, planned, unplanned = _three_way(query, documents)
-            assert columnar == planned == unplanned, str(query)
+            columnar, unplanned = _two_way(query, documents)
+            assert columnar == unplanned, str(query)
 
 
 def _two_author_append(first, second):
@@ -168,8 +164,7 @@ class TestEqualityKeys:
         document = parse_document(
             f"<r><a><v>{left}</v></a><b><v>{right}</v></b></r>")
         store_of(document)
-        assert _three_way(query, [document]) \
-            == (expected, expected, expected)
+        assert _two_way(query, [document]) == (expected, expected)
 
     @pytest.mark.parametrize("query, expected", [
         # an untyped value against a *number* compares numerically
@@ -184,8 +179,7 @@ class TestEqualityKeys:
         document = parse_document(
             "<r><a><v>1</v></a><b><v>1.0</v></b></r>")
         store_of(document)
-        assert _three_way(query, [document]) \
-            == (expected, expected, expected)
+        assert _two_way(query, [document]) == (expected, expected)
 
     @pytest.mark.parametrize("author, legal", [("7.0", True), ("7", False)])
     def test_guard_never_refuses_a_legal_update(self, author, legal):
@@ -203,7 +197,6 @@ class TestEqualityKeys:
 
         violated = [] if legal else ["conflict_of_interest"]
         for checker_type, mode in [(IntegrityGuard, nullcontext),
-                                   (IntegrityGuard, without_columns),
                                    (IntegrityGuard, unplanned),
                                    (BruteForceChecker, nullcontext)]:
             assert decide(checker_type, mode) \
@@ -211,8 +204,9 @@ class TestEqualityKeys:
 
 
 class TestUpdateWorkloadDifferential:
-    """Two guards over twin corpora — one columnar, one ablated —
-    must produce identical decisions and identical final documents."""
+    """Two guards over twin corpora — one columnar, one on the
+    reference engine — must produce identical decisions and identical
+    final documents."""
 
     def _run(self, small_corpus_factory, updates):
         def guard_over(ablated):
@@ -221,7 +215,7 @@ class TestUpdateWorkloadDifferential:
             decisions = []
             for update in updates:
                 if ablated:
-                    with without_columns():
+                    with unplanned():
                         decisions.append(guard.try_execute(update))
                 else:
                     decisions.append(guard.try_execute(update))
@@ -267,7 +261,7 @@ class TestUpdateWorkloadDifferential:
             pub, rev = generate_corpus(spec)
             guard = IntegrityGuard(SCHEMA, [pub, rev])
             if ablated:
-                with without_columns():
+                with unplanned():
                     decisions = guard.check_batch(updates)
             else:
                 decisions = guard.check_batch(updates)
@@ -286,27 +280,40 @@ class TestExplainBackend:
         assert "backend: columnar" in text
         assert "est~" in text and "examined=" in text
 
-    def test_ablated_backend_reported(self, documents):
-        _attach_all(documents)
-        with without_columns():
-            text = explain_query(CONFLICT_QUERY, documents)
-        assert "backend: planned-DOM" in text
-        assert "backend: columnar" not in text
-
     def test_detached_documents_fall_back(self, documents):
-        # no store attached: the plan runs, but on the DOM
+        # no store attached: the frontier reads value indexes built
+        # for the evaluation, and the read attaches nothing
         text = explain_query(CONFLICT_QUERY, documents)
-        assert "backend: planned-DOM" in text
-        assert "backend: columnar" not in text
+        assert "backend: columnar" in text
+        assert all(document.column_store is None
+                   for document in documents)
 
-
+    @pytest.mark.parametrize("query, cap, reason", [
+        # a frontier over the row cap
+        ("some $r in //rev, $a in //aut satisfies "
+         "$r/name/text() != $a/name/text()", 2, "bailed: "),
+        # the one shape lowering refuses
+        ("some $x in //rev, $x in $x/sub satisfies "
+         "$x/title/text() = 'Views'", None, "duplicate binding variable"),
+    ])
+    def test_the_engine_takes_what_the_frontier_cannot(
+            self, documents, monkeypatch, query, cap, reason):
+        from repro.xquery import columnar
+        if cap is not None:
+            monkeypatch.setattr(columnar, "_FRONTIER_CAP", cap)
+        text = explain_query(query, documents)
+        assert f"backend: engine ({reason}" in text
+        verdict = query_truth(query, documents)
+        assert text.endswith(f"verdict: {str(verdict).lower()}")
+        assert query_truth_planned(query, documents) is verdict
 
     def test_running_example_checks_report_their_backend(
             self, tmp_path, capsys):
-        """Nothing swallows a lowering error any more, and a refusal
-        is visible here: on guard-attached documents every C1 check —
-        the pattern-U simplified check and both full checks — runs
-        columnar; C2's ``count() >= n`` conjuncts are the one refusal."""
+        """Nothing swallows a lowering error, and an engine fallback
+        would be visible here: every running-example check with a
+        quantifier — C1's pattern-U simplified check and both full
+        checks, and C2's, whose ``count() >= n`` conjuncts are row
+        filters — runs columnar."""
         from repro import cli
         corpus = Path(__file__).parent.parent / "examples" / "corpus"
         (tmp_path / "pub.xml").write_text(PUB_XML)
@@ -318,7 +325,6 @@ class TestExplainBackend:
             "--constraints-file", str(corpus / "constraints.txt"),
             "--pattern", str(corpus / "submission.xml")]
         documents = [str(tmp_path / "pub.xml"), str(tmp_path / "rev.xml")]
-        refusal = "planned-DOM (non-equality conjunct)"
 
         def backends(extra):
             assert cli.main(arguments + extra + documents) == 0
@@ -334,11 +340,11 @@ class TestExplainBackend:
             # the first C1 check has no quantifier left to lower
             ("C1 (simplified check)", []),
             ("C1 (simplified check)", ["columnar"]),
-            ("C2 (simplified check)", [refusal])]
+            ("C2 (simplified check)", ["columnar"])]
         assert backends([]) == [
             ("C1 (full check)", ["columnar"]),
             ("C1 (full check)", ["columnar"]),
-            ("C2 (full check)", [refusal])]
+            ("C2 (full check)", ["columnar"])]
 
 
 #: interleaved same-tag / other-tag / text siblings at every level
@@ -383,9 +389,7 @@ class TestChildStep:
 
     @pytest.mark.parametrize("query, expected", DOWN_CHAIN_QUERIES)
     def test_down_chains_agree(self, after_remove, query, expected):
-        # columnar, without_columns(), and the engine unplanned() runs
-        assert _three_way(query, [after_remove]) \
-            == (expected, expected, expected)
+        assert _two_way(query, [after_remove]) == (expected, expected)
         assert "backend: columnar" in explain_query(query, [after_remove])
 
 

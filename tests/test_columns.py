@@ -275,28 +275,40 @@ class TestCrashConsistency:
         store.value_index("rev", NAME_TEXT)  # second read succeeds
         assert store.verify() == []
 
+    #: the same witness question as a value-index probe step and as a
+    #: quantifier (a frontier plan)
+    GHOST_QUERIES = [
+        "exists(//rev[name/text() = 'Ghost'])",
+        "some $r in //rev, $n in $r/name/text() satisfies $n = 'Ghost'",
+    ]
+
     def test_value_index_fault_degrades_to_per_evaluation_map(
-            self, documents):
-        # a planned probe whose store crashes while rebuilding answers
-        # from a throw-away map over the DOM — the unplanned engine's
-        # verdict — and leaves the store dirty to heal on a later read
-        pub, rev = documents
-        store = store_of(rev)
-        assert store is not None
-        probe = parse_query("exists(//rev[name/text() = 'Ghost'])")
-        assert query_truth_planned(probe, [pub, rev]) is False
-        ghost = Element("rev")
-        ghost.append(_text_el("name", "Ghost"))
-        with fail.armed({"columns.delta.apply": "count:1",
-                         "columns.rebuild": "count:1"}) as armed:
-            rev.elements_by_tag("track")[0].append(ghost)
-            assert query_truth_planned(probe, [pub, rev]) is True
-            armed.assert_fired("columns.delta.apply", "columns.rebuild")
-        assert query_truth(probe, [pub, rev]) is True
-        assert store.dirty
-        assert query_truth_planned(probe, [pub, rev]) is True
-        assert not store.dirty
-        assert store.verify() == []
+            self, schema):
+        # a planned check whose store crashes while rebuilding answers
+        # from an index built for the evaluation — the unplanned
+        # engine's verdict — and leaves the store dirty to heal on a
+        # later read
+        for text in self.GHOST_QUERIES:
+            pub = parse_document(PUB_XML)
+            rev = parse_document(REV_XML)
+            IntegrityGuard(schema, [pub, rev])
+            store = store_of(rev)
+            assert store is not None
+            query = parse_query(text)
+            assert query_truth_planned(query, [pub, rev]) is False
+            ghost = Element("rev")
+            ghost.append(_text_el("name", "Ghost"))
+            with fail.armed({"columns.delta.apply": "count:1",
+                             "columns.rebuild": "count:1"}) as armed:
+                rev.elements_by_tag("track")[0].append(ghost)
+                assert query_truth_planned(query, [pub, rev]) is True
+                armed.assert_fired("columns.delta.apply",
+                                   "columns.rebuild")
+            assert query_truth(query, [pub, rev]) is True
+            assert store.dirty
+            assert query_truth_planned(query, [pub, rev]) is True
+            assert not store.dirty
+            assert store.verify() == []
 
     def test_unmaterialized_store_stays_trivially_synced(self):
         document = parse_document("<zoo><animal/></zoo>")

@@ -10,7 +10,7 @@ from pathlib import Path
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "count_calls.py"
 
 TARGETS = (
-    "repro.xquery.columnar:_Scan.expand",
+    "repro.xquery.columnar:_Eval.expand",
     "repro.relational.incremental:ColumnStore.value_index",
     "repro.xtree.node:Document.elements_by_tag",
     "repro.core.guard:IntegrityGuard.try_execute",

@@ -63,6 +63,31 @@ QUERIES = [
     "$t/name/text() = 'Theory' and $r/name/text() = 'Alice'",
     "//pub[aut[name/text() = 'Carol']]/title/text() = 'Mouseton stories'",
     "some $s in //sub satisfies count($s/auts) > 1",
+    # conjuncts outside key space become per-row filters: ordering
+    # comparisons against a constant and against another variable
+    "some $r in //rev satisfies $r/name/text() < 'Bob'",
+    "some $r in //rev, $s in $r/sub satisfies "
+    "$s/auts/name/text() >= $r/name/text()",
+    "some $r in //rev, $s in $r/sub, $a in $s/auts "
+    "satisfies $a/name/text() != $r/name/text()",
+    # a count() conjunct over a variable a row filter reads
+    "some $r in //rev, $R in $r/name/text() satisfies "
+    "count(//rev[name/text() = $R]) >= 2 and $R != 'Cid'",
+    # every, as not(some ... satisfies not(...))
+    "every $r in //rev, $s in $r/sub satisfies "
+    "$s/auts/name/text() != $r/name/text()",
+    # an uncorrelated //tag after level 0
+    "some $s in //sub, $p in //pub satisfies "
+    "count($p/aut) > count($s/auts)",
+    # a correlated source with a predicate
+    "some $r in //rev, $s in $r/sub[auts/name/text() = 'Ann'] "
+    "satisfies $s/title/text() != $r/name/text()",
+    # a join whose key side is not a downpath
+    "some $r in //rev, $a in //aut satisfies "
+    "$a//text() = $r/name/text()",
+    # a carried column of atoms: 1 and true() are one Python key
+    "some $x in (1, true()), $a in //aut satisfies "
+    "concat(string($x), $a/name/text()) = 'trueAlice'",
 ]
 
 

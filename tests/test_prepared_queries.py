@@ -308,20 +308,18 @@ class TestValueIndex:
                    in zip(self._served(documents), served))
         # a new aut/name key is probe-visible right after the update
         # that adds it, through the same objects
-        merged = planner._columnar_probe_map("aut", _AUT_NAME, documents)
-        assert merged.get(("str", "Brand New")) == ()
+        assert planner._probe(served, [("str", "Brand New")]) == []
         apply_text(documents[0], _PUB_APPEND)
-        (added,) = merged.get(("str", "Brand New"))
+        (added,) = planner._probe(served, [("str", "Brand New")])
         assert added.tag == "aut" and added.document is documents[0]
         assert query.truth(documents) is False
         assert all(store_of(document).rebuilds == 0
                    for document in documents)
 
-    def test_ablated_check_probes_the_store_after_a_write(
-            self, monkeypatch):
-        # with the frontier lowering ablated the hash join still
-        # probes the store's index: a submission (new sub/auts/name
-        # elements, no aut) triggers no O(|aut|) index build
+    def test_check_probes_the_store_after_a_write(self, monkeypatch):
+        # the hash join probes the store's index: a submission (new
+        # sub/auts/name elements, no aut) triggers no O(|aut|) index
+        # build
         documents, query = self._attached()
         fetched: list[str] = []
         elements_by_tag = Document.elements_by_tag
@@ -330,19 +328,16 @@ class TestValueIndex:
             fetched.append(tag)
             return elements_by_tag(document, tag)
 
-        with planner.without_columns():
+        assert query.truth(documents) is False
+        served = self._served(documents)
+        apply_text(documents[1], submission_xupdate(
+            1, 1, "Fresh paper", "Nobody Known"))
+        with monkeypatch.context() as patch:
+            patch.setattr(Document, "elements_by_tag", counting)
             assert query.truth(documents) is False
-            served = self._served(documents)
-            apply_text(documents[1], submission_xupdate(
-                1, 1, "Fresh paper", "Nobody Known"))
-            with monkeypatch.context() as patch:
-                patch.setattr(Document, "elements_by_tag", counting)
-                assert query.truth(documents) is False
-            merged = planner._columnar_probe_map(
-                "aut", _AUT_NAME, documents)
         assert "aut" not in fetched
         assert all(after is before for after, before
-                   in zip(merged.indexes, served))
+                   in zip(self._served(documents), served))
         assert all(store_of(document).rebuilds == 0
                    for document in documents)
 
