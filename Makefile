@@ -2,7 +2,6 @@ PYTHON ?= python3
 BENCH_SIZES ?= 32,64,128
 
 .PHONY: install test bench bench-e2e bench-e2e-smoke bench-e2e-ab \
-	bench-service bench-service-smoke \
 	examples lint lint-concurrency stress faultcheck \
 	faultcheck-restart serve-check clean
 
@@ -40,26 +39,6 @@ PAIRS ?= 10
 bench-e2e-ab:
 	$(PYTHON) scripts/e2e_ab.py --base $(BASE) --pairs $(PAIRS)
 
-# service load harness: closed-loop readers + paced writer against
-# one CheckingService, snapshot vs locked read modes; emits
-# BENCH_service.json and gates on read-throughput scaling (16 vs 1
-# readers >= 3x) and tail insulation (snapshot p99 <= 0.5x locked)
-bench-service:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		$(PYTHON) benchmarks/test_service_load.py \
-		--out BENCH_service.json
-	$(PYTHON) scripts/check_service_gate.py BENCH_service.json
-
-# short-cell CI smoke with relaxed absolute floors, gated against the
-# committed BENCH_service.json baseline ratios (>35% drift fails)
-bench-service-smoke:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		$(PYTHON) benchmarks/test_service_load.py --smoke \
-		--out BENCH_service_smoke.json
-	$(PYTHON) scripts/check_service_gate.py BENCH_service_smoke.json \
-		--min-scaling 2.5 --max-p99-ratio 0.7 \
-		--baseline BENCH_service.json --tolerance 0.35
-
 # static tooling (pip install -e .[lint]); constraint linting of the
 # examples corpus runs with no extra dependencies
 lint:
@@ -96,10 +75,6 @@ faultcheck:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
 		$(PYTHON) -m repro.cli faultcheck $(FAULTCHECK_SEEDS) \
 		--ops $(FAULTCHECK_OPS) --repro-file FAULTCHECK_REPRO.txt
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		$(PYTHON) -m repro.cli faultcheck $(FAULTCHECK_SEEDS) \
-		--schedule mvcc --mix read-heavy --ops $(FAULTCHECK_OPS) \
-		--repro-file FAULTCHECK_REPRO.txt
 
 # kill-at-failpoint restart matrix: the durable service dies at each
 # instrumented seam, restarts from snapshot + write-ahead log, and the

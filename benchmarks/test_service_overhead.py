@@ -1,15 +1,11 @@
 """Ablation A4 — what the thread-safe service layer costs.
 
 The CheckingService wraps every checker call in a reader-writer lock
-(plus commit-log bookkeeping on applied updates) and, by default,
-serves reads from pinned MVCC-lite snapshots instead of the lock.
-These benchmarks put a number on both wrappers: the same rejected
-update through the bare guard vs. through the service (writer path),
-a full consistency check direct vs. through the service in each read
-mode (snapshot-pinned vs. read-locked), and the reader path under
-actual thread-level concurrency — again in both modes, so the price
-or payoff of snapshot pinning is one table row away from the lock
-baseline it replaced.
+(plus commit-log bookkeeping on applied updates).  These benchmarks
+put a number on that wrapper: the same rejected update through the
+bare guard vs. through the service (writer path), a full consistency
+check direct vs. through the service's read lock, and the reader path
+under actual thread-level concurrency.
 """
 
 import threading
@@ -17,9 +13,8 @@ import threading
 from repro.service import CheckingService
 
 
-def _service_for(scenario, snapshot_reads=True):
-    return CheckingService(scenario.guard.schema, scenario.guard.documents,
-                           snapshot_reads=snapshot_reads)
+def _service_for(scenario):
+    return CheckingService(scenario.guard.schema, scenario.guard.documents)
 
 
 def test_guard_reject_direct(benchmark, conflict_scenario, size_kib):
@@ -48,15 +43,6 @@ def test_verify_through_service_locked(benchmark, conflict_scenario,
                                        size_kib):
     """The read-lock path: every check takes the store's read lock."""
     benchmark.group = f"service-verify-{size_kib}KiB"
-    service = _service_for(conflict_scenario, snapshot_reads=False)
-    violated = benchmark(service.verify_consistency)
-    assert violated == []
-
-
-def test_verify_through_service_snapshot(benchmark, conflict_scenario,
-                                         size_kib):
-    """The snapshot path: pin the published version, never lock."""
-    benchmark.group = f"service-verify-{size_kib}KiB"
     service = _service_for(conflict_scenario)
     violated = benchmark(service.verify_consistency)
     assert violated == []
@@ -84,16 +70,6 @@ def test_verify_concurrent_readers_locked(benchmark, conflict_scenario,
     """Four reader threads verifying at once through the read lock
     (GIL-bound, so ideally ~4x the single-reader time; a serializing
     bug would show up as much worse)."""
-    benchmark.group = f"service-verify-{size_kib}KiB"
-    service = _service_for(conflict_scenario, snapshot_reads=False)
-    benchmark(_concurrent_verifies(service))
-
-
-def test_verify_concurrent_readers_snapshot(benchmark,
-                                            conflict_scenario,
-                                            size_kib):
-    """The same four-reader burst against pinned snapshots — no lock
-    acquisition at all on the read side."""
     benchmark.group = f"service-verify-{size_kib}KiB"
     service = _service_for(conflict_scenario)
     benchmark(_concurrent_verifies(service))

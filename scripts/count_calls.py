@@ -76,7 +76,7 @@ def replay(workload_name: str, cycle_count: int,
     inputs = make_inputs(workload, SEED)
     schema = inputs.config.build_schema()
     services = {uid: CheckingService(
-        schema, inputs.config.initial_documents(), snapshot_reads=False)
+        schema, inputs.config.initial_documents())
         for uid in workload.uids()}
     counts: "dict[str, int]" = {}
     for target in targets:

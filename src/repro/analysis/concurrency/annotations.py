@@ -46,7 +46,6 @@ _T = TypeVar("_T")
 #: inside any scope.
 LOCK_ORDER: tuple[str, ...] = (
     "service.store",          # DocumentStore reader–writer lock
-    "service.snapshots",      # SnapshotManager pin/publish bookkeeping
     "document",               # Document._lock (per-document RLock)
     "service.persistence",    # DurableLog file/sequence lock
     "sanitizer.violations",   # sanitizer._VIOLATIONS_LOCK

@@ -272,10 +272,6 @@ def cmd_faultcheck(args: argparse.Namespace) -> int:
     schedules = args.schedule or list(SCHEDULES)
     try:
         if args.crash_restart:
-            if args.mix != "default":
-                print("error: --mix is not supported with "
-                      "--crash-restart", file=sys.stderr)
-                return 2
             sites = args.site or sorted(RESTART_SITES)
             reports = run_restart_matrix(
                 seeds, sites, ops=args.ops,
@@ -287,7 +283,7 @@ def cmd_faultcheck(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 2
             reports = run_matrix(
-                seeds, schedules, ops=args.ops, mix=args.mix,
+                seeds, schedules, ops=args.ops,
                 progress=lambda report: print(
                     f"ok: {report.summary()}"))
     except ValueError as error:  # bad schedule/trigger spec
@@ -503,11 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     faultcheck.add_argument(
         "--ops", type=int, default=40,
         help="workload steps per scenario (default: 40)")
-    faultcheck.add_argument(
-        "--mix", choices=("default", "read-heavy"), default="default",
-        help="workload step mix; 'read-heavy' skews toward snapshot "
-             "reads to exercise publish/pin/retire under faults "
-             "(default: default)")
     faultcheck.add_argument(
         "--repro-file",
         help="on failure, write the reproduction command to this file")

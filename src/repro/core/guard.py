@@ -22,7 +22,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator
 
-from repro.core.schema import ConstraintSchema, PatternChecks
+from repro.core.schema import (
+    CompiledConstraint,
+    ConstraintSchema,
+    PatternChecks,
+)
 from repro.datalog.database import FactDatabase
 from repro.datalog.denial import Denial
 from repro.datalog.evaluate import denial_holds
@@ -78,18 +82,21 @@ class UpdateDecision:
 
 
 def verify_documents(schema: ConstraintSchema,
-                     documents: list[Document]) -> list[str]:
+                     documents: list[Document],
+                     constraints: "list[CompiledConstraint] | None" = None
+                     ) -> list[str]:
     """Names of ``schema``'s constraints violated in ``documents``.
 
     The full (non-incremental) check every checker exposes as
-    ``verify_consistency``, as a free function so it can run against
-    *any* consistent document set — the live trees under the store
-    lock, or a pinned immutable snapshot with no lock at all.
-    Constraints flagged *dead* by the compile-time satisfiability pass
-    are skipped (DTD-valid documents cannot violate them).
+    ``verify_consistency``; ``constraints`` narrows it to a subset of
+    ``schema.constraints`` (the guard's probe checks only the
+    constraints its optimized checks do not cover).  Constraints
+    flagged *dead* by the compile-time satisfiability pass are skipped
+    (DTD-valid documents cannot violate them).
     """
     violated = []
-    for constraint in schema.constraints:
+    for constraint in (schema.constraints if constraints is None
+                       else constraints):
         if constraint.dead:
             continue
         for query in constraint.full_queries:
@@ -379,18 +386,20 @@ class IntegrityGuard(_CheckerBase):
                         query.truth(self.documents, bindings)
                         for query in check.queries):
                     violated.append(check.constraint.name)
-            probed = [constraint.name for constraint in checks.fallback]
+            probed = {constraint.name for constraint in checks.fallback}
         elif isinstance(operations[0], RemoveOperation):
-            probed = self.schema.deletion_unsafe_constraints()
+            probed = set(self.schema.deletion_unsafe_constraints())
         else:
-            probed = [constraint.name
-                      for constraint in self.schema.constraints]
+            probed = {constraint.name
+                      for constraint in self.schema.constraints}
         if probed:
             for operation in operations:
                 self._apply(log, operation)
             fail.point("core.guard.probe.mid")
-            violated.extend(name for name in self.verify_consistency()
-                            if name in probed)
+            violated.extend(verify_documents(
+                self.schema, self.documents,
+                [constraint for constraint in self.schema.constraints
+                 if constraint.name in probed]))
         if not violated:
             fail.point("core.guard.post_check")
             if not probed:

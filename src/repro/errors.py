@@ -51,14 +51,6 @@ class SchemaError(ReproError):
     unknown to the compiled schema."""
 
 
-class FrozenDocumentError(ReproError):
-    """A structural mutation reached a frozen (snapshot) document.
-
-    Snapshot clones published for lock-free readers are immutable by
-    contract; any adopt/orphan against one is a routing bug — writes
-    must go to the live tree behind the store's writer lock."""
-
-
 class XPathLogError(ParseError):
     """Malformed XPathLog constraint."""
 

@@ -205,19 +205,16 @@ def _path_text(steps: Downpath) -> str:
 def attach(document: Document) -> ColumnStore:
     """The column store of a document: the attached one, or a new one.
 
-    A *frozen* document (a published snapshot clone) gets its store
-    without a mutation listener: structural mutation raises on frozen
-    documents, so the delta path can never run and the indexes its
-    readers materialize stay bound to that snapshot version.  Every
-    index is built on first use (:meth:`ColumnStore.value_index`).
+    Every index is built on first use
+    (:meth:`ColumnStore.value_index`) and delta-maintained from then
+    on by the store's mutation listener.
     """
     with document._lock:
         store = document.column_store
         if isinstance(store, ColumnStore):
             return store
         store = ColumnStore(document)
-        if not document.frozen:
-            document._mutation_listeners.append(store._on_mutation)
+        document._mutation_listeners.append(store._on_mutation)
         document.column_store = store
     return store
 

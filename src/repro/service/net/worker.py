@@ -13,11 +13,10 @@ restarted by the supervisor after a crash heals every shard it owns on
 first touch.
 
 The worker serves one frame at a time, so no reader ever runs beside
-a writer: its durable services read the live tree under the store
-lock (uncontended here) instead of publishing snapshots, and a commit
-— an ``update``, a ``check_batch`` or a probe — pays for its delta
-only, never for a copy of the document.  ``check`` and ``read`` run on
-the live tree.
+a writer: ``check`` and ``read`` run on the live tree under the store
+lock (uncontended here), and a commit — an ``update``, a
+``check_batch`` or a probe — pays for its delta only, never for a
+copy of the document.
 
 Frame ops (referenced by the HTTP edge; schema in ``docs/testing.md``):
 

@@ -9,18 +9,13 @@ interface with the locking discipline applied:
   update mutates the documents at a time, and the underlying
   :class:`~repro.xupdate.apply.TransactionLog` guarantees each update
   is all-or-nothing, so readers never observe a torn state;
-* readers (``verify_consistency``, ``snapshot``) run concurrently with
-  each other and are excluded only while a writer holds the lock.
+* readers (``verify_consistency``, ``snapshot``, ``explain``) run on
+  the live tree under the store's read lock, concurrently with each
+  other, and are excluded only while a writer holds the lock.
 
-Readers take one of two paths.  An in-process service built with the
-constructor defaults to *snapshot reads*: every commit publishes a
-frozen clone of the documents it changed
-(:mod:`repro.service.snapshots`) and readers pin it without touching
-the store lock.  A durable service (:meth:`CheckingService.open_durable`
-/ :meth:`~CheckingService.recover`) is a *locked-read* service: its
-readers run on the live tree under the store's read lock, so a commit
-costs only the check, the write-ahead append, the apply and the
-delta-maintained column store — never a copy of the document.
+There is one read mode: a commit costs the check, the write-ahead
+append (when durable), the apply and the delta-maintained column
+store — never a copy of the document.
 
 The service also keeps a *commit log* — the updates that were actually
 applied, in commit order — which makes the final state reproducible by
@@ -45,13 +40,12 @@ the checker.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.analysis.concurrency import guarded_by, requires_lock
-from repro.core.guard import IntegrityGuard, UpdateDecision, verify_documents
+from repro.core.guard import IntegrityGuard, UpdateDecision
 from repro.core.schema import ConstraintSchema
 from repro.errors import (
     IntegrityViolationError,
@@ -62,7 +56,8 @@ from repro.errors import (
     XUpdateError,
 )
 from repro.service.locks import ReadWriteLock
-from repro.service.snapshots import DocumentSnapshot, SnapshotManager
+# compat for benchmarks/e2e (see self.snapshots); ROADMAP item 1
+from repro.service.snapshots import SnapshotManager
 from repro.service.persistence import (
     WAL_NAME,
     DurableLog,
@@ -104,14 +99,6 @@ class DocumentStore:
             self.validate_uid(uid)
         self.uid = uid
         self._documents = list(documents)
-        seen: set[str] = set()
-        for document in self._documents:
-            tag = document.root.tag
-            if tag in seen:
-                raise SchemaError(
-                    f"two documents share the root tag {tag!r}; selects "
-                    "could not be routed to a single document")
-            seen.add(tag)
         self.lock = ReadWriteLock()
 
     @staticmethod
@@ -198,8 +185,16 @@ class CheckingService:
 
     def __init__(self, schema: ConstraintSchema,
                  documents: "Iterable[Document] | DocumentStore", *,
-                 snapshot_reads: bool = True) -> None:
-        self.snapshot_reads = snapshot_reads
+                 snapshot_reads: bool = False) -> None:
+        # compat for benchmarks/e2e/oracle.py and layers.py, which pass
+        # snapshot_reads=False; ROADMAP item 1 deletes the keyword with
+        # the snapshots.publish_ms and clones_per_commit rows
+        if snapshot_reads:
+            raise ValueError(
+                "snapshot reads were removed: every service reads the "
+                "live tree under the store's read lock")
+        # compat for benchmarks/e2e/trace.py and layers.py (always 0
+        # clones); ROADMAP item 1 deletes it with the same two rows
         self.snapshots = SnapshotManager()
         if isinstance(documents, DocumentStore):
             # the store may already be shared with running threads, and
@@ -210,13 +205,11 @@ class CheckingService:
             with self.store.read_locked():
                 self.checker = IntegrityGuard(
                     schema, self.store.documents)
-                self._publish()
         else:
             self.store = DocumentStore(documents)
             # construction: the fresh store is not shared yet
             self.checker = IntegrityGuard(
                 schema, self.store.documents)  # lock: ignore
-            self._publish()  # lock: ignore
         self._committed: list[CommittedUpdate] = []
         self._durable: "DurableLog | None" = None
         self._state_dir: "Path | None" = None
@@ -230,17 +223,6 @@ class CheckingService:
         #: populated by :meth:`recover` on recovered instances
         self.last_recovery: "RecoveryInfo | None" = None
         self.checker.set_pre_commit(self._pre_commit, self._abort_commit)
-
-    @requires_lock("self.store.lock")
-    def _publish(self) -> None:
-        """Publish a fresh read snapshot of the current documents.
-
-        Called at every commit boundary with the writer lock held (or
-        during construction/recovery before the service is shared, and
-        under the read lock on the shared-store construction path —
-        anything that excludes structural mutation qualifies)."""
-        if self.snapshot_reads:
-            self.snapshots.publish(self.store.documents)
 
     # -- durability ----------------------------------------------------------
 
@@ -259,18 +241,13 @@ class CheckingService:
         a baseline snapshot is installed *before* the first update can
         commit, so a crash at any later point always finds a snapshot
         to recover from.
-
-        The service reads the live tree under the store's read lock
-        (``snapshot_reads=False``): its one deployment, the
-        single-threaded shard worker, has no concurrent reader to
-        insulate, so no commit publishes, clones or freezes a copy.
         """
         state_dir = Path(state_dir)
         if has_durable_state(state_dir):
             return cls.recover(
                 schema, state_dir,
                 snapshot_interval=snapshot_interval, sync=sync)
-        service = cls(schema, documents, snapshot_reads=False)
+        service = cls(schema, documents)
         write_snapshot(state_dir, 0, service.store.snapshot(),
                        sync=sync)
         wal = DurableLog(state_dir / WAL_NAME, sync=sync)
@@ -294,8 +271,7 @@ class CheckingService:
         applies) raises a coded :class:`RecoveryError`, never the raw
         parse or apply error.  Replay is idempotent: a crash during
         recovery leaves snapshot and log unchanged, and a retry
-        succeeds.  Like :meth:`open_durable`, the recovered service
-        reads the live tree under the store's read lock.
+        succeeds.
         """
         state_dir = Path(state_dir)
         snapshot = load_snapshot(state_dir)
@@ -334,7 +310,7 @@ class CheckingService:
                 f"snapshot (through sequence {snapshot.lsn}) holds a "
                 f"document that does not parse: {error}",
                 code="recover.snapshot-corrupt") from error
-        service = cls(schema, documents, snapshot_reads=False)
+        service = cls(schema, documents)
         replayed = 0
         for record in records:
             if record.seq < snapshot.lsn:
@@ -541,18 +517,9 @@ class CheckingService:
         commit log.
         """
         with self.store.write_locked():
-            try:
-                decision = self.checker.try_execute(update)
-                if decision.applied:
-                    self._maybe_snapshot()
-            except BaseException:
-                # the checker may have committed without a publication
-                # reaching the readers: flag the published snapshot so
-                # the read path repairs from the live tree
-                self.snapshots.invalidate()
-                raise
+            decision = self.checker.try_execute(update)
             if decision.applied:
-                self._publish()
+                self._maybe_snapshot()
             return decision
 
     def execute(self, update: "str | Operation") -> UpdateDecision:
@@ -568,98 +535,41 @@ class CheckingService:
         """Check and apply a batch of updates under one lock round.
 
         The checker's :meth:`try_execute` loop with the writer lock
-        acquired (and one snapshot published) *once* for the whole
-        batch; applied updates enter the commit log in batch order.
+        acquired *once* for the whole batch; applied updates enter the
+        commit log in batch order.
         Decisions match the sequential :meth:`try_execute` loop update
         for update.  A durable service fsyncs its write-ahead log once
         for the batch, before it returns (group commit).
         """
         with self.store.write_locked():
-            try:
-                decisions = self._check_batch_locked(updates)
-                self._maybe_snapshot()
-            except BaseException:
-                self.snapshots.invalidate()
-                raise
-            if any(decision.applied for decision in decisions):
-                self._publish()
+            decisions = self._check_batch_locked(updates)
+            self._maybe_snapshot()
             return decisions
 
     # -- readers -------------------------------------------------------------
 
-    def _pin_or_repair(self) -> DocumentSnapshot:
-        """A pinned snapshot, repairing under the read lock if needed.
-
-        The fast path never touches the store lock: writers and
-        readers proceed fully independently.  The slow path (nothing
-        published, or a publication died mid-way) rebuilds from the
-        live tree under the read lock, which excludes writers.
-        Callers must unpin the result.
-        """
-        snapshot = self.snapshots.pin()
-        if snapshot is not None:
-            return snapshot
-        with self.store.read_locked():
-            return self.snapshots.repair(self.store.documents)
-
-    @contextmanager
-    def read_view(self) -> "Iterator[DocumentSnapshot]":
-        """Pin a consistent document view for arbitrary read work.
-
-        With snapshot reads enabled (the default) this pins the
-        latest published snapshot — immutable frozen documents, no
-        store lock held, so the view stays coherent for as long as
-        the caller keeps it even while writers commit.  With
-        ``snapshot_reads=False`` it degrades to holding the read lock
-        for the duration and viewing the live documents.
-        """
-        if self.snapshot_reads:
-            snapshot = self._pin_or_repair()
-            try:
-                yield snapshot
-            finally:
-                self.snapshots.unpin(snapshot)
-        else:
-            with self.store.read_locked():
-                documents = self.store.documents
-                yield DocumentSnapshot(
-                    0, documents,
-                    [(document.uid, document.revision)
-                     for document in documents])
-
     def verify_consistency(self) -> list[str]:
-        """Full constraint check, lock-free against a pinned snapshot
-        (or under the read lock with ``snapshot_reads=False``)."""
-        if not self.snapshot_reads:
-            return self.verify_consistency_locked()
-        with self.read_view() as view:
-            return verify_documents(self.checker.schema,
-                                    list(view.documents))
-
-    def verify_consistency_locked(self) -> list[str]:
         """Full constraint check against the live tree (read lock)."""
         with self.store.read_locked():
             return self.checker.verify_consistency()
 
     def snapshot(self) -> list[str]:
         """Serialized documents, concurrent with other readers."""
-        if not self.snapshot_reads:
-            return self.store.snapshot()
-        with self.read_view() as view:
-            return [serialize(document) for document in view.documents]
+        return self.store.snapshot()
 
     def explain(self) -> list[str]:
         """Planner explain reports for every live full check.
 
-        Runs against a pinned snapshot like any other read, so a slow
-        explain (it profiles real evaluations) never holds up writers
-        (see :func:`repro.xquery.planner.explain_query`).
+        Runs under the read lock like any other read: a slow explain
+        (it profiles real evaluations, see
+        :func:`repro.xquery.planner.explain_query`) holds writers off
+        for its duration, never other readers.
         """
         from repro.xquery import planner
 
         reports: list[str] = []
-        with self.read_view() as view:
-            documents = list(view.documents)
+        with self.store.read_locked():
+            documents = self.store.documents
             for constraint in self.checker.schema.constraints:
                 if constraint.dead:
                     continue

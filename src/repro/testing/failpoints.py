@@ -141,18 +141,6 @@ SITES: dict[str, str] = {
     "columns.rebuild":
         "column store validation, before a dirty store rebuilds its "
         "materialized value indexes from the DOM",
-    "service.snapshots.publish":
-        "snapshot publisher, after the manager is marked dirty and "
-        "before the new snapshot version installs — readers see no "
-        "pinnable snapshot and repair one under the read lock",
-    "service.snapshots.pin":
-        "snapshot pin, after the pin count is taken and before the "
-        "snapshot is handed to the reader — the pin must be released "
-        "so retirement still drains",
-    "service.snapshots.retire":
-        "epoch retirement, after a superseded snapshot is queued and "
-        "before unpinned versions are reclaimed — the next publish or "
-        "unpin must finish the reclaim",
     "persistence.pre_fsync":
         "DurableLog.append, between the record's first and last bytes "
         "reaching the file and before fsync — the process dies with a "

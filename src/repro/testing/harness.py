@@ -48,7 +48,7 @@ import tempfile
 import threading
 from dataclasses import dataclass, field, replace
 
-from repro.core.guard import BruteForceChecker, verify_documents
+from repro.core.guard import BruteForceChecker
 from repro.datagen.corpus import CorpusSpec, generate_corpus
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.datagen.workload import (
@@ -76,10 +76,7 @@ class InvariantViolation(AssertionError):
 #: Named fault schedules for the CLI and CI matrix.  Each one
 #: concentrates on a different seam of the pipeline; ``chaos`` arms a
 #: low-probability fault on every seam at once (seeded, so the run is
-#: still deterministic for a given harness seed).  A schedule arming
-#: ``service.locks.*`` runs on the locked-read service, which takes
-#: no snapshot, so ``chaos`` leaves the ``service.snapshots.*`` seams
-#: to ``mvcc``.
+#: still deterministic for a given harness seed).
 SCHEDULES: dict[str, str] = {
     "apply": ("xupdate.apply.pre_op=count:3;"
               "xupdate.apply.post_op=count:7"),
@@ -97,9 +94,6 @@ SCHEDULES: dict[str, str] = {
     "wal": "persistence.post_append_pre_apply=count:3",
     "wal-torn": "persistence.pre_fsync=count:3",
     "snapshot": "persistence.snapshot_rename=count:1",
-    "mvcc": ("service.snapshots.publish=count:2;"
-             "service.snapshots.pin=count:2;"
-             "service.snapshots.retire=count:1"),
     "chaos": ("xupdate.apply.pre_op=prob:0.05:11;"
               "xupdate.apply.post_op=prob:0.05:12;"
               "xupdate.rollback.pre=prob:0.03:13;"
@@ -142,7 +136,6 @@ class FaultRunReport:
     schedule: str
     spec: str
     ops: int
-    mix: str = "default"
     steps: list[StepOutcome] = field(default_factory=list)
     #: site → (hits, fires) for every armed site
     site_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
@@ -156,9 +149,8 @@ class FaultRunReport:
         """Shell command that reruns this exact scenario."""
         schedule = (self.schedule if self.schedule in SCHEDULES
                     else shlex.quote(self.spec))
-        mix = "" if self.mix == "default" else f" --mix {self.mix}"
         return (f"python -m repro faultcheck --seed {self.seed} "
-                f"--schedule {schedule} --ops {self.ops}{mix}")
+                f"--schedule {schedule} --ops {self.ops}")
 
     def summary(self) -> str:
         fired = ", ".join(
@@ -255,23 +247,6 @@ _STEP_KINDS = [
     ("read", 2),
 ]
 
-#: the ``read-heavy`` mix: mostly snapshot-path reads with enough
-#: writes interleaved that publication and epoch retirement keep
-#: churning — the shape that exercises the snapshot failpoint sites
-_STEP_KINDS_READ_HEAVY = [
-    ("legal", 3),
-    ("illegal-conflict", 1),
-    ("multi-op", 1),
-    ("removal", 1),
-    ("batch", 1),
-    ("read", 12),
-]
-
-_MIXES: dict[str, list[tuple[str, int]]] = {
-    "default": _STEP_KINDS,
-    "read-heavy": _STEP_KINDS_READ_HEAVY,
-}
-
 
 def _make_step(kind: str, rev_doc: Document,
                rng: random.Random) -> "str | list[str] | None":
@@ -321,15 +296,8 @@ def _make_step(kind: str, rev_doc: Document,
     return None
 
 
-def _weighted_kinds(rng: random.Random, count: int,
-                    mix: str = "default") -> list[str]:
-    try:
-        step_kinds = _MIXES[mix]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload mix {mix!r}; "
-            f"choose from {sorted(_MIXES)}") from None
-    kinds = [kind for kind, weight in step_kinds
+def _weighted_kinds(rng: random.Random, count: int) -> list[str]:
+    kinds = [kind for kind, weight in _STEP_KINDS
              for _ in range(weight)]
     return [rng.choice(kinds) for _ in range(count)]
 
@@ -465,49 +433,15 @@ def _check_commit_log(service: CheckingService,
             f"{len(accepted)} accepted")
 
 
-def _check_snapshot_epochs(service: CheckingService,
-                           report: FaultRunReport) -> None:
-    """Epoch accounting must be drained once the workload is quiet.
-
-    Every pin taken during the run (including those interrupted by
-    injected faults) must be matched by an unpin, every superseded
-    snapshot must have been reclaimed by the scans the battery's own
-    reads triggered, and a fault that died inside a publication must
-    have been repaired by the read path (manager no longer dirty).
-    """
-    if not service.snapshot_reads:
-        return
-    stats = service.snapshots.stats()
-    if stats["pins"]:
-        raise _violation(
-            report, "snapshot-epochs",
-            f"leaked snapshot pins after workload: {stats['pins']} "
-            f"(stats: {stats})")
-    if stats["dirty"]:
-        raise _violation(
-            report, "snapshot-epochs",
-            "snapshot manager still dirty after the battery's reads "
-            f"(stats: {stats})")
-    if stats["retired"]:
-        raise _violation(
-            report, "snapshot-epochs",
-            f"{stats['retired']} retired snapshot(s) never reclaimed "
-            f"(stats: {stats})")
-
-
 def run_scenario(seed: int, schedule: "str | dict" = "chaos",
-                 ops: int = 40,
-                 mix: str = "default") -> FaultRunReport:
+                 ops: int = 40) -> FaultRunReport:
     """One fault-injection scenario: workload, faults, invariants.
 
     ``schedule`` is a :data:`SCHEDULES` name or a raw failpoint spec
-    (``"site=trigger;..."`` or a dict).  ``mix`` picks the workload
-    shape (:data:`_MIXES`): ``"default"`` or ``"read-heavy"`` (mostly
-    snapshot-path reads, for the publication/retirement seams).
-    Schedules that arm a ``persistence.*`` or ``service.locks.*``
-    site run against a *durable* service (write-ahead log and
-    snapshots in a scratch directory, reads under the store's read
-    lock, as a shard worker runs) and additionally verify that a
+    (``"site=trigger;..."`` or a dict).  Schedules that arm a
+    ``persistence.*`` or ``service.locks.*`` site run against a
+    *durable* service (write-ahead log and snapshots in a scratch
+    directory, as a shard worker runs) and additionally verify that a
     post-workload recovery reproduces a state consistent with its own
     commit log.  Raises :class:`InvariantViolation` when the battery
     fails; otherwise returns the :class:`FaultRunReport`.
@@ -535,8 +469,7 @@ def run_scenario(seed: int, schedule: "str | dict" = "chaos",
         service = CheckingService(schema, [pub_doc, rev_doc])
     try:
         return _run_scenario_body(
-            seed, name, spec_text, spec, ops, service, state_dir,
-            mix=mix)
+            seed, name, spec_text, spec, ops, service, state_dir)
     finally:
         if state_dir is not None:
             service.close()
@@ -545,8 +478,7 @@ def run_scenario(seed: int, schedule: "str | dict" = "chaos",
 
 def _run_scenario_body(seed: int, name: str, spec_text: str,
                        spec, ops: int, service: CheckingService,
-                       state_dir: "str | None",
-                       mix: str = "default") -> FaultRunReport:
+                       state_dir: "str | None") -> FaultRunReport:
     # the workload is generated against an untouched twin corpus so
     # faults cannot perturb which updates get generated
     _, rev_twin = _fresh_corpus(seed)
@@ -560,28 +492,19 @@ def _run_scenario_body(seed: int, name: str, spec_text: str,
     service.subscribe(listener)
 
     report = FaultRunReport(seed=seed, schedule=name, spec=spec_text,
-                            ops=ops, mix=mix)
+                            ops=ops)
     rng = random.Random(seed)
-    kinds = _weighted_kinds(rng, ops, mix=mix)
+    kinds = _weighted_kinds(rng, ops)
 
     with fail.armed(spec) as handle:
         for index, kind in enumerate(kinds):
             step = _make_step(kind, rev_twin, rng)
             try:
                 if step is None:
-                    roll = rng.random()
-                    if roll < 0.4:
+                    if rng.random() < 0.4:
                         service.verify_consistency()
-                    elif roll < 0.8:
-                        service.snapshot()
                     else:
-                        # pinned view: two reads through one pin must
-                        # see one coherent version
-                        with service.read_view() as view:
-                            verify_documents(service.checker.schema,
-                                             list(view.documents))
-                            for doc in view.documents:
-                                serialize(doc)
+                        service.snapshot()
                     outcome = "read"
                 elif isinstance(step, list):
                     decisions = service.check_batch(step)
@@ -637,7 +560,6 @@ def _run_scenario_body(seed: int, name: str, spec_text: str,
             f"cold check on the same state reports {cold_violations!r}")
 
     _check_commit_log(service, accepted_texts, report)
-    _check_snapshot_epochs(service, report)
 
     if state_dir is not None:
         _check_durable_recovery(service, state_dir, accepted_texts,
@@ -693,13 +615,13 @@ def _check_durable_recovery(service: CheckingService, state_dir: str,
 
 
 def run_matrix(seeds: "list[int]", schedules: "list[str]",
-               ops: int = 40, mix: str = "default",
+               ops: int = 40,
                progress=None) -> list[FaultRunReport]:
     """Run every (seed, schedule) pair; raise on the first violation."""
     reports = []
     for schedule in schedules:
         for seed in seeds:
-            report = run_scenario(seed, schedule, ops=ops, mix=mix)
+            report = run_scenario(seed, schedule, ops=ops)
             if progress is not None:
                 progress(report)
             reports.append(report)
@@ -777,7 +699,7 @@ def run_restart_scenario(seed: int, site: str,
 
     Runs the standard workload against a durable service with the kill
     site armed, treats the injected fault as the process dying (the
-    write-ahead log freezes itself at persistence seams), then
+    write-ahead log marks itself crashed at persistence seams), then
     recovers from the on-disk state and asserts:
 
     * the recovered commit log is the listener-accepted sequence plus

@@ -15,7 +15,6 @@ relies on (the Δ sets of section 5.1).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 from repro.analysis.concurrency import (
@@ -23,13 +22,6 @@ from repro.analysis.concurrency import (
     make_rlock,
     requires_lock,
 )
-from repro.errors import FrozenDocumentError
-
-#: process-wide document identity counter; ``id()`` can be reused by a
-#: new document after the original dies, so caches that key on
-#: document identity (the snapshot publisher's clone reuse) use
-#: ``uid`` instead — unique for the lifetime of the process
-_DOCUMENT_UIDS = itertools.count(1)
 
 
 class Node:
@@ -292,16 +284,11 @@ class Document:
     __slots__ = ("root", "_next_id", "_nodes_by_id", "revision",
                  "_elements_by_tag", "_tag_order_cache",
                  "_lock", "_mutation_listeners",
-                 "column_store", "uid", "_frozen", "__weakref__")
+                 "column_store", "__weakref__")
 
     def __init__(self, root: Element) -> None:
         if root.parent is not None:
             raise ValueError("document root must be detached")
-        #: never-reused process-wide identity (see ``_DOCUMENT_UIDS``)
-        self.uid = next(_DOCUMENT_UIDS)
-        #: set once by :meth:`freeze` before the document is shared
-        #: with reader threads; plain reads are GIL-atomic
-        self._frozen = False
         #: guards the id counter and the tag index.  Structural
         #: mutations (adopt/orphan) must be serialized externally (e.g.
         #: the DocumentStore writer lock); this lock only makes the
@@ -341,10 +328,6 @@ class Document:
 
     @requires_lock("self._lock")
     def _adopt_locked(self, node: Node) -> None:
-        if self._frozen:
-            raise FrozenDocumentError(
-                f"cannot adopt into frozen document "
-                f"<{self.root.tag}> (snapshot v-uid {self.uid})")
         self.revision += 1
         stack = [node]
         while stack:
@@ -377,10 +360,6 @@ class Document:
     @requires_lock("self._lock")
     def _orphan_locked(self, node: Node,
                        parent: "Element | None" = None) -> None:
-        if self._frozen:
-            raise FrozenDocumentError(
-                f"cannot orphan from frozen document "
-                f"<{self.root.tag}> (snapshot v-uid {self.uid})")
         self.revision += 1
         if parent is None:
             parent = node.parent
@@ -484,79 +463,9 @@ class Document:
         """Yield all elements of the document in document order."""
         return self.root.iter_elements(tag)
 
-    # -- snapshot support ----------------------------------------------------
-
-    @property
-    def frozen(self) -> bool:
-        """Whether this document is an immutable snapshot clone.
-
-        Set once by :meth:`freeze` before the clone is shared with
-        reader threads; a plain read is GIL-atomic.
-        """
-        return self._frozen
-
-    def freeze(self) -> None:
-        """Make the document immutable.
-
-        After freezing, any structural mutation (adopt/orphan) raises
-        :class:`~repro.errors.FrozenDocumentError`.  Derived-state
-        caches (the tag order) still fill lazily under the
-        document lock; only the tree itself is fixed.  Freezing is
-        one-way.
-        """
-        with self._lock:
-            self._frozen = True
-
-    def clone(self, *, freeze: bool = True) -> "Document":
-        """Deep-copy the document, preserving node identifiers.
-
-        Used by the service's snapshot publisher: the copy shares no
-        nodes with the source, keeps every ``node_id`` (so constraint
-        violations and explain output name the same nodes either way),
-        and carries the source's id counter forward so a thawed clone
-        would never reuse an identifier.
-
-        The caller must hold a lock that excludes structural mutation
-        of the source (the store's writer lock, or its read lock on
-        the repair path) — the tree walk itself is deliberately
-        lock-free.  The source's document lock is only taken briefly
-        to read the id counter, and never while the clone's own lock
-        is held: nesting two "document"-rank locks would violate the
-        lock order.
-        """
-        with self._lock:
-            next_id = self._next_id
-        copy = Document(_clone_subtree(self.root))
-        with copy._lock:
-            copy._next_id = max(copy._next_id, next_id)
-        if freeze:
-            copy.freeze()
-        return copy
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         nodes = len(self._nodes_by_id)  # lock: ignore
         return f"Document(root={self.root.tag!r}, nodes={nodes})"
-
-
-def _clone_subtree(root: Element) -> Element:
-    """Copy a subtree, preserving node ids; parents are re-linked but
-    the copies belong to no document until adopted."""
-    copy_root = Element(root.tag, dict(root.attributes))
-    copy_root.node_id = root.node_id
-    stack = [(root, copy_root)]
-    while stack:
-        source, target = stack.pop()
-        for child in source.children:
-            if isinstance(child, Text):
-                child_copy: Node = Text(child.value)
-            else:
-                assert isinstance(child, Element)
-                child_copy = Element(child.tag, dict(child.attributes))
-                stack.append((child, child_copy))
-            child_copy.node_id = child.node_id
-            child_copy.parent = target
-            target.children.append(child_copy)
-    return copy_root
 
 
 def _document_order_key(element: Element) -> tuple[int, ...]:

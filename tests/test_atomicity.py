@@ -22,6 +22,7 @@ from repro.errors import (
     SchemaError,
     UpdateApplicationError,
 )
+from repro.service import CheckingService
 from repro.xtree import parse_document, serialize
 from repro.xupdate import TransactionLog, parse_modifications
 from repro.xupdate.apply import AppliedOperation, resolve_select
@@ -349,7 +350,7 @@ class TestAmbiguousSelect:
 
 
 class TestDuplicateRoots:
-    @pytest.mark.parametrize("checker_cls", CHECKERS,
+    @pytest.mark.parametrize("checker_cls", [*CHECKERS, CheckingService],
                              ids=lambda c: c.__name__)
     def test_shared_root_tag_rejected(self, schema, checker_cls):
         documents = [parse_document(REV_XML), parse_document(REV_XML)]

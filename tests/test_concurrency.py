@@ -5,10 +5,14 @@ of legal updates, constraint-violating updates and updates whose select
 fails, while readers run full consistency checks throughout.  The
 assertions are the service's whole contract:
 
-* no torn states — every read sees either none or all of an update;
+* no torn states — every read sees either none or all of an update,
+  so concurrent readers see exactly the committed prefixes;
 * ``verify_consistency()`` is clean at every point in time;
 * the final store equals a *sequential oracle replay* of the commit
   log on fresh documents — concurrency changed nothing but the order.
+
+Readers run on the live tree under the store's read lock; there is no
+other read path.
 
 Sized by ``REPRO_STRESS_THREADS`` × ``REPRO_STRESS_OPS`` (default
 8 × 200, the ``make stress`` configuration).
@@ -26,6 +30,7 @@ from repro.core import IntegrityGuard
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.errors import UpdateApplicationError
 from repro.service import CheckingService, ReadWriteLock
+from repro.testing.failpoints import FailPointError, fail
 from repro.xtree import parse_document, serialize
 from tests.conftest import PUB_XML, REV_XML
 
@@ -134,6 +139,28 @@ class TestCheckingService:
         log = service.committed_updates()
         assert len(log) == 1 and log[0].sequence == 0
 
+    def test_explain_reports_every_live_constraint(self, schema):
+        service = CheckingService(schema, fresh_documents())
+        reports = service.explain()
+        live = [constraint.name for constraint in schema.constraints
+                if not constraint.dead
+                for query in constraint.full_queries
+                if query.prepared is not None]
+        assert live
+        assert [report.split(":", 1)[0] for report in reports] \
+            == [f"constraint {name}" for name in live]
+
+    def test_benchmark_compat_names_read_zero(self, schema):
+        # benchmarks/e2e passes snapshot_reads=False, wraps publish in
+        # its tracer and sums stats()["cloned"]
+        with pytest.raises(ValueError):
+            CheckingService(schema, fresh_documents(), snapshot_reads=True)
+        stand_in = CheckingService(schema, fresh_documents(),
+                                   snapshot_reads=False).snapshots
+        assert stand_in.stats() == {"cloned": 0}
+        with pytest.raises(NotImplementedError):
+            stand_in.publish([])
+
     def test_illegal_update_rejected_and_unlogged(self, schema):
         service = CheckingService(schema, fresh_documents())
         before = service.snapshot()
@@ -162,6 +189,22 @@ class TestCheckingService:
         assert service.snapshot() == before
         assert service.committed_updates() == []
         # the writer lock must have been released despite the exception
+        assert service.verify_consistency() == []
+
+    def test_writer_fault_leaves_later_reads_correct(self, schema):
+        service = CheckingService(schema, fresh_documents())
+        before = service.snapshot()
+        with fail.armed("service.store.pre_commit_append=count:1"):
+            with pytest.raises(FailPointError):
+                service.try_execute(
+                    submission_xupdate(1, 1, "Doomed", "Author X"))
+        # the fault rolled the update back; reads see the prior state
+        assert service.snapshot() == before
+        assert service.committed_updates() == []
+        assert service.verify_consistency() == []
+        # and the next writer commits normally
+        assert service.try_execute(
+            submission_xupdate(1, 1, "Later", "Author Y")).applied
         assert service.verify_consistency() == []
 
 
@@ -253,3 +296,47 @@ class TestStressHarness:
         assert [serialize(document) for document in oracle_documents] \
             == service.snapshot()
         assert service.verify_consistency() == []
+
+    def test_concurrent_readers_see_committed_prefixes(self, schema):
+        """Every concurrent read equals some sequential-oracle prefix.
+
+        One writer applies a deterministic update sequence; each
+        reader repeatedly serializes the store and matches it
+        byte-for-byte against the oracle state with the same number of
+        commits — never a torn or intermediate state.
+        """
+        updates = [submission_xupdate(1 + i % 2, 1, f"T{i}", f"A {i}")
+                   for i in range(30)]
+        oracle = IntegrityGuard(schema, fresh_documents())
+        states = {0: [serialize(d) for d in oracle.documents]}
+        for count, update in enumerate(updates, start=1):
+            assert oracle.try_execute(update).applied
+            states[count] = [serialize(d) for d in oracle.documents]
+        marker = "<title>T"  # one per committed submission
+
+        service = CheckingService(schema, fresh_documents())
+        done = threading.Event()
+        errors: list[BaseException] = []
+
+        def reader():
+            try:
+                while not done.is_set():
+                    serialized = service.snapshot()
+                    count = sum(s.count(marker) for s in serialized)
+                    assert serialized == states[count], \
+                        f"read is not the {count}-commit prefix"
+            except BaseException as error:  # noqa: B036 - reported
+                errors.append(error)
+
+        readers = [threading.Thread(target=reader) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        try:
+            for update in updates:
+                assert service.try_execute(update).applied
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+        assert not errors, errors
+        assert service.snapshot() == states[len(updates)]

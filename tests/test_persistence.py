@@ -736,7 +736,6 @@ class TestLockedDurableReads:
             assert not errors, errors
             assert service.snapshot() == states[len(applied)]
             assert [r.text for r in service.wal_records()] == applied
-            assert service.snapshots.stats()["publishes"] == 0
         finally:
             service.close()
 

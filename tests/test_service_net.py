@@ -208,51 +208,39 @@ def _two_author_append(track: int, rev: int, tag: str) -> str:
 
 
 class TestShardWorkerReadsLiveTree:
-    """A shard worker's durable services never copy a document: every
-    commit pays for its delta only, and the locked reads on the live
-    tree answer exactly what a snapshot-read service answers."""
+    """A shard worker's durable services work on the live documents:
+    past first touch and recovery nothing attaches a column store, so
+    every commit pays for its delta only, and the reads answer exactly
+    what the in-process oracle answers."""
 
     def test_commits_publish_nothing_and_match_snapshot_oracle(
             self, tmp_path, monkeypatch):
         from repro.relational import incremental
         from repro.service.net.worker import ShardWorker
-        from repro.xtree.node import Document
 
         config = make_config()
         worker = ShardWorker(0, 1, tmp_path / "state", config)
         oracle = make_oracle(config)
-        assert oracle.snapshot_reads
         uid = "main"
 
-        clones: list = []
         attached: list = []
         spying = False
-        real_clone, real_attach = Document.clone, incremental.attach
-
-        def spy_clone(document, **options):
-            if spying:
-                clones.append(document)
-            return real_clone(document, **options)
+        real_attach = incremental.attach
 
         def spy_attach(document):
             if spying:
                 attached.append(document)
             return real_attach(document)
 
-        monkeypatch.setattr(Document, "clone", spy_clone)
         monkeypatch.setattr(incremental, "attach", spy_attach)
 
         def call(request: dict) -> dict:
             nonlocal spying
             spying = True
             try:
-                response = worker.handle(request)
+                return worker.handle(request)
             finally:
                 spying = False
-            stats = worker.services[uid].snapshots.stats()
-            assert stats["publishes"] == 0 and stats["cloned"] == 0, \
-                (request["op"], stats)
-            return response
 
         def update(text: str) -> None:
             assert call({"op": "update", "uid": uid, "update": text}) \
@@ -269,9 +257,8 @@ class TestShardWorkerReadsLiveTree:
                             for entry in oracle.committed_updates()]}
 
         # first touch: opens the shard (its guard attaches the live
-        # documents' column stores) — and, from here on, nothing copies
+        # documents' column stores) — and, from here on, nothing does
         check_and_read()
-        clones.clear()
         attached.clear()
 
         (t1, r1, _, subs1), (t2, r2, name2, subs2) = _reviewers()[:2]
@@ -295,7 +282,7 @@ class TestShardWorkerReadsLiveTree:
         update(_two_author_append(t1, r1, "probe"))
         update(_removal(t1, r1, subs1 + 1))
         check_and_read()
-        assert clones == [] and attached == []
+        assert attached == []
 
         # forced from-disk recovery: the only attach is the new guard's
         # on the recovered live documents, never on a copy
@@ -304,7 +291,6 @@ class TestShardWorkerReadsLiveTree:
         assert response["ok"] is True
         assert response["violations"] == oracle.verify_consistency()
         assert response["committed"] == len(oracle.committed_updates())
-        assert clones == []
         live = recovered.store.documents
         assert [id(d) for d in attached] == [id(d) for d in live]
         attached.clear()
@@ -312,7 +298,7 @@ class TestShardWorkerReadsLiveTree:
         update(submission_xupdate(t2, r2, "After Recover", "Late Author"))
         update(_removal(t2, r2, subs2 + 1))
         check_and_read()
-        assert clones == [] and attached == []
+        assert attached == []
         assert worker.services[uid].snapshot() == oracle.snapshot()
         worker.close()
 

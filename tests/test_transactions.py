@@ -10,10 +10,16 @@ simplified as one pattern and checked once, before anything executes.
 import pytest
 
 from repro.core import ConstraintSchema, IntegrityGuard
-from repro.datagen.running_example import PUB_DTD, REV_DTD, make_schema
+from repro.datagen.running_example import (
+    CONFLICT_OF_INTEREST,
+    PUB_DTD,
+    REV_DTD,
+    make_schema,
+)
 from repro.datalog import Parameter as P
 from repro.errors import SimplificationError
 from repro.service.net.worker import decision_to_json
+from repro.xquery.translate import TranslatedQuery
 from repro.xtree import parse_document, serialize
 from repro.xupdate import parse_modifications
 from repro.xupdate.analyze import analyze_transaction
@@ -124,6 +130,35 @@ class TestDeferredSemantics:
         titles = [p.first_child("title").text()
                   for p in docs[0].iter_elements("pub")]
         assert "Fresh Title" in titles
+
+    def test_probe_evaluates_only_the_fallback_constraints(
+            self, docs, monkeypatch):
+        schema = ConstraintSchema(
+            [PUB_DTD, REV_DTD], [REFERENTIAL, CONFLICT_OF_INTEREST],
+            names=["ref", "C1"])
+        checks = schema.checks_for(
+            schema.register_pattern(pub_and_sub("x", "y")))
+        # REFERENTIAL needs the probe (XIC404); C1 has optimized checks
+        assert [c.name for c in checks.fallback] == ["ref"]
+        full = {name: {id(query)
+                       for query in schema.constraint(name).full_queries}
+                for name in ("ref", "C1")}
+        evaluated = {"ref": 0, "C1": 0}
+        real_truth = TranslatedQuery.truth
+
+        def counting_truth(query, *args, **kwargs):
+            for name, ids in full.items():
+                if id(query) in ids:
+                    evaluated[name] += 1
+            return real_truth(query, *args, **kwargs)
+
+        guard = IntegrityGuard(schema, docs)
+        monkeypatch.setattr(TranslatedQuery, "truth", counting_truth)
+        decision = guard.try_execute(pub_and_sub("Fresh Title", "New A"))
+        assert decision.legal and decision.applied
+        assert not decision.optimized
+        # the probe ran REFERENTIAL's full check and nothing else
+        assert evaluated == {"ref": 1, "C1": 0}
 
     def test_per_op_checking_still_rejects_unregistered(self, docs):
         schema = ConstraintSchema([PUB_DTD, REV_DTD], [REFERENTIAL],
