@@ -15,6 +15,13 @@ whole column of candidate rows —
 * ``_Parent`` — the parent step (DOM parent pointers);
 * ``_Join`` — an uncorrelated ``//tag`` source with an equality
   conjunct, probed against the value index;
+* ``_Probe`` — a named child step ``$x in $p/tag`` with an equality
+  conjunct on a downpath of ``$x``: the value index of ``//tag`` is
+  probed once per distinct key set and its hits grouped by parent, so
+  a row emits only its ``$p``'s matching children (the mapping's
+  ``IdParent`` equi-join).  A cost gate keeps ``_Down`` plus a key
+  filter when one key is estimated to hit more elements than the
+  expansion would visit;
 * ``_Eval`` — any other source, through its compiled closure: run
   once and cross-expanded when it reads no variable of the quantifier
   (a ``//tag`` scan, an outer parameter such as
@@ -467,6 +474,70 @@ class _Join:
         return take, values
 
 
+class _Probe:
+    """A key-filtered named child step, ``$x in $p/tag`` with
+    ``$x/steps = probe``: the §4.1 ``IdParent`` equi-join through the
+    value index of ``//tag``.
+
+    Per distinct probe key set, the index hits are grouped by parent
+    once; a row emits its ``$p``'s group, never visiting the children
+    the key rules out.  The ``=`` is consumed, so its key-space
+    semantics are :class:`_Join`'s.  A row whose ``$p`` is in no
+    runtime document (a detached fragment) has no index to ask and
+    expands and filters its children instead.
+    """
+
+    __slots__ = ("name", "source", "tag", "steps", "probe")
+    kind = "correlated probe"
+
+    def __init__(self, name: str, source: str, tag: str, steps: Downpath,
+                 probe: object) -> None:
+        self.name = name
+        self.source = source
+        self.tag = tag
+        self.steps = steps
+        self.probe = probe
+
+    def refs(self) -> frozenset[str]:
+        return self.probe.refs() | {self.source}  # type: ignore
+
+    def expand(self, rt: _Runtime, cols: dict[str, list],
+               count: int) -> tuple[list[int], list]:
+        column = cols[self.source]
+        keys_of = self.probe.keys_fn(rt, cols, True)  # type: ignore
+        indexed = {id(document) for document in rt.documents}
+        indexes: list | None = None
+        groups_memo: dict[frozenset, dict[int, list[Element]]] = {}
+        take: list[int] = []
+        values: list = []
+        for i in range(count):
+            parent = column[i]
+            if not isinstance(parent, Element):
+                continue
+            keys = keys_of(i)
+            if id(parent.document) in indexed:
+                groups = groups_memo.get(keys)
+                if groups is None:
+                    if indexes is None:
+                        indexes = [_planner._value_index(
+                            rt, document, self.tag, self.steps)
+                            for document in rt.documents]
+                    groups = groups_memo[keys] = {}
+                    for element in _planner._probe(indexes, keys):
+                        groups.setdefault(id(element.parent),
+                                          []).append(element)
+                children = groups.get(id(parent), ())
+            else:
+                children = [
+                    child for child in parent.element_children(self.tag)
+                    if not keys.isdisjoint(
+                        _keys(_eval_downpath(self.steps, child), False))]
+            for child in children:
+                take.append(i)
+                values.append(child)
+        return take, values
+
+
 # ---------------------------------------------------------------------------
 # Levels and the compiled vector plan
 # ---------------------------------------------------------------------------
@@ -638,18 +709,19 @@ def lower_some(bindings, name_set: frozenset[str], qindex: int,
                pl) -> "tuple[VectorSome | None, str | None]":
     """Lower one planned ``some`` quantifier to a vector plan.
 
-    ``bindings`` is ``(name, source, factors)`` per binding, in the
-    planner's chosen order, each with the conjuncts that become
-    decidable once it is bound.  Returns ``(plan, None)`` or
-    ``(None, reason)``.
+    ``bindings`` is ``(name, source, factors, (estimate, rows))`` per
+    binding, in the planner's chosen order: the conjuncts that become
+    decidable once it is bound, the source's estimated cardinality
+    and the frontier rows estimated to reach it.  Returns
+    ``(plan, None)`` or ``(None, reason)``.
     """
-    names = [name for name, _, _ in bindings]
+    names = [name for name, _, _, _ in bindings]
     if len(set(names)) != len(names):
         return None, "duplicate binding variable"
     # A variable is carried as key sets only if nothing but a key
     # filter's bare side reads it.
     items_read: set[str] = set()
-    for _, source, factors in bindings:
+    for _, source, factors, _ in bindings:
         items_read |= free_variables(source) & name_set
         for factor in factors:
             sides = _key_sides(factor, name_set)
@@ -662,10 +734,10 @@ def lower_some(bindings, name_set: frozenset[str], qindex: int,
                     if root is not None)
     kinds: dict[str, tuple[str, str | None]] = {}
     lowered: list[tuple] = []
-    for index, (name, source, factors) in enumerate(bindings):
+    for index, (name, source, factors, estimates) in enumerate(bindings):
         op, consumed = _lower_binding(
             name, source, factors, set(names[:index]), kinds,
-            name in items_read, name_set, pl)
+            name in items_read, name_set, pl, estimates)
         filters: list[tuple] = []
         checks: list[_RowFilter] = []
         for factor in factors:
@@ -741,7 +813,8 @@ def _lower_side(side: Expression, kinds: dict, name_set: frozenset[str],
 
 def _lower_binding(name: str, source: Expression, factors: list,
                    bound: set[str], kinds: dict, as_items: bool,
-                   name_set: frozenset[str], pl) -> tuple[object, object]:
+                   name_set: frozenset[str], pl,
+                   estimates: tuple[float, float]) -> tuple[object, object]:
     """``(op, consumed factor)``; records the variable's kind:
     ``keys`` (hash-key sets), ``nodes`` (of a known tag, or None) or
     ``items`` (anything a source yields)."""
@@ -749,20 +822,72 @@ def _lower_binding(name: str, source: Expression, factors: list,
     tag = _planner._simple_descendant_tag(source)
     if tag is not None and not correlated:
         kinds[name] = ("nodes", tag)
-        equality = _planner._join_equality(name, bound, name_set, factors)
-        if equality is not None \
-                and _key_sides(equality[0], name_set) is not None:
-            steps = _planner._var_downpath(equality[1], name)
-            if steps is not None:
-                probe = _lower_side(equality[2], kinds, name_set, pl)
-                return _Join(name, tag, steps, probe), equality[0]
+        keyed = _key_equality(name, factors, bound, name_set)
+        if keyed is not None:
+            factor, steps, probe = keyed
+            return _Join(name, tag, steps,
+                         _lower_side(probe, kinds, name_set, pl)), factor
         return _Eval(name, _planner._compile(source, pl), ()), None
+    probed = _lower_probe(name, source, factors, bound, kinds, name_set,
+                          pl, estimates)
+    if probed is not None:
+        return probed
     op = _lower_navigation(name, source, kinds, as_items)
     if op is not None:
         return op, None
     kinds[name] = ("items", None)
     return _Eval(name, _planner._compile(source, pl),
                  tuple(sorted(correlated))), None
+
+
+def _lower_probe(name: str, source: Expression, factors: list,
+                 bound: set[str], kinds: dict, name_set: frozenset[str], pl,
+                 estimates: tuple[float, float]) -> "tuple | None":
+    """``(_Probe, consumed factor)`` for a key-filtered named child
+    step ``$x in $p/tag``, or None.
+
+    The cost gate keeps expand + filter when a probe key's estimated
+    index hits (``count(tag) / distinct keys``) exceed the children the
+    expansion would visit (upstream rows × fan-out): for a one-row
+    check, when a key is shared by more elements than one parent has
+    children.
+    """
+    if not isinstance(source, PathExpr) \
+            or not isinstance(source.start, VarRef) \
+            or len(source.steps) != 1 or source.descendant_flags[0]:
+        return None
+    root = source.start.name
+    step = source.steps[0]
+    if kinds.get(root, ("",))[0] != "nodes" or step.axis != "child" \
+            or step.predicates \
+            or step.nodetest in _planner._SIMPLE_STEP_NODETESTS:
+        return None
+    keyed = _key_equality(name, factors, bound, name_set)
+    if keyed is None:
+        return None
+    factor, steps, probe = keyed
+    tag = step.nodetest
+    stats = pl.stats
+    fanout, rows = estimates
+    if stats.count(tag) / stats.key_distinct(tag, steps) > rows * fanout:
+        return None
+    kinds[name] = ("nodes", tag)
+    return _Probe(name, root, tag, steps,
+                  _lower_side(probe, kinds, name_set, pl)), factor
+
+
+def _key_equality(name: str, factors: list, bound: set[str],
+                  name_set: frozenset[str]) -> "tuple | None":
+    """``(factor, steps, probe side)``: the key-space ``=`` conjunct
+    that keys ``$name`` by a plain downpath ``steps`` against values
+    already ``bound``, or None."""
+    equality = _planner._join_equality(name, bound, name_set, factors)
+    if equality is None or _key_sides(equality[0], name_set) is None:
+        return None
+    steps = _planner._var_downpath(equality[1], name)
+    if steps is None:
+        return None
+    return equality[0], steps, equality[2]
 
 
 def _lower_navigation(name: str, source: Expression, kinds: dict,

@@ -9,19 +9,22 @@ joins from value indexes.  This module is that stand-in: it plans and
 compiles each prepared check, and serves its equality joins from the
 column stores' :class:`~repro.relational.columns.PathIndex`:
 
-* **statistics** — per-document, per-tag cardinalities and
-  distinct-value counts served by the incremental tag index
-  (:meth:`repro.xtree.node.Document.tag_count` /
+* **statistics** — per-document, per-tag cardinalities, per-(parent
+  tag, tag) child counts and distinct-value counts served by the
+  incremental tag index (:meth:`repro.xtree.node.Document.tag_count`
+  / :meth:`~repro.xtree.node.Document.child_count` /
   :meth:`~repro.xtree.node.Document.tag_distinct_count`, maintained
   under the per-document lock) — exact counts of the state the plan
   is compiled on;
 * **planning** — independent quantifier bindings are reordered
   greedily by estimated cardinality x selectivity (hash-joinable
-  bindings are discounted by the key's distinct count), conjuncts are
-  re-assigned to the earliest position of the chosen order,
-  uncorrelated sources with an equality conjunct linking them to
-  already-bound variables become hash joins, and equality predicates
-  on ``//tag`` steps are turned into value-index probes;
+  bindings are discounted by the distinct values of their join key),
+  conjuncts are re-assigned to the earliest position of the chosen
+  order, uncorrelated sources with an equality conjunct linking them
+  to already-bound variables become hash joins, key-filtered child
+  steps become correlated probes (:mod:`repro.xquery.columnar`), and
+  equality predicates on ``//tag`` steps are turned into value-index
+  probes;
 * **compilation** — the plan is compiled to Python closures over a
   mutable variable environment.  Every quantifier is lowered to one
   set-at-a-time frontier plan (:mod:`repro.xquery.columnar`; ``every``
@@ -80,6 +83,7 @@ from repro.xquery.optimizer import (
     conjuncts,
     focus_free,
     free_variables,
+    hash_keys,
     probe_keys,
 )
 from repro.xquery.values import (
@@ -150,11 +154,15 @@ class Statistics:
     internally consistent buckets.
     """
 
-    __slots__ = ("documents",)
+    __slots__ = ("documents", "_children", "_key_distinct")
 
     def __init__(self, documents: tuple[Document, ...]) -> None:
         fail.point("planner.stats.refresh")
         self.documents = tuple(documents)
+        # Memos for the one plan these statistics serve: greedy
+        # ordering re-estimates every binding once per round.
+        self._children: dict[tuple[str, str], float] = {}
+        self._key_distinct: dict[tuple, float] = {}
 
     def count(self, tag: str) -> float:
         """Number of elements with ``tag`` in the collection."""
@@ -170,6 +178,31 @@ class Statistics:
         total = sum(document.tag_distinct_count(tag)
                     for document in self.documents)
         return max(1.0, float(total))
+
+    def children(self, parent_tag: str, tag: str) -> float:
+        """Number of ``tag`` children of ``parent_tag`` elements."""
+        key = (parent_tag, tag)
+        count = self._children.get(key)
+        if count is None:
+            count = self._children[key] = float(sum(
+                document.child_count(parent_tag, tag)
+                for document in self.documents))
+        return count
+
+    def key_distinct(self, tag: str,
+                     steps: tuple[tuple[str, str], ...]) -> float:
+        """Distinct values of ``tag/steps`` over the collection: the
+        number of keys an index of ``//tag`` by ``steps`` spreads its
+        elements over (at least 1)."""
+        key = (tag, steps)
+        count = self._key_distinct.get(key)
+        if count is None:
+            values = {tuple(hash_keys(atom))
+                      for document in self.documents
+                      for element in document.elements_by_tag(tag)
+                      for atom in atomize(_eval_downpath(steps, element))}
+            count = self._key_distinct[key] = max(1.0, float(len(values)))
+        return count
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +273,8 @@ def _estimate_path(path: PathExpr, stats: Statistics,
             else:
                 parent_total = stats.count(anchor) if anchor else 0.0
                 if parent_total > 0.0:
+                    if not descendant:
+                        total = stats.children(anchor, nodetest)
                     card *= total / parent_total
                 elif descendant:
                     card *= max(total, 1.0)
@@ -525,10 +560,8 @@ def _choose_order(quantified: Quantified,
     """Greedy selectivity order for a quantifier's bindings.
 
     Repeatedly picks, among the bindings whose dependencies are
-    satisfied, the one with the smallest effective cost: the estimated
-    source cardinality, discounted by the key's distinct count when an
-    equality conjunct makes the binding hash-joinable against already
-    chosen (or outer) variables.  Reordering is sound because the
+    satisfied, the one with the smallest effective cost
+    (:func:`_binding_cost`).  Reordering is sound because the
     bindings of a quantifier are independent nested loops — only the
     dependency order between correlated sources must be preserved.
     """
@@ -549,12 +582,9 @@ def _choose_order(quantified: Quantified,
             if source_deps[index] - chosen_names:
                 continue
             name, source = bindings[index]
-            card, anchor = _estimate_any(source, stats, anchors)
-            cost = card
-            if not source_deps[index] and _join_equality(
-                    name, chosen_names, name_set, factors) is not None:
-                denominator = stats.distinct(anchor) if anchor else 2.0
-                cost = max(card / max(denominator, 1.0), 0.5)
+            _, cost, anchor = _binding_cost(name, source, chosen_names,
+                                            name_set, factors, stats,
+                                            anchors)
             if best is None or cost < best[0] - 1e-9:
                 best = (cost, index, anchor)
         assert best is not None, "binding dependencies form a cycle"
@@ -565,6 +595,35 @@ def _choose_order(quantified: Quantified,
             anchors[names[index]] = anchor
         remaining.remove(index)
     return tuple(chosen)
+
+
+def _binding_cost(name: str, source: Expression, bound: set[str],
+                  name_set: frozenset[str], factors: list[Expression],
+                  stats: Statistics, anchors: dict[str, str]
+                  ) -> tuple[float, float, str | None]:
+    """(estimated cardinality, cost, anchor tag) of one binding.
+
+    The cost is the rows the binding adds per upstream row: the
+    source's estimated cardinality, discounted by the join key's
+    distinct count when the source reads no quantifier variable and an
+    equality conjunct makes it hash-joinable against ``bound`` (or
+    outer) variables: a probe of the key's value index returns about
+    ``count / distinct`` elements.
+    """
+    card, anchor = _estimate_any(source, stats, anchors)
+    if free_variables(source) & name_set:
+        return card, card, anchor
+    equality = _join_equality(name, bound, name_set, factors)
+    if equality is None:
+        return card, card, anchor
+    steps = _var_downpath(equality[1], name)
+    if anchor is None:
+        denominator = 2.0
+    elif steps is None:
+        denominator = stats.distinct(anchor)
+    else:
+        denominator = stats.key_distinct(anchor, steps)
+    return card, max(card / denominator, 0.5), anchor
 
 
 def _join_equality(name: str, bound: set[str], name_set: frozenset[str],
@@ -1079,7 +1138,8 @@ def _compile_some(quantified: Quantified, shown: Quantified,
     position = {name: index for index, name in enumerate(names)}
     pre_factors: list[Expression] = []
     slots: list[list[Expression]] = [[] for _ in bindings]
-    for factor in conjuncts(quantified.condition):
+    factors = conjuncts(quantified.condition)
+    for factor in factors:
         quantifier_vars = free_variables(factor) & name_set
         if not quantifier_vars:
             pre_factors.append(factor)
@@ -1087,20 +1147,31 @@ def _compile_some(quantified: Quantified, shown: Quantified,
         slots[max(position[name] for name in quantifier_vars)].append(
             factor)
     pre_checks = [_compile_truth(factor, pl) for factor in pre_factors]
+
+    # Per binding: the estimated source cardinality (explain's est~)
+    # and the frontier rows estimated to reach it — the product of the
+    # earlier bindings' costs, which the lowering's cost gate reads.
+    anchors: dict[str, str] = {}
+    estimates: list[tuple[float, float]] = []
+    rows = 1.0
+    for index, (name, source) in enumerate(bindings):
+        estimate, cost, anchor = _binding_cost(
+            name, source, set(names[:index]), name_set, factors, pl.stats,
+            anchors)
+        estimates.append((estimate, rows))
+        rows *= cost
+        if anchor is not None:
+            anchors[name] = anchor
     vector_plan, reason = columnar.lower_some(
-        [(name, source, slots[index])
+        [(name, source, slots[index], estimates[index])
          for index, (name, source) in enumerate(bindings)],
         name_set, info.index, pl)
 
-    anchors: dict[str, str] = {}
     for index, (name, source) in enumerate(bindings):
-        estimate, anchor = _estimate_any(source, pl.stats, anchors)
-        if anchor is not None:
-            anchors[name] = anchor
         kind = "engine" if vector_plan is None \
             else vector_plan.levels[index].op.kind
         info.bindings.append(_BindingInfo(
-            name, source, kind, estimate, order[index],
+            name, source, kind, estimates[index][0], order[index],
             (info.index, index)))
 
     quantifier_index = info.index

@@ -436,6 +436,23 @@ class Document:
             bucket = self._elements_by_tag.get(tag, {})
             return len({element.text() for element in bucket.values()})
 
+    def child_count(self, parent_tag: str, tag: str) -> int:
+        """Attached ``tag`` elements whose parent is a ``parent_tag``.
+
+        The planner's fan-out statistic: a child step ``$p/tag`` from a
+        ``parent_tag`` element yields ``child_count(parent_tag, tag) /
+        tag_count(parent_tag)`` elements on average, where
+        ``tag_count(tag) / tag_count(parent_tag)`` would pool every
+        ``tag`` of the document (``name`` under ``rev``, ``auts`` and
+        ``aut`` alike).  Counted under the per-document lock when a
+        check is planned, like :meth:`tag_distinct_count`.
+        """
+        with self._lock:
+            bucket = self._elements_by_tag.get(tag, {})
+            return sum(1 for element in bucket.values()
+                       if element.parent is not None
+                       and element.parent.tag == parent_tag)
+
     def element_count(self) -> int:
         """Total number of currently attached elements."""
         with self._lock:

@@ -34,7 +34,7 @@ from repro.xquery import parse_query
 from repro.xquery.engine import query_truth
 from repro.xquery.optimizer import probe_keys
 from repro.xquery.values import UntypedAtomic
-from repro.xquery.planner import query_truth_planned
+from repro.xquery.planner import explain_query, query_truth_planned
 from repro.xtree.node import Document, Element, Text
 from repro.xtree.parser import parse_document
 
@@ -280,6 +280,9 @@ class TestCrashConsistency:
     GHOST_QUERIES = [
         "exists(//rev[name/text() = 'Ghost'])",
         "some $r in //rev, $n in $r/name/text() satisfies $n = 'Ghost'",
+        # a key-filtered child step: a correlated probe of the index
+        "some $t in //track, $r in $t/rev "
+        "satisfies $r/name/text() = 'Ghost'",
     ]
 
     def test_value_index_fault_degrades_to_per_evaluation_map(
@@ -296,6 +299,9 @@ class TestCrashConsistency:
             assert store is not None
             query = parse_query(text)
             assert query_truth_planned(query, [pub, rev]) is False
+            if "$t/rev" in text:
+                assert "[correlated probe]" in explain_query(
+                    query, [pub, rev])
             ghost = Element("rev")
             ghost.append(_text_el("name", "Ghost"))
             with fail.armed({"columns.delta.apply": "count:1",

@@ -21,22 +21,25 @@ from repro.core.guard import IntegrityGuard
 from repro.datagen import CorpusSpec, generate_corpus
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.datagen.workload import legal_submission
-from repro.relational.incremental import store_of
+from repro.relational.incremental import attach, store_of
 from repro.service.store import CheckingService
 from repro.testing.failpoints import FailPointError, fail
 from repro.xquery import parse_query
 from repro.xquery.engine import query_truth
 from repro.xquery.planner import (
     Statistics,
+    _choose_order,
     explain_query,
     query_truth_planned,
     unplanned,
 )
+from repro.xquery.values import UntypedAtomic
 from repro.xtree.node import Document, Element, Text
 from repro.xtree.parser import parse_document
 from repro.xtree.serializer import serialize
 from repro.xupdate.apply import TransactionLog, apply_operation
 from repro.xupdate.parser import parse_modifications
+from tests.conftest import PUB_XML
 
 SCHEMA = make_schema()
 
@@ -88,6 +91,27 @@ QUERIES = [
     # a carried column of atoms: 1 and true() are one Python key
     "some $x in (1, true()), $a in //aut satisfies "
     "concat(string($x), $a/name/text()) = 'trueAlice'",
+    # key-filtered child steps, answered by a correlated probe of the
+    # child tag's value index grouped by parent: a number, a typed
+    # string and an untyped variable as the probe side ("1" = 1 and
+    # "1.0" = 1, but "1" != "1.0")
+    "some $p in //pub, $a in $p/aut satisfies $a/name/text() = 1",
+    "some $p in //pub, $a in $p/aut satisfies $a/name/text() = '1.0'",
+    "some $r in //rev, $R in $r/name/text(), $s in $r/sub, "
+    "$a in $s/auts satisfies $a/name/text() = $R",
+    # a multi-atom key: a sub's key is every auts name under it
+    "some $r in //rev, $R in $r/name/text(), $s in $r/sub "
+    "satisfies $s/auts/name/text() = $R",
+    # a constant probe side, a key value shared by many elements
+    "some $t in //track, $r in $t/rev satisfies $r/name/text() = 'Alice'",
+    "some $s in //sub, $a in $s/auts satisfies $a/name/text() = 'Erin'",
+    # parents in both documents, probed by keys from the other one
+    "some $n in //name, $p in $n/.., $c in $p/name "
+    "satisfies $c/text() = //rev/name/text()",
+    "some $r in //rev, $n in $r/name satisfies $n/text() = //aut/name/text()",
+    # a probe inside every: the outer row's value is the constant side
+    "every $r in //rev satisfies some $t in //track, $x in $t/rev "
+    "satisfies $x/name/text() = $r/name/text()",
 ]
 
 
@@ -161,6 +185,18 @@ class TestDifferentialQueries:
         expression = parse_query(query)
         assert query_truth_planned(expression, documents) \
             == query_truth(expression, documents)
+
+    @pytest.mark.parametrize("stored", [0, 1], ids=["pub", "rev"])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_one_store_agrees(self, query, stored, documents):
+        # one document answers from its store's delta-maintained
+        # indexes, the other (no store) from indexes built for the
+        # evaluation: a probe spanning both must not care
+        attach(documents[stored])
+        expression = parse_query(query)
+        assert query_truth_planned(expression, documents) \
+            == query_truth(expression, documents)
+        assert store_of(documents[1 - stored]) is None
 
     @given(random_corpora())
     @settings(max_examples=40)
@@ -340,6 +376,19 @@ class TestStatistics:
             submission_xupdate(1, 1, "T", "Completely New Author"))[0]
         apply_operation(rev_doc, operation)
         assert rev_doc.tag_distinct_count("name") == first + 1
+
+    def test_child_count_separates_parents(self, rev_doc):
+        # ``name`` sits under track, rev and auts: a child step from a
+        # rev yields that parent's share, not every name of the document
+        counts = {parent: rev_doc.child_count(parent, "name")
+                  for parent in ("track", "rev", "auts", "sub")}
+        assert counts == {"track": 2, "rev": 3, "auts": 5, "sub": 0}
+        assert sum(counts.values()) == rev_doc.tag_count("name")
+        operation = parse_modifications(
+            submission_xupdate(1, 1, "T", "Someone"))[0]
+        apply_operation(rev_doc, operation)
+        assert rev_doc.child_count("auts", "name") == 6
+        assert Statistics((rev_doc,)).children("rev", "name") == 3.0
 
     def test_counts_are_the_live_counts(self, rev_doc):
         # exact at every state, the empty one included: nothing stands
@@ -587,6 +636,20 @@ class TestExplain:
         text = explain_query(QUERIES[2], documents)
         assert "[hash join]" in text
 
+    def test_conflict_full_queries_probe_key_filtered_steps(
+            self, documents):
+        # one name per rev: $R is bound second, est~1; each key-
+        # filtered child step (auts by $R, aut by $R) is an index probe
+        # grouped by parent, not an expansion filtered afterwards
+        first, second = (explain_query(query.prepared, documents)
+                         for query in SCHEMA.constraints[0].full_queries)
+        for text in (first, second):
+            assert "  2. $R in $Ir/name/text()  [correlated scan]  est~1 " \
+                in text
+        assert "$Ia in $Is/auts  [correlated probe]" in first
+        assert "$Ia3 in $Ip/aut  [correlated probe]" in second
+        assert "$Ia in $Is/auts  [correlated scan]" in second
+
     def test_cli_explain_runs(self, capsys):
         from repro import cli
         import os
@@ -715,3 +778,67 @@ class TestIndexedSteps:
                          if isinstance(child, Element)
                          and child.tag == "name")]
         assert indexed == walked
+
+
+class TestJoinDiscount:
+    def test_join_is_discounted_by_the_key_paths_distinct_values(
+            self, documents):
+        # $a joins on aut/name/text(): 5 auts over 4 names, so a probe
+        # returns 1.25 elements — fewer than the 4/3 subs per rev.  The
+        # direct text of ``aut`` (element-only, one empty value) would
+        # leave the join undiscounted at 5.
+        query = parse_query(
+            "some $r in //rev, $s in $r/sub, $a in //aut "
+            "satisfies $a/name/text() = $r/name/text()")
+        assert _choose_order(query, Statistics(tuple(documents))) \
+            == (0, 2, 1)
+        assert query_truth_planned(query, documents) \
+            == query_truth(query, documents)
+
+
+def _gate_document(shared):
+    """One ``d`` with one ``e`` keyed ``x``, next to 1,000 more ``e``
+    keyed ``x`` too (``shared``) or each by its own value."""
+    keys = "".join(f"<e><k>{'x' if shared else f'v{i}'}</k></e>"
+                   for i in range(1000))
+    return parse_document(f"<r><d><e><k>x</k></e></d><o>{keys}</o></r>")
+
+
+class TestCorrelatedProbeGate:
+    QUERY = "some $d in //d, $e in $d/e satisfies $e/k/text() = 'x'"
+
+    @pytest.mark.parametrize("shared, kind", [
+        # a key shared by 1,001 elements: probing would touch 1,001
+        # to find the one child a one-row frontier expands to
+        (True, "correlated scan"),
+        # a key held by one element: the probe touches one
+        (False, "correlated probe"),
+    ], ids=["hits-exceed-fan-out", "hits-within-fan-out"])
+    def test_gate_compares_key_hits_with_fan_out(self, shared, kind):
+        document = _gate_document(shared)
+        text = explain_query(self.QUERY, document)
+        # fan-out 1: the one e under the one d, not 1,001 e per d
+        assert f"$e in $d/e  [{kind}]  est~1 " in text
+        assert text.endswith("verdict: true")
+        assert query_truth(self.QUERY, document) is True
+
+
+class TestCorrelatedProbeFallback:
+    def test_parent_outside_the_runtime_documents_expands(self, pub_doc):
+        # a parent in no runtime document has no index to ask: its row
+        # expands and filters, and agrees with the probed rows
+        from repro.xquery import columnar
+        from repro.xquery.planner import _Runtime
+        steps = (("child", "name"), ("child", "text()"))
+        op = columnar._Probe(
+            "a", "p", "aut", steps,
+            columnar._SideConst(lambda rt: [UntypedAtomic("Carol")]))
+        attached = pub_doc.elements_by_tag("pub")
+        detached = parse_document(PUB_XML).elements_by_tag("pub")
+        rt = _Runtime((pub_doc,), {})
+        take, values = op.expand(rt, {"p": attached + detached}, 6)
+        assert take == [1, 2, 4, 5]
+        assert [aut.document is pub_doc for aut in values] \
+            == [True, True, False, False]
+        assert {aut.first_child("name").text() for aut in values} \
+            == {"Carol"}
