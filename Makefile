@@ -2,7 +2,7 @@ PYTHON ?= python3
 BENCH_SIZES ?= 32,64,128
 
 .PHONY: install test bench bench-e2e bench-e2e-smoke bench-e2e-ab \
-	examples lint lint-concurrency stress faultcheck \
+	examples lint stress faultcheck \
 	faultcheck-restart serve-check clean
 
 # fault-injection matrix: seeds x named schedules, each run asserting
@@ -48,15 +48,6 @@ lint:
 		--dtd examples/corpus/pub.dtd --dtd examples/corpus/rev.dtd \
 		--constraints-file examples/corpus/constraints.txt \
 		--pattern examples/corpus/submission.xml
-
-# XIC5xx lock-discipline pass: the repo must self-lint clean, and the
-# fixture corpus pins every code's firing and clean behavior (the
-# corpus check proper lives in tests/test_concurrency_lint.py)
-lint-concurrency:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		$(PYTHON) -m repro lint --concurrency src/repro
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} \
-		$(PYTHON) -m pytest tests/test_concurrency_lint.py -q
 
 # concurrency stress harness: N writer threads x M mixed legal/illegal
 # updates against one shared DocumentStore, checked against a

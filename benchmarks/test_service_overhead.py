@@ -1,11 +1,11 @@
 """Ablation A4 — what the thread-safe service layer costs.
 
-The CheckingService wraps every checker call in a reader-writer lock
-(plus commit-log bookkeeping on applied updates).  These benchmarks
-put a number on that wrapper: the same rejected update through the
-bare guard vs. through the service (writer path), a full consistency
-check direct vs. through the service's read lock, and the reader path
-under actual thread-level concurrency.
+The CheckingService wraps every checker call in one mutex round (plus
+commit-log bookkeeping on applied updates).  These benchmarks put a
+number on that wrapper: the same rejected update through the bare
+guard vs. through the service (write entry point), a full consistency
+check direct vs. through the service's mutex, and four reader threads
+at once, which the mutex serializes.
 """
 
 import threading
@@ -41,7 +41,7 @@ def test_verify_direct(benchmark, conflict_scenario, size_kib):
 
 def test_verify_through_service_locked(benchmark, conflict_scenario,
                                        size_kib):
-    """The read-lock path: every check takes the store's read lock."""
+    """The read entry point: every check takes the store's mutex."""
     benchmark.group = f"service-verify-{size_kib}KiB"
     service = _service_for(conflict_scenario)
     violated = benchmark(service.verify_consistency)
@@ -67,9 +67,9 @@ def _concurrent_verifies(service):
 
 def test_verify_concurrent_readers_locked(benchmark, conflict_scenario,
                                           size_kib):
-    """Four reader threads verifying at once through the read lock
-    (GIL-bound, so ideally ~4x the single-reader time; a serializing
-    bug would show up as much worse)."""
+    """Four reader threads verifying at once, serialized by the
+    service mutex: ~4x the single-reader time plus thread start-up and
+    hand-off between them (the GIL would serialize them anyway)."""
     benchmark.group = f"service-verify-{size_kib}KiB"
     service = _service_for(conflict_scenario)
     benchmark(_concurrent_verifies(service))

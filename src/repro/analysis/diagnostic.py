@@ -10,9 +10,7 @@ span, and a fix hint.  Codes are grouped by pass:
   edges, dead checks);
 * ``XIC2xx`` — Datalog safety / range restriction;
 * ``XIC3xx`` — redundancy between constraints;
-* ``XIC4xx`` — update-pattern analysis;
-* ``XIC5xx`` — lock-discipline analysis of the codebase itself
-  (``repro lint --concurrency``).
+* ``XIC4xx`` — update-pattern analysis.
 
 The catalogue with one example and fix per code lives in
 ``docs/diagnostics.md``; code/severity pairs are registered in
@@ -48,11 +46,6 @@ CODES: dict[str, tuple[str, str]] = {
     "XIC402": (ERROR, "pattern matches no DTD-valid update"),
     "XIC403": (WARNING, "pattern always violates a constraint"),
     "XIC404": (INFO, "pattern/constraint pair needs brute force"),
-    "XIC501": (ERROR, "guarded attribute accessed outside its lock"),
-    "XIC502": (ERROR, "lock acquisition order violation or cycle"),
-    "XIC503": (ERROR, "lock acquired without with/try-finally"),
-    "XIC504": (WARNING, "blocking call while holding a major lock"),
-    "XIC505": (ERROR, "lock has no guarded_by coverage"),
 }
 
 
@@ -70,9 +63,6 @@ class Diagnostic:
     #: (start, end) character offsets into ``source``, when locatable
     span: tuple[int, int] | None = None
     hint: str | None = None
-    #: file path and 1-based line, set by file-oriented passes (XIC5xx)
-    file: str | None = None
-    line: int | None = None
 
     def is_at_least(self, severity: str) -> bool:
         return _SEVERITY_RANK[self.severity] >= _SEVERITY_RANK[severity]
@@ -92,20 +82,12 @@ class Diagnostic:
             payload["span"] = list(self.span)
         if self.hint is not None:
             payload["hint"] = self.hint
-        if self.file is not None:
-            payload["file"] = self.file
-        if self.line is not None:
-            payload["line"] = self.line
         return payload
 
     def render(self) -> str:
         """Multi-line human-readable rendering."""
         subject = f" [{self.subject}]" if self.subject else ""
-        location = ""
-        if self.file is not None:
-            location = f"{self.file}:{self.line or 0}: "
-        lines = [f"{location}{self.code} {self.severity}{subject}: "
-                 f"{self.message}"]
+        lines = [f"{self.code} {self.severity}{subject}: {self.message}"]
         if self.source is not None and self.span is not None:
             start, end = self.span
             line_start = self.source.rfind("\n", 0, start) + 1
@@ -129,15 +111,12 @@ def make_diagnostic(code: str, message: str, *, subject: str | None = None,
                     source: str | None = None,
                     span: tuple[int, int] | None = None,
                     hint: str | None = None,
-                    severity: str | None = None,
-                    file: str | None = None,
-                    line: int | None = None) -> Diagnostic:
+                    severity: str | None = None) -> Diagnostic:
     """Build a diagnostic with the registered default severity."""
     if code not in CODES:
         raise ValueError(f"unregistered diagnostic code {code!r}")
     return Diagnostic(code, severity or CODES[code][0], message,
-                      subject=subject, source=source, span=span, hint=hint,
-                      file=file, line=line)
+                      subject=subject, source=source, span=span, hint=hint)
 
 
 def span_of(source: str | None, needle: str) -> tuple[int, int] | None:

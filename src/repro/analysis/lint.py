@@ -88,15 +88,14 @@ class LintReport:
         return "\n".join(lines)
 
     def sorted_diagnostics(self) -> list[Diagnostic]:
-        """Diagnostics in stable (file, code, location) order.
+        """Diagnostics in stable (code, subject) order.
 
         The deterministic order makes JSON output and CI annotation
         diffs stable across runs regardless of pass scheduling.
         """
         return sorted(
             self.diagnostics,
-            key=lambda d: (d.file or "", d.code, d.line or 0,
-                           d.subject or "", d.message))
+            key=lambda d: (d.code, d.subject or "", d.message))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -108,25 +107,18 @@ class LintReport:
         }, indent=2)
 
     def render_github(self) -> str:
-        """GitHub Actions workflow-annotation lines (one per finding).
-
-        ``::error``/``::warning``/``::notice`` commands with ``file``/
-        ``line`` properties where the diagnostic carries a location, so
-        findings surface inline on pull-request diffs.
+        """GitHub Actions workflow-annotation lines (one per finding):
+        ``::error``/``::warning``/``::notice`` commands titled by code.
         """
         lines = []
         for diagnostic in self.sorted_diagnostics():
             level = {ERROR: "error", WARNING: "warning"}.get(
                 diagnostic.severity, "notice")
-            properties = [f"title={diagnostic.code}"]
-            if diagnostic.file is not None:
-                properties.insert(0, f"file={diagnostic.file}")
-                properties.insert(1, f"line={diagnostic.line or 1}")
             message = diagnostic.message
             if diagnostic.subject:
                 message = f"[{diagnostic.subject}] {message}"
             lines.append(
-                f"::{level} {','.join(properties)}::{message}")
+                f"::{level} title={diagnostic.code}::{message}")
         return "\n".join(lines)
 
 

@@ -94,9 +94,8 @@ def _build_schema(args: argparse.Namespace) -> ConstraintSchema:
     return schema
 
 
-def _add_schema_arguments(parser: argparse.ArgumentParser,
-                          dtd_required: bool = True) -> None:
-    parser.add_argument("--dtd", action="append", required=dtd_required,
+def _add_schema_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dtd", action="append", required=True,
                         help="DTD file (repeatable)")
     parser.add_argument("--constraint", action="append",
                         help="XPathLog denial text (repeatable)")
@@ -170,24 +169,12 @@ def cmd_shred(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis.diagnostic import ERROR, WARNING
-    from repro.analysis.lint import LintReport, lint_sources
+    from repro.analysis.lint import lint_sources
 
-    if not args.dtd and not args.concurrency:
-        print("error: lint needs --dtd inputs, --concurrency paths, "
-              "or both", file=sys.stderr)
-        return 2
-    if args.dtd:
-        report = lint_sources(
-            [_read(path) for path in args.dtd],
-            _load_constraints(args, required=False),
-            patterns=[_read(path) for path in args.pattern or []])
-    else:
-        report = LintReport()
-    if args.concurrency:
-        from repro.analysis.concurrency import concurrency_diagnostics
-
-        report.extend(concurrency_diagnostics(
-            args.path or ["src/repro"]))
+    report = lint_sources(
+        [_read(path) for path in args.dtd],
+        _load_constraints(args, required=False),
+        patterns=[_read(path) for path in args.pattern or []])
     if args.format == "json":
         print(report.to_json())
     elif args.format == "github":
@@ -301,16 +288,7 @@ def cmd_faultcheck(args: argparse.Namespace) -> int:
             print(f"wrote reproduction command to {args.repro_file}",
                   file=sys.stderr)
         return 1
-    from repro.analysis.concurrency import sanitizer
-    ordering = sanitizer.violations()
-    if ordering:
-        print(f"FAULTCHECK FAILED: {len(ordering)} lock ordering "
-              "violation(s) recorded by the sanitizer", file=sys.stderr)
-        for violation in ordering:
-            print(violation.render(), file=sys.stderr)
-        return 1
     total = sum(report.faults_fired for report in reports)
-    armed = " (lock sanitizer armed)" if sanitizer.armed() else ""
     if args.crash_restart:
         shape = (f"{len(seeds)} seeds x "
                  f"{len(reports) // max(1, len(seeds))} kill sites, "
@@ -319,7 +297,7 @@ def cmd_faultcheck(args: argparse.Namespace) -> int:
         shape = f"{len(seeds)} seeds x {len(schedules)} schedules"
     print(f"faultcheck passed: {len(reports)} scenarios "
           f"({shape}), "
-          f"{total} faults fired, all invariants held{armed}")
+          f"{total} faults fired, all invariants held")
     return 0
 
 
@@ -455,9 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     shred.set_defaults(handler=cmd_shred)
 
     lint = commands.add_parser(
-        "lint", help="static analysis of DTDs + constraints + patterns, "
-                     "or of the codebase's lock discipline")
-    _add_schema_arguments(lint, dtd_required=False)
+        "lint", help="static analysis of DTDs + constraints + patterns")
+    _add_schema_arguments(lint)
     lint.add_argument("--format", choices=("text", "json", "github"),
                       default="text", help="output format ('github' "
                       "emits workflow-annotation lines)")
@@ -465,12 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default="warning",
                       help="lowest severity that causes exit code 1 "
                            "(default: warning)")
-    lint.add_argument("--concurrency", action="store_true",
-                      help="run the XIC5xx lock-discipline pass over "
-                           "the given source paths")
-    lint.add_argument("path", nargs="*",
-                      help="files/directories for --concurrency "
-                           "(default: src/repro)")
     lint.set_defaults(handler=cmd_lint)
 
     explain = commands.add_parser(

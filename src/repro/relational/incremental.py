@@ -23,26 +23,25 @@ layer that degrades to a rebuild rather than failing loudly.
 That is the one invalidation rule: an index is valid iff
 ``_synced_revision == document.revision``, a single integer comparison
 per read.  The store never serves stale data because every mutation
-path funnels through ``Document.adopt``/``orphan`` under the document
-lock.
+path funnels through ``Document.adopt``/``orphan``.
+
+Like its document, a column store is not thread-safe on its own;
+:class:`repro.service.CheckingService` serializes every access to
+both under its store's mutex.
 """
 
 from __future__ import annotations
 
-from repro.analysis.concurrency import guarded_by, requires_lock
 from repro.relational.columns import Downpath, PathIndex, chain_reaches
 from repro.testing.failpoints import fail
 from repro.xtree.node import Document, Element, Node
 
 
-@guarded_by("self.document._lock", "_indexes", "_synced_revision")
 class ColumnStore:
     """The delta-maintained value indexes of one document.
 
     Indexes materialize lazily (first use by the planner) and are
-    maintained incrementally afterwards.  All state transitions happen
-    under the document's RLock: reads take it to validate/build, and
-    the mutation listener already runs inside it.
+    maintained incrementally afterwards.
     """
 
     __slots__ = ("document", "_indexes", "_synced_revision",
@@ -63,18 +62,16 @@ class ColumnStore:
 
     def value_index(self, tag: str, steps: Downpath) -> PathIndex:
         """The (validated) value index of one (tag, downpath)."""
-        with self.document._lock:
-            self._validate()
-            index = self._indexes.get((tag, steps))
-            if index is None:
-                index = self._build_index(tag, steps)
-                self._indexes[(tag, steps)] = index
-            return index
+        self._validate()
+        index = self._indexes.get((tag, steps))
+        if index is None:
+            index = self._build_index(tag, steps)
+            self._indexes[(tag, steps)] = index
+        return index
 
     @property
     def dirty(self) -> bool:
-        with self.document._lock:
-            return self._synced_revision != self.document.revision
+        return self._synced_revision != self.document.revision
 
     # -- construction / validation --------------------------------------
 
@@ -84,7 +81,6 @@ class ColumnStore:
             index.add(element)
         return index
 
-    @requires_lock("self.document._lock")
     def _validate(self) -> None:
         """Rebuild every materialized index if the store is dirty.
 
@@ -102,12 +98,11 @@ class ColumnStore:
 
     # -- delta maintenance -----------------------------------------------
 
-    @requires_lock("self.document._lock")
     def _on_mutation(self, kind: str, node: Node,
                      parent: Element | None) -> None:
         """Mutation listener: patch the indexes from one adopt/orphan.
 
-        Runs under the document lock, inside the structural mutation.
+        Runs inside the structural mutation.
         Must not raise (see module docstring); any failure counts in
         ``delta_failures`` and leaves the store dirty for a lazy
         rebuild.
@@ -128,7 +123,6 @@ class ColumnStore:
             return  # stays dirty
         self._synced_revision = self.document.revision
 
-    @requires_lock("self.document._lock")
     def _apply_delta(self, kind: str, node: Node,
                      parent: Element | None) -> None:
         if isinstance(node, Element):
@@ -140,12 +134,10 @@ class ColumnStore:
                         index.discard(element)
         self._refresh_ancestors(parent)
 
-    @requires_lock("self.document._lock")
     def _indexes_for(self, tag: str) -> "list[PathIndex]":
         return [index for (index_tag, _), index in self._indexes.items()
                 if index_tag == tag]
 
-    @requires_lock("self.document._lock")
     def _refresh_ancestors(self, parent: Element | None) -> None:
         """Index keys of the ancestor chain.
 
@@ -177,18 +169,17 @@ class ColumnStore:
         equal what a from-scratch build over the final DOM produces.
         """
         problems: list[str] = []
-        with self.document._lock:
-            self._validate()
-            for (tag, steps), index in self._indexes.items():
-                cold_index = self._build_index(tag, steps)
-                if index.atoms_of != cold_index.atoms_of:
-                    problems.append(
-                        f"index {tag!r}/{_path_text(steps)} drifted "
-                        "from a cold rebuild (atoms)")
-                elif _bucket_ids(index) != _bucket_ids(cold_index):
-                    problems.append(
-                        f"index {tag!r}/{_path_text(steps)} drifted "
-                        "from a cold rebuild (buckets)")
+        self._validate()
+        for (tag, steps), index in self._indexes.items():
+            cold_index = self._build_index(tag, steps)
+            if index.atoms_of != cold_index.atoms_of:
+                problems.append(
+                    f"index {tag!r}/{_path_text(steps)} drifted "
+                    "from a cold rebuild (atoms)")
+            elif _bucket_ids(index) != _bucket_ids(cold_index):
+                problems.append(
+                    f"index {tag!r}/{_path_text(steps)} drifted "
+                    "from a cold rebuild (buckets)")
         return problems
 
 
@@ -209,13 +200,12 @@ def attach(document: Document) -> ColumnStore:
     (:meth:`ColumnStore.value_index`) and delta-maintained from then
     on by the store's mutation listener.
     """
-    with document._lock:
-        store = document.column_store
-        if isinstance(store, ColumnStore):
-            return store
-        store = ColumnStore(document)
-        document._mutation_listeners.append(store._on_mutation)
-        document.column_store = store
+    store = document.column_store
+    if isinstance(store, ColumnStore):
+        return store
+    store = ColumnStore(document)
+    document._mutation_listeners.append(store._on_mutation)
+    document.column_store = store
     return store
 
 

@@ -3,12 +3,11 @@
 The checkers in :mod:`repro.core` are correct for one caller at a
 time; this package makes them safe to share — and safe to kill:
 
-* :class:`ReadWriteLock` — writer-preferring reader–writer lock;
-* :class:`DocumentStore` — the document collection behind one lock;
-* :class:`CheckingService` — the façade serving updates (serialized)
-  and read-only checks (concurrent, on the live tree under the
-  store's read lock), with a commit log whose sequential replay
-  reproduces the store's exact state;
+* :class:`DocumentStore` — the document collection behind one mutex;
+* :class:`CheckingService` — the façade serving updates and read-only
+  checks one at a time on the live tree, under the store's mutex,
+  with a commit log whose sequential replay reproduces the store's
+  exact state;
 * :mod:`repro.service.persistence` — the durable form of that commit
   log: a write-ahead log fsync'd before each update commits, atomic
   snapshots, and restart-and-replay recovery
@@ -20,7 +19,6 @@ makes every update all-or-nothing, this is the robustness layer the
 scaling work (sharding, batching, async) builds on.
 """
 
-from repro.service.locks import ReadWriteLock
 from repro.service.persistence import (
     DurableLog,
     Snapshot,
@@ -36,7 +34,6 @@ from repro.service.store import (
 )
 
 __all__ = [
-    "ReadWriteLock",
     "CheckingService",
     "CommittedUpdate",
     "DocumentStore",

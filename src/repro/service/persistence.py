@@ -52,10 +52,6 @@ fault harness honest: the on-disk artifacts of the simulated crash
 (a torn half-record, a logged-but-unapplied record) survive exactly
 as they would a real kill, instead of being tidied up by the still-
 running process.
-
-Lock rank: the log's internal lock ranks ``service.persistence`` —
-below the store's reader–writer lock (appends happen under the writer
-lock) and above the evaluation caches, which it never touches.
 """
 
 from __future__ import annotations
@@ -63,11 +59,11 @@ from __future__ import annotations
 import json
 import os
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.concurrency import guarded_by, make_lock, requires_lock
 from repro.errors import RecoveryError
 from repro.testing.failpoints import fail
 
@@ -165,7 +161,6 @@ def _scan(data: bytes) -> tuple[list[WalRecord], int]:
     return records, offset
 
 
-@guarded_by("self._lock", "_file", "_records", "_next_seq", "_crashed")
 class DurableLog:
     """Append-only write-ahead commit log over one file.
 
@@ -174,15 +169,13 @@ class DurableLog:
     flushes it to the kernel and returns its sequence number, and
     :meth:`sync` fsyncs everything appended so far — the commit point,
     once per update or once per batch.  All file state is behind one
-    lock (rank ``service.persistence``), acquired *inside* the store's
-    writer lock by the durable commit path.
+    lock, so the log is safe to share between threads on its own.
     """
 
     def __init__(self, path: "str | Path", sync: bool = True) -> None:
         self.path = Path(path)
         self._sync = sync
-        self._lock = make_lock("service.persistence")
-        # construction: the log is not shared with any thread yet
+        self._lock = threading.Lock()
         self._file = open(self.path, "a+b")
         self._file.seek(0)
         records, valid_end = _scan(self._file.read())
@@ -297,7 +290,6 @@ class DurableLog:
 
     # -- internals ----------------------------------------------------------
 
-    @requires_lock("self._lock")
     def _require_alive(self) -> None:
         if self._crashed:
             raise RecoveryError(
@@ -309,7 +301,6 @@ class DurableLog:
                 f"write-ahead log {self.path} is closed",
                 code="recover.wal-dead")
 
-    @requires_lock("self._lock")
     def _mark_crashed_locked(self) -> None:
         self._crashed = True
         try:
@@ -317,7 +308,6 @@ class DurableLog:
         except OSError:  # pragma: no cover - flush of a dying handle
             pass
 
-    @requires_lock("self._lock")
     def _flush(self) -> None:
         self._file.flush()
         if self._sync:

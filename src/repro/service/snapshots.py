@@ -1,7 +1,7 @@
 """Name kept for ``benchmarks/e2e/``; the service publishes nothing.
 
 Every :class:`~repro.service.store.CheckingService` reads the live
-tree under its store's read lock, so no commit copies a document.
+tree under its store's mutex, so no commit copies a document.
 The benchmark still wraps :meth:`SnapshotManager.publish` in its
 tracer (``benchmarks/e2e/trace.py``) and sums
 ``stats()["cloned"]`` (``benchmarks/e2e/layers.py``); both read 0.

@@ -1,21 +1,21 @@
 """Thread-safe document collection and checking façade.
 
-:class:`DocumentStore` owns the documents and their reader–writer
-lock; :class:`CheckingService` composes a store with an
+:class:`DocumentStore` owns the documents and one mutex;
+:class:`CheckingService` composes a store with an
 :class:`~repro.core.guard.IntegrityGuard` and exposes the checker
-interface with the locking discipline applied:
+interface with every public call holding that mutex once.  Writers
+and readers alike run one at a time on the live tree, and the
+underlying :class:`~repro.xupdate.apply.TransactionLog` makes each
+update all-or-nothing, so a reader never observes a torn state.
 
-* writers (``try_execute`` / ``execute``) are serialized — at most one
-  update mutates the documents at a time, and the underlying
-  :class:`~repro.xupdate.apply.TransactionLog` guarantees each update
-  is all-or-nothing, so readers never observe a torn state;
-* readers (``verify_consistency``, ``snapshot``, ``explain``) run on
-  the live tree under the store's read lock, concurrently with each
-  other, and are excluded only while a writer holds the lock.
-
-There is one read mode: a commit costs the check, the write-ahead
-append (when durable), the apply and the delta-maintained column
-store — never a copy of the document.
+That is the whole concurrency story.  The documents, their column
+stores and the checker are not thread-safe on their own (a read
+fills lazy caches); the service is what makes them safe to share.
+Concurrent readers would buy nothing under the GIL, and the
+deployment that scales, ``repro serve``, runs single-threaded worker
+processes.  A commit costs the check, the write-ahead append (when
+durable), the apply and the delta-maintained column store — never a
+copy of the document.
 
 The service also keeps a *commit log* — the updates that were actually
 applied, in commit order — which makes the final state reproducible by
@@ -40,11 +40,12 @@ the checker.
 from __future__ import annotations
 
 import re
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from repro.analysis.concurrency import guarded_by, requires_lock
 from repro.core.guard import IntegrityGuard, UpdateDecision
 from repro.core.schema import ConstraintSchema
 from repro.errors import (
@@ -55,7 +56,6 @@ from repro.errors import (
     XMLParseError,
     XUpdateError,
 )
-from repro.service.locks import ReadWriteLock
 # compat for benchmarks/e2e (see self.snapshots); ROADMAP item 1
 from repro.service.snapshots import SnapshotManager
 from repro.service.persistence import (
@@ -74,9 +74,8 @@ from repro.xtree.serializer import serialize
 from repro.xupdate.parser import Operation, canonical_update_text
 
 
-@guarded_by("self.lock", "_documents")
 class DocumentStore:
-    """A collection of documents behind one reader–writer lock.
+    """A collection of documents behind one mutex.
 
     The store is the unit of consistency: one lock covers all the
     documents a constraint set spans, because a single update (or a
@@ -99,7 +98,7 @@ class DocumentStore:
             self.validate_uid(uid)
         self.uid = uid
         self._documents = list(documents)
-        self.lock = ReadWriteLock()
+        self.lock = threading.Lock()
 
     @staticmethod
     def validate_uid(uid: str) -> str:
@@ -121,30 +120,40 @@ class DocumentStore:
         return uid
 
     @property
-    @requires_lock("self.lock")
     def documents(self) -> list[Document]:
         """The live document list (shared with the checkers).
 
-        Callers must hold the appropriate side of :attr:`lock` while
-        touching the documents themselves.
+        Callers must hold :attr:`lock` while touching the documents
+        themselves.
         """
         return self._documents
 
-    @requires_lock("self.lock")
     def document(self, root_tag: str) -> Document:
         for document in self._documents:
             if document.root.tag == root_tag:
                 return document
         raise SchemaError(f"no document with root tag {root_tag!r}")
 
+    @contextmanager
+    def _locked(self, site: str) -> Iterator[None]:
+        with self.lock:
+            fail.point(site)
+            yield
+
     def read_locked(self):
-        return self.lock.read_locked()
+        """Hold the mutex for a read entry point.
+
+        The same mutex as :meth:`write_locked`; the two differ only in
+        the failpoint that fires once it is held.  Not reentrant.
+        """
+        return self._locked("service.locks.post_read_acquire")
 
     def write_locked(self):
-        return self.lock.write_locked()
+        """Hold the mutex for a write entry point (not reentrant)."""
+        return self._locked("service.locks.post_write_acquire")
 
     def snapshot(self) -> list[str]:
-        """Serialized form of every document, under the read lock."""
+        """Serialized form of every document, under the mutex."""
         with self.read_locked():
             return [serialize(document) for document in self._documents]
 
@@ -170,17 +179,14 @@ class RecoveryInfo:
     total_records: int
 
 
-@guarded_by("self.store.lock",
-            "_committed", "_pending_mark", "_last_snapshot_lsn",
-            "_in_batch")
 class CheckingService:
     """Thread-safe façade over the run-time checker.
 
-    Wraps an :class:`IntegrityGuard` and a :class:`DocumentStore`,
-    serializing writers while letting read-only checks run
-    concurrently.  All consistency guarantees of the
-    underlying checker — illegal updates never applied, failed updates
-    fully rolled back — therefore hold under concurrent callers too.
+    Wraps an :class:`IntegrityGuard` and a :class:`DocumentStore`; every
+    public call holds the store's mutex once, so callers are served
+    one at a time.  All consistency guarantees of the underlying
+    checker — illegal updates never applied, failed updates fully
+    rolled back — therefore hold under concurrent callers too.
     """
 
     def __init__(self, schema: ConstraintSchema,
@@ -192,15 +198,15 @@ class CheckingService:
         if snapshot_reads:
             raise ValueError(
                 "snapshot reads were removed: every service reads the "
-                "live tree under the store's read lock")
+                "live tree under the store's mutex")
         # compat for benchmarks/e2e/trace.py and layers.py (always 0
         # clones); ROADMAP item 1 deletes it with the same two rows
         self.snapshots = SnapshotManager()
         if isinstance(documents, DocumentStore):
             # the store may already be shared with running threads, and
             # the guard walks the document list (root-tag routing,
-            # column-store attachment) — hold the read lock for the
-            # whole walk, not just the property access
+            # column-store attachment) — hold the mutex for the whole
+            # walk, not just the property access
             self.store = documents
             with self.store.read_locked():
                 self.checker = IntegrityGuard(
@@ -208,8 +214,7 @@ class CheckingService:
         else:
             self.store = DocumentStore(documents)
             # construction: the fresh store is not shared yet
-            self.checker = IntegrityGuard(
-                schema, self.store.documents)  # lock: ignore
+            self.checker = IntegrityGuard(schema, self.store.documents)
         self._committed: list[CommittedUpdate] = []
         self._durable: "DurableLog | None" = None
         self._state_dir: "Path | None" = None
@@ -318,7 +323,7 @@ class CheckingService:
                 # log as history, not the checker
                 # construction: the service is not shared with any
                 # thread yet
-                service._committed.append(CommittedUpdate(  # lock: ignore
+                service._committed.append(CommittedUpdate(
                     record.seq, record.text,
                     UpdateDecision(True, applied=True)))
                 continue
@@ -354,7 +359,7 @@ class CheckingService:
         self._durable = wal
         self._durable_sync = sync
         self._snapshot_interval = max(1, snapshot_interval)
-        self._last_snapshot_lsn = last_snapshot_lsn  # lock: ignore
+        self._last_snapshot_lsn = last_snapshot_lsn
 
     @property
     def durable(self) -> bool:
@@ -371,7 +376,6 @@ class CheckingService:
         """
         return self._durable is not None and self._durable.crashed
 
-    @requires_lock("self.store.lock")
     def _pre_commit(self, update: "str | Operation",
                     decision: UpdateDecision) -> None:
         """The commit-log append (the checker's pre-commit hook).
@@ -406,7 +410,6 @@ class CheckingService:
         self._committed.append(
             CommittedUpdate(seq, update, decision))
 
-    @requires_lock("self.store.lock")
     def _abort_commit(self, update: "str | Operation") -> None:
         """Reconcile the logs with an update that aborted post-append.
 
@@ -425,7 +428,6 @@ class CheckingService:
             wal.truncate_to_seq(seq)
         del self._committed[committed_length:]
 
-    @requires_lock("self.store.lock")
     def _check_batch_locked(
             self,
             updates: "list[str | Operation]") -> list[UpdateDecision]:
@@ -451,7 +453,6 @@ class CheckingService:
                     and not wal.crashed:
                 wal.sync()
 
-    @requires_lock("self.store.lock")
     def _maybe_snapshot(self) -> None:
         wal = self._durable
         if wal is None or wal.crashed:
@@ -460,9 +461,8 @@ class CheckingService:
                 >= self._snapshot_interval:
             self._checkpoint_locked()
 
-    @requires_lock("self.store.lock")
     def _checkpoint_locked(self) -> None:
-        """Install a snapshot of the current state (writer lock held).
+        """Install a snapshot of the current state (mutex held).
 
         A fault at the rename seam is a simulated kill: the log is
         marked crashed so the frozen process cannot diverge from the
@@ -512,8 +512,8 @@ class CheckingService:
     def try_execute(self, update: "str | Operation") -> UpdateDecision:
         """Check and (when legal) apply one update, exclusively.
 
-        Exactly :meth:`IntegrityGuard.try_execute` under the writer
-        lock; the pre-commit hook appends an applied update to the
+        Exactly :meth:`IntegrityGuard.try_execute` under the mutex; the
+        pre-commit hook appends an applied update to the
         commit log.
         """
         with self.store.write_locked():
@@ -532,10 +532,10 @@ class CheckingService:
     def check_batch(
             self,
             updates: "list[str | Operation]") -> list[UpdateDecision]:
-        """Check and apply a batch of updates under one lock round.
+        """Check and apply a batch of updates under one mutex round.
 
-        The checker's :meth:`try_execute` loop with the writer lock
-        acquired *once* for the whole batch; applied updates enter the
+        The checker's :meth:`try_execute` loop with the mutex acquired
+        *once* for the whole batch; applied updates enter the
         commit log in batch order.
         Decisions match the sequential :meth:`try_execute` loop update
         for update.  A durable service fsyncs its write-ahead log once
@@ -549,21 +549,21 @@ class CheckingService:
     # -- readers -------------------------------------------------------------
 
     def verify_consistency(self) -> list[str]:
-        """Full constraint check against the live tree (read lock)."""
+        """Full constraint check against the live tree (under the mutex)."""
         with self.store.read_locked():
             return self.checker.verify_consistency()
 
     def snapshot(self) -> list[str]:
-        """Serialized documents, concurrent with other readers."""
+        """Serialized documents, under the mutex."""
         return self.store.snapshot()
 
     def explain(self) -> list[str]:
         """Planner explain reports for every live full check.
 
-        Runs under the read lock like any other read: a slow explain
-        (it profiles real evaluations, see
-        :func:`repro.xquery.planner.explain_query`) holds writers off
-        for its duration, never other readers.
+        Runs under the mutex like any other call: a slow explain (it
+        profiles real evaluations, see
+        :func:`repro.xquery.planner.explain_query`) holds every other
+        caller off for its duration.
         """
         from repro.xquery import planner
 
@@ -592,7 +592,7 @@ class CheckingService:
     def subscribe(self, listener) -> None:
         """Register a listener on the underlying checker.
 
-        Listeners run inside the writer-locked, transactional scope: a
+        Listeners run inside the mutex-held, transactional scope: a
         listener that raises rolls the update back.
         """
         self.checker.subscribe(listener)

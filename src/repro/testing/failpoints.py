@@ -60,8 +60,6 @@ from contextlib import contextmanager
 from fnmatch import fnmatchcase
 from typing import Iterator
 
-from repro.analysis.concurrency import guarded_by, make_lock
-
 __all__ = [
     "FailPointError",
     "FailPointRegistry",
@@ -117,11 +115,11 @@ SITES: dict[str, str] = {
         "consistency check — the update's transaction log must roll "
         "the probe back",
     "service.locks.post_read_acquire":
-        "ReadWriteLock.read_locked, after acquisition — the reader "
-        "dies while holding the lock",
+        "CheckingService read entry point, after the store mutex is "
+        "acquired — the reader dies while holding it",
     "service.locks.post_write_acquire":
-        "ReadWriteLock.write_locked, after acquisition — the writer "
-        "dies while holding the lock",
+        "CheckingService write entry point, after the store mutex is "
+        "acquired — the writer dies while holding it",
     "service.store.pre_commit_append":
         "CheckingService pre-commit hook, after the update is applied "
         "(and, when durable, written ahead) and before the commit-log "
@@ -326,7 +324,6 @@ def parse_schedule(spec: "dict[str, str | Trigger] | str",
     return entries
 
 
-@guarded_by("self._registry_lock", "_armed")
 class FailPointRegistry:
     """Process-global registry of armed failpoints.
 
@@ -342,7 +339,7 @@ class FailPointRegistry:
         #: is atomic, and an unarmed registry is an *empty* dict —
         #: the advertised single-lookup fast path.
         self._armed: dict[str, _ArmedSite] = {}
-        self._registry_lock = make_lock("testing.failpoints")
+        self._registry_lock = threading.Lock()
 
     def point(self, site: str) -> None:
         """Fault-injection site: no-op unless ``site`` is armed.
@@ -350,7 +347,7 @@ class FailPointRegistry:
         The unlocked read is the documented benign fast path — see the
         ``_armed`` comment in :meth:`__init__`.
         """
-        armed = self._armed.get(site)  # lock: ignore
+        armed = self._armed.get(site)
         if armed is None:
             return
         self._hit(armed)

@@ -13,8 +13,8 @@ column stores' :class:`~repro.relational.columns.PathIndex`:
   tag, tag) child counts and distinct-value counts served by the
   incremental tag index (:meth:`repro.xtree.node.Document.tag_count`
   / :meth:`~repro.xtree.node.Document.child_count` /
-  :meth:`~repro.xtree.node.Document.tag_distinct_count`, maintained
-  under the per-document lock) — exact counts of the state the plan
+  :meth:`~repro.xtree.node.Document.tag_distinct_count`) — exact
+  counts of the state the plan
   is compiled on;
 * **planning** — independent quantifier bindings are reordered
   greedily by estimated cardinality x selectivity (hash-joinable
@@ -147,12 +147,8 @@ without_columns = unplanned
 # ---------------------------------------------------------------------------
 
 class Statistics:
-    """Cardinality/selectivity estimates over a document collection.
-
-    Reads go through the per-document lock-protected tag index, so a
-    refresh taken while a writer thread is mid-update still observes
-    internally consistent buckets.
-    """
+    """Cardinality/selectivity estimates over a document collection,
+    read from each document's incremental tag index."""
 
     __slots__ = ("documents", "_children", "_key_distinct")
 

@@ -17,12 +17,6 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.analysis.concurrency import (
-    guarded_by,
-    make_rlock,
-    requires_lock,
-)
-
 
 class Node:
     """Common behaviour of element and text nodes."""
@@ -265,8 +259,6 @@ class Element(Node):
         return f"Element({self.tag!r}, id={self.node_id})"
 
 
-@guarded_by("self._lock", "_next_id", "_nodes_by_id", "_elements_by_tag",
-            "_tag_order_cache", "_mutation_listeners")
 class Document:
     """An XML document: a root element plus the node-identity machinery.
 
@@ -279,23 +271,21 @@ class Document:
     every adopt/orphan keeps a per-tag bucket of attached elements, and
     query engines use the buckets to answer ``//tag`` steps without
     walking the tree.
+
+    A document is not thread-safe on its own: even a read fills the
+    lazy document-order cache.  Callers that share one across threads
+    serialize every access, as :class:`repro.service.CheckingService`
+    does with its store's mutex.
     """
 
     __slots__ = ("root", "_next_id", "_nodes_by_id", "revision",
                  "_elements_by_tag", "_tag_order_cache",
-                 "_lock", "_mutation_listeners",
+                 "_mutation_listeners",
                  "column_store", "__weakref__")
 
     def __init__(self, root: Element) -> None:
         if root.parent is not None:
             raise ValueError("document root must be detached")
-        #: guards the id counter and the tag index.  Structural
-        #: mutations (adopt/orphan) must be serialized externally (e.g.
-        #: the DocumentStore writer lock); this lock only makes the
-        #: *derived* index state — lazy document-order fills — safe for
-        #: concurrent readers.  Reentrant: adopt() allocates ids under
-        #: the lock.
-        self._lock = make_rlock("document")
         self.root = root
         self._next_id = 1
         self._nodes_by_id: dict[int, Node] = {}
@@ -307,8 +297,8 @@ class Document:
         #: tag → document-ordered element list, dropped whenever an
         #: element of the tag is attached or detached
         self._tag_order_cache: dict[str, list[Element]] = {}
-        #: callables ``(kind, node, parent)`` invoked (under the lock,
-        #: after index bookkeeping) for every adopt/orphan.  Listeners
+        #: callables ``(kind, node, parent)`` invoked (after index
+        #: bookkeeping) for every adopt/orphan.  Listeners
         #: must never raise: they run inside structural mutation, where
         #: an escaping error would tear the mutation itself.  The
         #: column store's listener swallows its own failures and falls
@@ -323,11 +313,6 @@ class Document:
 
     def adopt(self, node: Node) -> None:
         """Register ``node`` and its subtree, assigning missing ids."""
-        with self._lock:
-            self._adopt_locked(node)
-
-    @requires_lock("self._lock")
-    def _adopt_locked(self, node: Node) -> None:
         self.revision += 1
         stack = [node]
         while stack:
@@ -354,12 +339,6 @@ class Document:
         pass it so mutation listeners can still see where the change
         happened.
         """
-        with self._lock:
-            self._orphan_locked(node, parent)
-
-    @requires_lock("self._lock")
-    def _orphan_locked(self, node: Node,
-                       parent: "Element | None" = None) -> None:
         self.revision += 1
         if parent is None:
             parent = node.parent
@@ -381,7 +360,6 @@ class Document:
 
     # -- element-by-tag index ------------------------------------------------
 
-    @requires_lock("self._lock")
     def _index_element(self, element: Element) -> None:
         assert element.node_id is not None
         self._elements_by_tag.setdefault(
@@ -397,44 +375,35 @@ class Document:
         updates cost a dictionary lookup.  Mutating the returned list
         is not allowed.
         """
-        with self._lock:
-            cached = self._tag_order_cache.get(tag)
-            if cached is not None:
-                return cached
-            bucket = self._elements_by_tag.get(tag)
-            if not bucket:
-                elements: list[Element] = []
-            else:
-                elements = sorted(bucket.values(),
-                                  key=_document_order_key)
-            self._tag_order_cache[tag] = elements
-            return elements
+        cached = self._tag_order_cache.get(tag)
+        if cached is not None:
+            return cached
+        bucket = self._elements_by_tag.get(tag)
+        if not bucket:
+            elements: list[Element] = []
+        else:
+            elements = sorted(bucket.values(), key=_document_order_key)
+        self._tag_order_cache[tag] = elements
+        return elements
 
     # -- planner statistics --------------------------------------------------
 
     def tag_count(self, tag: str) -> int:
-        """Number of currently attached elements with ``tag``.
-
-        Served from the incremental tag index under the document lock,
-        so a planner statistics refresh can never observe a bucket that
-        a concurrent index maintenance step is mid-way through filling.
-        """
-        with self._lock:
-            bucket = self._elements_by_tag.get(tag)
-            return len(bucket) if bucket else 0
+        """Number of currently attached elements with ``tag``."""
+        bucket = self._elements_by_tag.get(tag)
+        return len(bucket) if bucket else 0
 
     def tag_distinct_count(self, tag: str) -> int:
         """Distinct direct-text values among elements with ``tag``.
 
         The planner's stand-in for a value-index histogram: the
         selectivity of an equality on ``tag``'s text is estimated as
-        ``1 / tag_distinct_count(tag)``.  Counted under the
-        per-document lock when a check is planned, which happens once
-        per size class, so nothing is cached.
+        ``1 / tag_distinct_count(tag)``.  Counted when a check is
+        planned, which happens once per size class, so nothing is
+        cached.
         """
-        with self._lock:
-            bucket = self._elements_by_tag.get(tag, {})
-            return len({element.text() for element in bucket.values()})
+        bucket = self._elements_by_tag.get(tag, {})
+        return len({element.text() for element in bucket.values()})
 
     def child_count(self, parent_tag: str, tag: str) -> int:
         """Attached ``tag`` elements whose parent is a ``parent_tag``.
@@ -444,44 +413,34 @@ class Document:
         tag_count(parent_tag)`` elements on average, where
         ``tag_count(tag) / tag_count(parent_tag)`` would pool every
         ``tag`` of the document (``name`` under ``rev``, ``auts`` and
-        ``aut`` alike).  Counted under the per-document lock when a
-        check is planned, like :meth:`tag_distinct_count`.
+        ``aut`` alike).  Counted when a check is planned, like
+        :meth:`tag_distinct_count`.
         """
-        with self._lock:
-            bucket = self._elements_by_tag.get(tag, {})
-            return sum(1 for element in bucket.values()
-                       if element.parent is not None
-                       and element.parent.tag == parent_tag)
+        bucket = self._elements_by_tag.get(tag, {})
+        return sum(1 for element in bucket.values()
+                   if element.parent is not None
+                   and element.parent.tag == parent_tag)
 
     def element_count(self) -> int:
         """Total number of currently attached elements."""
-        with self._lock:
-            return sum(len(bucket)
-                       for bucket in self._elements_by_tag.values())
+        return sum(len(bucket) for bucket in self._elements_by_tag.values())
 
     def allocate_id(self) -> int:
         """Return a fresh node identifier (never used in this document)."""
-        with self._lock:
-            node_id = self._next_id
-            self._next_id += 1
-            return node_id
+        node_id = self._next_id
+        self._next_id += 1
+        return node_id
 
     def node_by_id(self, node_id: int) -> Node | None:
-        """Look up a currently attached node by identifier.
-
-        Deliberately lock-free: a single dict read is atomic under the
-        GIL, and callers only probe ids they obtained from a consistent
-        snapshot — at worst a concurrently detached node reads as
-        ``None``, which is the correct answer for it.
-        """
-        return self._nodes_by_id.get(node_id)  # lock: ignore
+        """Look up a currently attached node by identifier."""
+        return self._nodes_by_id.get(node_id)
 
     def iter_elements(self, tag: str | None = None) -> Iterator[Element]:
         """Yield all elements of the document in document order."""
         return self.root.iter_elements(tag)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        nodes = len(self._nodes_by_id)  # lock: ignore
+        nodes = len(self._nodes_by_id)
         return f"Document(root={self.root.tag!r}, nodes={nodes})"
 
 

@@ -112,16 +112,3 @@ def small_corpus():
 @pytest.fixture()
 def rng():
     return random.Random(20060328)
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _no_lock_order_violations():
-    """When the run is sanitizer-armed (``REPRO_LOCK_SANITIZER=1`` on
-    the stress/faultcheck CI legs), the whole session must end with
-    zero recorded ordering violations.  Tests that provoke violations
-    on purpose clear them before returning."""
-    yield
-    from repro.analysis.concurrency import sanitizer
-    leftover = sanitizer.violations()
-    assert not leftover, "lock ordering violations leaked:\n" + \
-        "\n".join(violation.render() for violation in leftover)

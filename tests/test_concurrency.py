@@ -11,8 +11,8 @@ assertions are the service's whole contract:
 * the final store equals a *sequential oracle replay* of the commit
   log on fresh documents — concurrency changed nothing but the order.
 
-Readers run on the live tree under the store's read lock; there is no
-other read path.
+Readers and writers alike run on the live tree under the store's one
+mutex; there is no other read path.
 
 Sized by ``REPRO_STRESS_THREADS`` × ``REPRO_STRESS_OPS`` (default
 8 × 200, the ``make stress`` configuration).
@@ -29,7 +29,7 @@ import pytest
 from repro.core import IntegrityGuard
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.errors import UpdateApplicationError
-from repro.service import CheckingService, ReadWriteLock
+from repro.service import CheckingService
 from repro.testing.failpoints import FailPointError, fail
 from repro.xtree import parse_document, serialize
 from tests.conftest import PUB_XML, REV_XML
@@ -45,89 +45,6 @@ def schema():
 
 def fresh_documents():
     return [parse_document(PUB_XML), parse_document(REV_XML)]
-
-
-class TestReadWriteLock:
-    def test_readers_run_concurrently(self):
-        lock = ReadWriteLock()
-        inside = threading.Barrier(2, timeout=5)
-
-        def reader():
-            with lock.read_locked():
-                # both readers must be inside the lock at once to
-                # release the barrier; a serializing lock would block
-                inside.wait()
-
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert not any(thread.is_alive() for thread in threads)
-
-    def test_writer_excludes_readers(self):
-        lock = ReadWriteLock()
-        observed: list[str] = []
-        writer_in = threading.Event()
-
-        def writer():
-            with lock.write_locked():
-                writer_in.set()
-                time.sleep(0.05)
-                observed.append("write-done")
-
-        def reader():
-            writer_in.wait(timeout=5)
-            with lock.read_locked():
-                observed.append("read")
-
-        threads = [threading.Thread(target=writer),
-                   threading.Thread(target=reader)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        assert observed == ["write-done", "read"]
-
-    def test_waiting_writer_blocks_new_readers(self):
-        lock = ReadWriteLock()
-        order: list[str] = []
-        first_reader_in = threading.Event()
-        writer_waiting = threading.Event()
-
-        def first_reader():
-            with lock.read_locked():
-                first_reader_in.set()
-                writer_waiting.wait(timeout=5)
-                time.sleep(0.05)
-                order.append("reader1")
-
-        def writer():
-            first_reader_in.wait(timeout=5)
-            writer_waiting.set()
-            with lock.write_locked():
-                order.append("writer")
-
-        def late_reader():
-            writer_waiting.wait(timeout=5)
-            time.sleep(0.01)  # give the writer time to start waiting
-            with lock.read_locked():
-                order.append("reader2")
-
-        threads = [threading.Thread(target=t)
-                   for t in (first_reader, writer, late_reader)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=5)
-        # the late reader arrived while the writer was waiting, so the
-        # writer (preference) goes first
-        assert order.index("writer") < order.index("reader2")
-
-    def test_unbalanced_release_rejected(self):
-        lock = ReadWriteLock()
-        with pytest.raises(RuntimeError):
-            lock.release_write()
 
 
 class TestCheckingService:
@@ -188,8 +105,45 @@ class TestCheckingService:
             service.try_execute(submission_xupdate(1, 1, "T", "A"))
         assert service.snapshot() == before
         assert service.committed_updates() == []
-        # the writer lock must have been released despite the exception
+        # the mutex must have been released despite the exception
         assert service.verify_consistency() == []
+
+    def test_writer_excludes_readers(self, schema):
+        """A read waits for the writer: while a listener blocks inside
+        ``try_execute``, a concurrent ``verify_consistency`` does not
+        return, and it returns once the listener is released."""
+        service = CheckingService(schema, fresh_documents())
+        writer_in = threading.Event()
+        release = threading.Event()
+        order: list[str] = []
+
+        def listener(update, decision):
+            writer_in.set()
+            release.wait(timeout=5)
+            order.append("write-done")
+
+        service.subscribe(listener)
+        writer = threading.Thread(target=service.try_execute, args=(
+            submission_xupdate(1, 1, "T", "A"),))
+        writer.start()
+        assert writer_in.wait(timeout=5)
+        reads: list[list[str]] = []
+
+        def reader():
+            reads.append(service.verify_consistency())
+            order.append("read")
+
+        reader_thread = threading.Thread(target=reader)
+        reader_thread.start()
+        reader_thread.join(timeout=0.2)
+        assert reader_thread.is_alive() and order == [], \
+            "a read returned while the writer held the mutex"
+        release.set()
+        writer.join(timeout=5)
+        reader_thread.join(timeout=5)
+        assert order == ["write-done", "read"]
+        assert reads == [[]]
+        assert len(service.committed_updates()) == 1
 
     def test_writer_fault_leaves_later_reads_correct(self, schema):
         service = CheckingService(schema, fresh_documents())

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.core import BruteForceChecker, DatalogChecker, IntegrityGuard
-from repro.datagen.running_example import submission_xupdate
+from repro.datagen.running_example import (
+    REV_DTD,
+    make_schema,
+    submission_xupdate,
+)
 from repro.datagen.workload import illegal_submission, legal_submission
-from repro.errors import IntegrityViolationError
-from repro.xtree import parse_document, serialize
+from repro.errors import IntegrityViolationError, ValidationError
+from repro.xtree import parse_document, parse_dtd, serialize
+from repro.xtree.dtd import validate
 
 
 class TestConstraintSchema:
@@ -244,3 +249,41 @@ class TestDatalogChecker:
         assert checker.check_denials(conflict.simplified, bindings)
         bindings["n"] = "Unrelated Person"
         assert not checker.check_denials(conflict.simplified, bindings)
+
+
+class TestDTDValidityOnRunTimePath:
+    """An accepted update must leave every document DTD-valid.
+
+    The guard skips denials the linter proved dead because documents
+    are DTD-valid by contract, but nothing on the run-time path
+    enforces that contract: an unregistered append of a ``sub`` with
+    no ``auts`` goes through the probe (``legal=True,
+    optimized=False``) and leaves ``rev`` violating ``(title, auts+)``.
+    ROADMAP.md's "DTD validity through the paper's own pipeline" closes
+    the hole; this strict xfail flips when it does.
+    """
+
+    @pytest.mark.xfail(
+        strict=True, raises=ValidationError,
+        reason="the guard does not enforce DTD validity on accepted "
+               "updates (ROADMAP.md: DTD validity through the paper's "
+               "own pipeline)")
+    def test_accepted_append_keeps_rev_dtd_valid(self):
+        pub = parse_document(
+            "<dblp><pub><title>t</title><aut><name>X</name></aut>"
+            "</pub></dblp>")
+        rev = parse_document(
+            "<review><track><name>DB</name><rev><name>R</name><sub>"
+            "<title>a</title><auts><name>Y</name></auts></sub></rev>"
+            "</track></review>")
+        guard = IntegrityGuard(make_schema(), [pub, rev])
+        decision = guard.try_execute(
+            '<xupdate:modifications version="1.0" '
+            'xmlns:xupdate="http://www.xmldb.org/xupdate">'
+            '<xupdate:append select="/review/track[1]/rev[1]">'
+            '<xupdate:element name="sub"><title>b</title>'
+            '</xupdate:element></xupdate:append>'
+            '</xupdate:modifications>')
+        if decision.legal:
+            assert decision.applied and not decision.optimized
+            validate(rev, parse_dtd(REV_DTD))

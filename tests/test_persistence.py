@@ -427,7 +427,7 @@ class TestSharedStoreLocking:
     def test_construction_waits_for_writer(
             self, constraint_schema, documents):
         """Satellite 2: handing a *shared* DocumentStore to the
-        constructor takes the read lock for the checker-factory walk,
+        constructor takes the store's mutex for the checker-factory walk,
         so a concurrent writer blocks it instead of racing it."""
         store = DocumentStore(documents)
         built = threading.Event()
@@ -676,8 +676,8 @@ class TestLockedDurableReads:
             if rng.random() < 0.5:
                 # a second author: no registered pattern matches, so the
                 # guard applies, checks in full and rolls back illegal
-                # ones inside the writer lock — a reader that slipped
-                # past the lock would see them
+                # ones inside the store mutex — a reader that slipped
+                # past the mutex would see them
                 update = update.replace(
                     "</auts>", f"</auts><auts><name>Co {index}</name>"
                     "</auts>", 1)

@@ -22,7 +22,7 @@ from repro.datagen import CorpusSpec, generate_corpus
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.datagen.workload import legal_submission
 from repro.relational.incremental import attach, store_of
-from repro.service.store import CheckingService
+from repro.service.store import CheckingService, DocumentStore
 from repro.testing.failpoints import FailPointError, fail
 from repro.xquery import parse_query
 from repro.xquery.engine import query_truth
@@ -400,12 +400,14 @@ class TestStatistics:
 
 
 class TestStatisticsRace:
-    """Satellite: a statistics refresh must not race a writer.
+    """A statistics refresh must not race a writer.
 
     Reader threads hammer the per-tag statistics (counts and distinct
     counts) while a writer applies real updates through the tag index.
-    Every read must observe an internally consistent bucket — no
-    exceptions, no impossible values.
+    A document takes no lock of its own; the store mutex the service
+    holds around every call is what serializes them, so both sides
+    hold it here.  Every read must observe an internally consistent
+    bucket — no exceptions, no impossible values.
     """
 
     def test_stats_reads_race_concurrent_writer(self):
@@ -415,21 +417,22 @@ class TestStatisticsRace:
         operations = [
             parse_modifications(legal_submission(rev_doc, rng))[0]
             for _ in range(40)]
+        store = DocumentStore(documents)
         errors: list[BaseException] = []
         stop = threading.Event()
 
         def reader():
             try:
                 while not stop.is_set():
-                    assert rev_doc.tag_count("name") > 0
-                    assert rev_doc.tag_distinct_count("name") > 0
-                    # the writer only adds elements, so a distinct count
-                    # read before the count can never exceed it
-                    for tag in ("rev", "sub", "name"):
-                        unique = rev_doc.tag_distinct_count(tag)
-                        assert 0 <= unique <= rev_doc.tag_count(tag), tag
-                    stats = Statistics(tuple(documents))
-                    assert stats.count("sub") >= 0
+                    with store.read_locked():
+                        assert rev_doc.tag_count("name") > 0
+                        assert rev_doc.tag_distinct_count("name") > 0
+                        for tag in ("rev", "sub", "name"):
+                            unique = rev_doc.tag_distinct_count(tag)
+                            assert 0 <= unique <= rev_doc.tag_count(tag), \
+                                tag
+                        stats = Statistics(tuple(documents))
+                        assert stats.count("sub") >= 0
             except BaseException as error:  # noqa: BLE001
                 errors.append(error)
 
@@ -438,7 +441,8 @@ class TestStatisticsRace:
             thread.start()
         try:
             for operation in operations:
-                apply_operation(rev_doc, operation)
+                with store.write_locked():
+                    apply_operation(rev_doc, operation)
         finally:
             stop.set()
             for thread in readers:

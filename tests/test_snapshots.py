@@ -1,9 +1,9 @@
-"""Service reads: what ``snapshot()`` and the read-locked live tree show.
+"""Service reads: what ``snapshot()`` and the locked live tree show.
 
 The checking service has one read path: :meth:`CheckingService.snapshot`,
 :meth:`CheckingService.verify_consistency` and
 :meth:`CheckingService.explain` all read the live documents under the
-store's read lock.  These tests hold that path to a sequential oracle,
+store's mutex.  These tests hold that path to a sequential oracle,
 to a free-standing full check of the schema, and keep the
 ``snapshot_reads=False`` construction the benchmark uses working.
 """
