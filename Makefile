@@ -90,11 +90,12 @@ serve-check:
 		tests/test_service_net.py -q $(SERVE_TIMEOUT)
 
 examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/publication_registry.py
-	$(PYTHON) examples/workload_policies.py
-	$(PYTHON) examples/referential_integrity.py
-	$(PYTHON) examples/conference_reviews.py 64
+	export PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH}; \
+		$(PYTHON) examples/quickstart.py && \
+		$(PYTHON) examples/publication_registry.py && \
+		$(PYTHON) examples/workload_policies.py && \
+		$(PYTHON) examples/referential_integrity.py && \
+		$(PYTHON) examples/conference_reviews.py 64
 
 clean:
 	rm -rf build dist *.egg-info .pytest_cache .benchmarks

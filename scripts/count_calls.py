@@ -7,15 +7,19 @@ group, built the way the benchmark's correctness oracle builds it
 (``benchmarks/e2e/oracle.py``).  Every op reaches the service: an
 ``/update`` is ``try_execute``, a ``/check_batch`` is ``check_batch``,
 a ``/check`` is ``verify_consistency`` and a ``/read`` is
-``snapshot``.  Before the first cycle (after every group's documents
-are loaded) each target is wrapped with a call counter; the script
+``snapshot``.  Each target is wrapped with a call counter before the
+services are built, and the counts are zeroed after every group's
+documents are loaded, so they cover the cycles alone; the script
 prints one JSON object with the count of every target.
 
 A target is ``module:Qualified.name``: a module-level function or an
 instance method of a module-level class.  The counter replaces the
 attribute where it is defined, so a caller that imported a function by
-name (``from m import f``) before the wrapping is not counted; methods
-are always counted.
+name (``from m import f``) before the wrapping is not counted.  Methods
+are counted, bound methods a service stores while it is built too
+(the column store's mutation listener,
+``repro.relational.incremental:ColumnStore._on_mutation``); a method
+bound before the services are built would not be.
 
 ``benchmarks/e2e/`` is imported read-only, so corpora, update texts
 and seed are exactly the benchmark's.
@@ -75,12 +79,13 @@ def replay(workload_name: str, cycle_count: int,
     workload = WORKLOADS[workload_name]
     inputs = make_inputs(workload, SEED)
     schema = inputs.config.build_schema()
-    services = {uid: CheckingService(
-        schema, inputs.config.initial_documents())
-        for uid in workload.uids()}
     counts: "dict[str, int]" = {}
     for target in targets:
         install_counter(target, counts)
+    services = {uid: CheckingService(
+        schema, inputs.config.initial_documents())
+        for uid in workload.uids()}
+    counts.update(dict.fromkeys(counts, 0))
     stream = cycles(workload, inputs, SEED)
     for _ in range(cycle_count):
         for op in next(stream):

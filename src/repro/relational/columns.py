@@ -29,16 +29,21 @@ shape the planner's ``_downpath_steps`` produces."""
 
 
 def chain_reaches(steps: Downpath, chain: tuple[str, ...]) -> bool:
-    """Whether a mutation below ``chain`` can change ``steps``' result.
+    """Whether a mutation at the end of ``chain`` can change ``steps``'
+    result.
 
     ``chain`` is the tag path from the element owning ``steps`` down to
-    (and including) the mutation parent, exclusive of the owner itself:
-    a mutation among the owner's direct children has ``chain == ()``.
+    (and including) the mutated element, exclusive of the owner itself:
+    an element adopted or orphaned among the owner's direct children
+    has ``chain == (its tag,)``.  A text node adds no entry, so text
+    among the owner's children has ``chain == ()``.
     The downpath only sees nodes whose ancestor-tag prefix matches its
     child steps, so a chain the steps cannot spell is unreachable and
-    the owner's value is untouched.  A chain that spells *all* of the
-    steps mutates inside the elements the last step selects, whose
-    string value is the key — it reaches too.
+    the owner's value is untouched: a ``sub`` added under a ``rev``
+    (``("rev", "sub")``) cannot change a ``track``'s
+    ``rev/name/text()``.  A chain that spells *all* of the steps
+    mutates inside the elements the last step selects, whose string
+    value is the key — it reaches too.
     """
     for (axis, nodetest), tag in zip(steps, chain):
         if axis != "child" or nodetest == "text()" or nodetest != tag:

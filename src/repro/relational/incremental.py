@@ -6,8 +6,8 @@ consistent while updates are applied.  It registers a mutation
 listener with the document and patches the materialized indexes from
 each adopt/orphan delta — the inserted or removed subtree's elements
 are added or discarded, and the keys of the ancestors whose downpath
-the mutation can reach are recomputed — instead of rebuilding them per
-check.
+can see the mutated node are recomputed — instead of rebuilding them
+per check.
 
 Crash consistency follows a *write-ahead invalidation* protocol: the
 listener first marks the store dirty (``_synced_revision = None``),
@@ -132,24 +132,30 @@ class ColumnStore:
                         index.add(element)
                     else:
                         index.discard(element)
-        self._refresh_ancestors(parent)
+        self._refresh_ancestors(node, parent)
 
     def _indexes_for(self, tag: str) -> "list[PathIndex]":
         return [index for (index_tag, _), index in self._indexes.items()
                 if index_tag == tag]
 
-    def _refresh_ancestors(self, parent: Element | None) -> None:
-        """Index keys of the ancestor chain.
+    def _refresh_ancestors(self, node: Node,
+                           parent: Element | None) -> None:
+        """Index keys of the ancestor chain of one adopted/orphaned node.
 
         An inserted/removed subtree (or text node) can change the
         downpath keys of ancestors — but only of ancestors whose tag
-        chain down to the mutation parent spells a prefix of the
+        chain down to the mutated element spells a prefix of the
         index's downpath
-        (:func:`~repro.relational.columns.chain_reaches`).  Everything
-        else is skipped: an inserted ``sub`` subtree cannot change a
-        ``track``'s ``name/text()`` keys.
+        (:func:`~repro.relational.columns.chain_reaches`).  The chain
+        starts with ``node``'s own tag when it is an element; a text
+        node adds nothing, since any ``text()`` step may select it.
+        Everything else is skipped: a ``sub`` inserted under a ``rev``
+        spells ``rev/sub`` at the ``track``, which its
+        ``rev/name/text()`` keys cannot see, so the write rekeys
+        nothing there.
         """
-        chain: tuple[str, ...] = ()
+        chain: tuple[str, ...] = \
+            (node.tag,) if isinstance(node, Element) else ()
         current = parent
         while current is not None:
             for index in self._indexes_for(current.tag):

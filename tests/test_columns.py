@@ -10,9 +10,12 @@ differentials):
   :func:`~repro.relational.columns.chain_reaches` reachability filter;
 * :class:`~repro.relational.incremental.ColumnStore` delta
   maintenance under a seeded mixed update workload (the faultcheck
-  harness's step vocabulary), asserting after every step that the
-  incrementally-patched indexes equal a cold rebuild over the live
-  documents;
+  harness's step vocabulary) and under random element/text appends
+  and removes (a hypothesis property), asserting after every step
+  that the incrementally-patched indexes equal a cold rebuild over the
+  live documents;
+* exact deltas: a ``sub`` append or remove rekeys no index entry, and
+  its key computations do not grow with the corpus;
 * the write-ahead invalidation protocol: an injected fault inside the
   delta leaves the store dirty and the next read self-heals with a
   full rebuild.
@@ -21,13 +24,19 @@ differentials):
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.guard import IntegrityGuard
-from repro.datagen.running_example import make_schema
+from repro.datagen import generate_corpus, spec_for_size
+from repro.datagen.running_example import make_schema, submission_xupdate
+from repro.datagen.workload import _normal_reviewer_targets
 from repro.relational.columns import PathIndex, chain_reaches
 from repro.relational.incremental import attach, store_of
+from repro.service.store import CheckingService
 from repro.testing import harness
 from repro.testing.failpoints import fail
 from repro.xquery import parse_query
@@ -39,6 +48,7 @@ from repro.xtree.node import Document, Element, Text
 from repro.xtree.parser import parse_document
 
 NAME_TEXT = (("child", "name"), ("child", "text()"))
+REV_NAME_TEXT = (("child", "rev"),) + NAME_TEXT
 
 PUB_XML = """<dblp>
  <pub><title>Duckburg tales</title>
@@ -78,6 +88,7 @@ def documents(schema):
 
 class TestChainReaches:
     def test_direct_child_mutation_always_reaches(self):
+        # text among the owner's children: a text node adds no entry
         assert chain_reaches(NAME_TEXT, ())
 
     def test_chain_spelled_by_steps_reaches(self):
@@ -103,6 +114,15 @@ class TestChainReaches:
         assert chain_reaches(steps, ("name",))
         assert chain_reaches(steps, ("name", "x"))
         assert not chain_reaches(steps, ("sub",))
+
+    def test_chain_ends_at_the_mutated_element(self):
+        # a sub added under a rev spells rev/sub at the track: its
+        # rev/name/text() keys cannot see it
+        assert not chain_reaches(REV_NAME_TEXT, ("rev", "sub"))
+        # an adopted name element is what name/text() selects through
+        assert chain_reaches(REV_NAME_TEXT, ("rev", "name"))
+        # a rev adopted under the track (or text under a rev) reaches
+        assert chain_reaches(REV_NAME_TEXT, ("rev",))
 
 
 class TestPathIndex:
@@ -234,6 +254,151 @@ class TestWorkloadDifferential:
                 assert store is not None
                 assert store.verify() == [], (seed, kind)
         assert accepted > 0  # the workload really mutated state
+
+
+#: a review with every indexed tag at several depths, ``id``
+#: attributes on its subs, and reviewer names that collide across
+#: tracks so buckets hold more than one element
+DELTA_XML = """<review>
+ <track><name>Theory</name>
+  <rev><name>Alice</name>
+   <sub id="s1"><title>Streams</title><auts><name>Erin</name></auts></sub>
+  </rev>
+  <rev><name>Bob</name><sub id="s2"><title>Trees</title></sub></rev>
+ </track>
+ <track><name>Systems</name>
+  <rev><name>Alice</name></rev>
+ </track>
+</review>"""
+
+#: one index per downpath shape the store maintains: ending in
+#: ``text()``, element-valued, on an attribute, and three steps deep
+DELTA_INDEXES = [
+    ("rev", NAME_TEXT),
+    ("track", (("child", "rev"), ("child", "name"))),
+    ("sub", (("attribute", "id"),)),
+    ("track", REV_NAME_TEXT),
+]
+
+DELTA_TAGS = ["name", "rev", "sub", "other"]
+DELTA_VALUES = ["Alice", "Bob", "Carol"]
+
+
+def _delta_element(data) -> Element:
+    """A small subtree whose root tag, text, ``id`` and one nested
+    ``name`` child are drawn."""
+    element = Element(data.draw(st.sampled_from(DELTA_TAGS), label="tag"))
+    if data.draw(st.booleans(), label="id"):
+        element.attributes["id"] = data.draw(
+            st.sampled_from(["s1", "s2", "s3"]))
+    if data.draw(st.booleans(), label="text"):
+        element.append(Text(data.draw(st.sampled_from(DELTA_VALUES))))
+    if data.draw(st.booleans(), label="nested name"):
+        element.append(
+            _text_el("name", data.draw(st.sampled_from(DELTA_VALUES))))
+    return element
+
+
+def _delta_step(document: Document, data) -> None:
+    """Apply one drawn append or remove of an element or a text node
+    somewhere in ``document``."""
+    elements = list(document.root.iter_elements())
+    texts = [node for element in elements for node in element.children
+             if isinstance(node, Text)]
+    kinds = ["append element", "append text"]
+    if len(elements) > 1:
+        kinds.append("remove element")
+    if texts:
+        kinds.append("remove text")
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "remove element":
+        victim = data.draw(st.sampled_from(elements[1:]), label="victim")
+        assert victim.parent is not None
+        victim.parent.remove(victim)
+    elif kind == "remove text":
+        victim = data.draw(st.sampled_from(texts), label="victim")
+        assert victim.parent is not None
+        victim.parent.remove(victim)
+    else:
+        parent = data.draw(st.sampled_from(elements), label="parent")
+        child = _delta_element(data) if kind == "append element" \
+            else Text(data.draw(st.sampled_from(DELTA_VALUES)))
+        position = data.draw(
+            st.integers(0, len(parent.children)), label="position")
+        parent.insert(position, child)
+
+
+class TestExactDeltaProperty:
+    """Random appends and removes of indexed and unindexed elements
+    and of text at every depth leave every materialized index equal to
+    a cold rebuild — the check that catches a reach test that is too
+    tight."""
+
+    @given(st.data())
+    def test_random_mutations_keep_indexes_exact(self, data):
+        document = parse_document(DELTA_XML)
+        store = attach(document)
+        for tag, steps in DELTA_INDEXES:
+            store.value_index(tag, steps)
+        for _ in range(data.draw(st.integers(1, 12), label="steps")):
+            _delta_step(document, data)
+            # the delta itself kept the store in sync: no swallowed
+            # fault and no rebuild to hide a missed rekey
+            assert store.delta_failures == 0
+            assert not store.dirty
+            assert store.verify() == []
+
+
+class TestExactDeltaCounts:
+    """A ``sub`` append and its remove rekey nothing and compute the
+    same number of keys at 32 KiB and at 512 KiB."""
+
+    @staticmethod
+    def _pair_counts(kib: int, monkeypatch) -> "list[dict[str, int]]":
+        pub, rev = generate_corpus(
+            replace(spec_for_size(kib * 1024), seed=1))
+        service = CheckingService(make_schema(), [pub, rev])
+        store = store_of(rev)
+        assert store is not None
+        for tag, steps in (("rev", NAME_TEXT), ("track", REV_NAME_TEXT)):
+            store.value_index(tag, steps)
+        track, rev_number, _ = _normal_reviewer_targets(rev)[0]
+        subs = len(rev.root.element_children("track")[track - 1]
+                   .element_children("rev")[rev_number - 1]
+                   .element_children("sub"))
+        removal = ('<xupdate:modifications version="1.0" '
+                   'xmlns:xupdate="http://www.xmldb.org/xupdate">'
+                   '<xupdate:remove select="/review/track'
+                   f'[{track}]/rev[{rev_number}]/sub[{subs + 1}]"/>'
+                   '</xupdate:modifications>')
+        counts = {"rekey": 0, "compute": 0}
+        for name in counts:
+            method = getattr(PathIndex, name)
+
+            def counted(self, element, _name=name, _method=method):
+                counts[_name] += 1
+                return _method(self, element)
+
+            monkeypatch.setattr(PathIndex, name, counted)
+        per_update = []
+        for round_number in range(3):  # the first round warms caches
+            for text in (submission_xupdate(
+                    track, rev_number, f"Delta Sub {round_number}",
+                    f"Delta Author {round_number}"), removal):
+                counts.update(rekey=0, compute=0)
+                assert service.try_execute(text).applied
+                if round_number:
+                    per_update.append(dict(counts))
+        assert store.verify() == []
+        monkeypatch.undo()
+        return per_update
+
+    def test_sub_pair_is_size_independent(self, monkeypatch):
+        small = self._pair_counts(32, monkeypatch)
+        large = self._pair_counts(512, monkeypatch)
+        assert all(counts["rekey"] == 0 for counts in small + large)
+        assert [c["compute"] for c in small] \
+            == [c["compute"] for c in large]
 
 
 class TestCrashConsistency:
