@@ -29,7 +29,7 @@ script exits 1 otherwise, or when a verdict is ``WORSE``.
 
 Usage::
 
-    python3 scripts/e2e_ab.py --base HEAD~1 [--pairs 10]
+    python3 scripts/e2e_ab.py --base HEAD~1 [--pairs 10] [--seed 1]
         [--workload legal_write_128k ...]
 
 Every run lasts ``BENCHMARK.json``'s ``run_seconds``.  ``make
@@ -91,13 +91,14 @@ def purge_bytecode(tree: Path) -> None:
         shutil.rmtree(cache, ignore_errors=True)
 
 
-def run_once(tree: Path, workload: str, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seconds: float,
+             seed: int) -> dict:
     """One ``run.py --workload`` in ``tree``: its last-line JSON."""
     environment = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     environment.pop("PYTHONPATH", None)
     completed = subprocess.run(
         [sys.executable, str(RUNNER), "--workload", workload,
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--seed", str(seed)],
         cwd=tree, env=environment, capture_output=True, text=True)
     lines = completed.stdout.strip().splitlines()
     try:
@@ -146,6 +147,8 @@ def main(argv: "list[str] | None" = None) -> int:
                         help="git revision to compare the working "
                              "tree against")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="workload seed passed to every run")
     parser.add_argument("--workload", action="append",
                         help="workload to run (repeatable); default: "
                              "every workload in BENCHMARK.json")
@@ -164,15 +167,16 @@ def main(argv: "list[str] | None" = None) -> int:
         for tree in trees.values():
             purge_bytecode(tree)
         print(f"ab: base {args.base} vs the working tree; {args.pairs} "
-              f"pairs x {len(workloads)} workloads, {seconds:g} s each",
-              flush=True)
+              f"pairs x {len(workloads)} workloads, {seconds:g} s each, "
+              f"seed {args.seed}", flush=True)
         for workload in workloads:
             sides: "dict[str, list[dict]]" = {"base": [], "change": []}
             for pair in range(args.pairs):
                 order = ("base", "change") if pair % 2 == 0 \
                     else ("change", "base")
                 for side in order:
-                    result = run_once(trees[side], workload, seconds)
+                    result = run_once(trees[side], workload, seconds,
+                                      args.seed)
                     sides[side].append(result)
                     if not result["correct"] or result["failed"]:
                         ok = False

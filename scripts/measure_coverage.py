@@ -37,8 +37,12 @@ GATED = [
 
 #: mirrored from ``[tool.coverage.run] omit`` in pyproject.toml: the
 #: networked service runs in worker subprocesses and is gated by the
-#: service-e2e CI leg, not the unit-coverage floor
-OMITTED = [REPO / "src" / "repro" / "service" / "net"]
+#: service-e2e CI leg, not the unit-coverage floor — all of it but the
+#: client, whose codec has in-process tests against a stub server
+OMITTED = [REPO / "src" / "repro" / "service" / "net" / name
+           for name in ("__init__.py", "config.py", "frames.py",
+                        "http.py", "ring.py", "supervisor.py",
+                        "worker.py")]
 
 executed: set[tuple[str, int]] = set()
 _gated_files = {

@@ -31,17 +31,23 @@ from pathlib import Path
 
 from repro.errors import ReproError, SchemaError
 from repro.service.net.config import ServiceConfig
-from repro.service.net.frames import FrameError, read_frame, write_frame
+from repro.service.net.frames import (
+    MAX_FRAME,
+    FrameError,
+    read_frame,
+    write_frame,
+)
 from repro.service.net.ring import HashRing
 from repro.service.net.supervisor import Supervisor
 from repro.service.store import DocumentStore
 
-__all__ = ["ServerThread", "ShardedService", "WorkerRestartedError"]
+__all__ = ["RequestRefusedError", "ServerThread", "ShardedService",
+           "WorkerRestartedError"]
 
 _REASONS = {200: "OK", 400: "Bad Request", 403: "Forbidden",
             404: "Not Found", 405: "Method Not Allowed",
-            422: "Unprocessable Entity", 500: "Internal Server Error",
-            503: "Service Unavailable"}
+            413: "Content Too Large", 422: "Unprocessable Entity",
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 #: endpoint name → (worker op, retry-once-after-restart?)
 _ENDPOINTS: dict[str, tuple[str, bool]] = {
@@ -77,6 +83,17 @@ class WorkerRestartedError(ReproError):
                          f"{state}")
 
 
+class RequestRefusedError(ReproError):
+    """The edge cannot parse a request: it answers ``status`` with
+    ``payload`` and closes the connection, since the stream position
+    of the next request is unknown."""
+
+    def __init__(self, status: int, code: str, error: str) -> None:
+        self.status = status
+        self.payload = {"ok": False, "code": code, "error": error}
+        super().__init__(error)
+
+
 class _WorkerLink:
     """The front end's persistent frame connection to one worker."""
 
@@ -100,6 +117,15 @@ class _WorkerLink:
                 await writer.wait_closed()
             except OSError:
                 pass
+
+
+def _response(status: int, payload: dict, close: bool = False) -> bytes:
+    data = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+    head = (f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n")
+    return head.encode("ascii") + data
 
 
 def _status_for(response: dict) -> int:
@@ -193,7 +219,13 @@ class ShardedService:
                                 writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except RequestRefusedError as refused:
+                    writer.write(_response(refused.status,
+                                           refused.payload, close=True))
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, path, body = request
@@ -204,17 +236,10 @@ class ShardedService:
                     status, payload = 500, {
                         "ok": False, "code": "internal",
                         "error": repr(error)}
-                data = json.dumps(payload,
-                                  ensure_ascii=False).encode("utf-8")
-                reason = _REASONS.get(status, "OK")
-                head = (f"HTTP/1.1 {status} {reason}\r\n"
-                        "Content-Type: application/json\r\n"
-                        f"Content-Length: {len(data)}\r\n"
-                        "Connection: keep-alive\r\n\r\n")
-                writer.write(head.encode("ascii") + data)
+                writer.write(_response(status, payload))
                 await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError, ValueError):
+                asyncio.LimitOverrunError):
             pass
         finally:
             writer.close()
@@ -227,21 +252,44 @@ class ShardedService:
     async def _read_request(
             reader: asyncio.StreamReader
     ) -> "tuple[str, str, bytes] | None":
-        line = await reader.readline()
-        if not line.strip():
-            return None
-        parts = line.decode("latin-1").split()
+        """One request, ``None`` on a clean EOF between requests.
+
+        The header block is read in one pass up to the blank line; a
+        ``Content-Length`` that is not a non-negative integer up to
+        ``MAX_FRAME`` is refused before any body byte is read."""
+        try:
+            head = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.IncompleteReadError as error:
+            if not error.partial.strip():
+                return None
+            raise
+        request_line, *headers = head.decode("latin-1").split("\r\n")
+        parts = request_line.split()
         if len(parts) != 3:
-            raise ValueError(f"malformed request line {line!r}")
+            raise RequestRefusedError(
+                400, "bad-request",
+                f"malformed request line {request_line[:200]!r}")
         method, target, _version = parts
         length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value.strip())
+        for header in headers:
+            name, _, value = header.partition(":")
+            if name.strip().lower() != "content-length":
+                continue
+            value = value.strip()
+            if not (value.isascii() and value.isdigit()):
+                raise RequestRefusedError(
+                    400, "bad-request",
+                    f"bad Content-Length {value[:40]!r}")
+            # int() refuses strings of over 4,300 digits, so compare
+            # the digit count first
+            digits = value.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_FRAME)) \
+                    or int(digits) > MAX_FRAME:
+                raise RequestRefusedError(
+                    413, "too-large",
+                    f"body of {digits[:40]} bytes exceeds the "
+                    f"{MAX_FRAME}-byte limit")
+            length = int(digits)
         body = await reader.readexactly(length) if length else b""
         return method.upper(), target, body
 

@@ -3,7 +3,8 @@
 Two populations live here:
 
 * fast, socket-free unit tests of the building blocks (frame codec,
-  uid validation, config plumbing) — part of the default tier-1 run;
+  uid validation, the edge's HTTP request reader, config plumbing) —
+  part of the default tier-1 run;
 * ``e2e``-marked tests that spawn real worker processes behind the
   asyncio HTTP edge: the **differential conformance suite** (seeded
   mixed workloads through the HTTP edge with 1, 2 and 4 workers must
@@ -21,6 +22,8 @@ that makes the oracle comparison exact.
 
 from __future__ import annotations
 
+import asyncio
+import json
 import random
 import socket
 
@@ -41,12 +44,15 @@ from repro.service.net import (
     ServerThread,
     ServiceClient,
     ServiceConfig,
+    ShardedService,
 )
 from repro.service.net.frames import (
+    MAX_FRAME,
     FrameError,
     recv_frame,
     send_frame,
 )
+from repro.service.net.http import RequestRefusedError
 from repro.service.net.worker import decision_to_json
 from repro.service.store import CheckingService, DocumentStore
 from repro.testing.harness import _make_step, _weighted_kinds
@@ -151,6 +157,191 @@ class TestFrames:
             left.sendall(b"\xff\xff\xff\xff")
             with pytest.raises(FrameError):
                 recv_frame(right)
+
+
+class _FakeWriter:
+    """The slice of ``asyncio.StreamWriter`` the edge uses."""
+
+    def __init__(self) -> None:
+        self.data = bytearray()
+        self.closed = False
+
+    def write(self, data: bytes) -> None:
+        assert not self.closed
+        self.data += data
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        self.closed = True
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def _stream(data: bytes, eof: bool = True) -> asyncio.StreamReader:
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    if eof:
+        reader.feed_eof()
+    return reader
+
+
+def _read_requests(data: bytes, count: int = 1) -> list:
+    async def main():
+        reader = _stream(data)
+        return [await ShardedService._read_request(reader)
+                for _ in range(count)]
+    return asyncio.run(main())
+
+
+def _refusal(head: bytes) -> tuple[RequestRefusedError, bytes]:
+    """Read one request that must be refused; the body bytes fed
+    behind its head (and no EOF) show whether any body was read."""
+    async def main():
+        reader = _stream(head + b"BODY", eof=False)
+        with pytest.raises(RequestRefusedError) as refused:
+            await asyncio.wait_for(
+                ShardedService._read_request(reader), timeout=5)
+        return refused.value, await reader.read(4)
+    return asyncio.run(main())
+
+
+_BODY = b'{"uid": "a"}'
+_REQUEST = (b"POST /update HTTP/1.1\r\nHost: edge\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 12\r\n\r\n" + _BODY)
+
+
+class TestEdgeRequestReader:
+    """``ShardedService._read_request`` and ``_serve_connection`` over
+    an in-memory stream: the edge half of the HTTP/1.1 codec."""
+
+    def test_requests_in_one_chunk(self):
+        get = b"GET /status HTTP/1.1\r\nHost: edge\r\n\r\n"
+        assert _read_requests(_REQUEST + get + _REQUEST, count=4) == [
+            ("POST", "/update", _BODY), ("GET", "/status", b""),
+            ("POST", "/update", _BODY), None]
+
+    def test_request_byte_by_byte(self):
+        async def main():
+            reader = asyncio.StreamReader()
+
+            async def trickle():
+                for index in range(len(_REQUEST)):
+                    reader.feed_data(_REQUEST[index:index + 1])
+                    await asyncio.sleep(0)
+                reader.feed_eof()
+
+            feeder = asyncio.create_task(trickle())
+            first = await ShardedService._read_request(reader)
+            second = await ShardedService._read_request(reader)
+            await feeder
+            return first, second
+
+        assert asyncio.run(main()) == (("POST", "/update", _BODY), None)
+
+    def test_eof_mid_head_raises(self):
+        with pytest.raises(asyncio.IncompleteReadError):
+            _read_requests(_REQUEST[:20])
+
+    @pytest.mark.parametrize("length, status", [
+        ("-1", 400), ("12abc", 400), ("", 400), ("0x10", 400),
+        ("\u00b2", 400), (str(MAX_FRAME + 1), 413),
+        ("9" * 40, 413), ("9" * 5000, 413),
+    ])
+    def test_bad_content_length_is_refused_unread(self, length, status):
+        head = (f"POST /update HTTP/1.1\r\nContent-Length: {length}"
+                "\r\n\r\n").encode("latin-1")
+        refused, rest = _refusal(head)
+        assert refused.status == status
+        assert refused.payload["code"] == (
+            "too-large" if status == 413 else "bad-request")
+        assert rest == b"BODY"
+
+    def test_leading_zeros_do_not_count_as_digits(self):
+        head = (b"POST /update HTTP/1.1\r\nContent-Length: "
+                + b"0" * 5000 + b"1\r\n\r\n")
+        assert _read_requests(head + b"x") == [("POST", "/update", b"x")]
+
+    def test_length_at_the_limit_is_accepted(self):
+        async def main():
+            reader = _stream(b"POST /update HTTP/1.1\r\nContent-Length:"
+                             + str(MAX_FRAME).encode() + b"\r\n\r\n",
+                             eof=False)
+            task = asyncio.create_task(
+                ShardedService._read_request(reader))
+            await asyncio.sleep(0.01)
+            assert not task.done()  # waiting for the body
+            task.cancel()
+
+        asyncio.run(main())
+
+    @pytest.mark.parametrize("line", [
+        b"GARBAGE", b"POST /update", b"POST /update HTTP/1.1 extra",
+        b"",
+    ])
+    def test_malformed_request_line_is_refused(self, line):
+        refused, rest = _refusal(line + b"\r\nHost: edge\r\n\r\n")
+        assert (refused.status, refused.payload["code"]) == (
+            400, "bad-request")
+        assert rest == b"BODY"
+
+
+@pytest.fixture
+def edge(tmp_path):
+    """A front end whose workers never start: only requests the edge
+    answers itself reach a response."""
+    service = ShardedService(make_config(), tmp_path / "state",
+                             workers=1)
+    yield service
+    service.supervisor.join_all()
+
+
+def _serve(edge: ShardedService, data: bytes) -> _FakeWriter:
+    writer = _FakeWriter()
+
+    async def main():
+        await asyncio.wait_for(
+            edge._serve_connection(_stream(data), writer), timeout=10)
+
+    asyncio.run(main())
+    assert writer.closed
+    return writer
+
+
+class TestEdgeConnection:
+    _NOT_FOUND = (b"POST /nope HTTP/1.1\r\nContent-Length: 12\r\n\r\n"
+                  + _BODY)
+
+    def test_keep_alive_answers_every_request(self, edge):
+        writer = _serve(edge, self._NOT_FOUND * 3)
+        assert writer.data.count(b"HTTP/1.1 404 Not Found\r\n") == 3
+        assert writer.data.count(b"Connection: keep-alive\r\n") == 3
+
+    @pytest.mark.parametrize("bad, status", [
+        (b"NONSENSE\r\n\r\n", b"400 Bad Request"),
+        (b"POST /update HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+         b"400 Bad Request"),
+        (b"POST /update HTTP/1.1\r\nContent-Length: "
+         + str(1 << 40).encode() + b"\r\n\r\n",
+         b"413 Content Too Large"),
+    ])
+    def test_refusal_answers_then_closes(self, edge, bad, status):
+        writer = _serve(edge, self._NOT_FOUND + bad + self._NOT_FOUND)
+        first, _, refusal = bytes(writer.data).partition(
+            b"HTTP/1.1 " + status + b"\r\n")
+        assert first.startswith(b"HTTP/1.1 404 Not Found\r\n")
+        assert b"Connection: close\r\n" in refusal
+        assert b"HTTP/1.1" not in refusal  # nothing after the refusal
+        payload = json.loads(refusal.partition(b"\r\n\r\n")[2])
+        assert payload["ok"] is False
+        assert payload["code"] in ("bad-request", "too-large")
+
+    def test_eof_mid_request_closes_silently(self, edge):
+        writer = _serve(edge, self._NOT_FOUND[:-3])
+        assert writer.data == b""
 
 
 class TestConfig:
