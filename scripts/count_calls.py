@@ -15,11 +15,9 @@ prints one JSON object with the count of every target.
 A target is ``module:Qualified.name``: a module-level function or an
 instance method of a module-level class.  The counter replaces the
 attribute where it is defined, so a caller that imported a function by
-name (``from m import f``) before the wrapping is not counted.  Methods
-are counted, bound methods a service stores while it is built too
-(the column store's mutation listener,
-``repro.relational.incremental:ColumnStore._on_mutation``); a method
-bound before the services are built would not be.
+name (``from m import f``) before the wrapping is not counted; the
+value-index accessor ``repro.relational.columns:value_index`` is
+called through its module, so every read counts.
 
 ``benchmarks/e2e/`` is imported read-only, so corpora, update texts
 and seed are exactly the benchmark's.
@@ -28,7 +26,8 @@ Usage::
 
     python3 scripts/count_calls.py read_check_128k --cycles 40 \\
         repro.xquery.columnar:_Eval.expand \\
-        repro.relational.incremental:ColumnStore.value_index \\
+        repro.relational.columns:value_index \\
+        repro.relational.columns:PathIndex.rekey \\
         repro.xtree.node:Document.elements_by_tag
 """
 

@@ -356,8 +356,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     schema = _build_schema(args)
     documents = _load_documents(args.document)
-    # constructing the guard attaches the column stores, so explain
-    # runs each check on the value indexes the guard's checks read
+    # explain runs each check on the documents' own value indexes,
+    # the ones the guard's checks read
     guard = IntegrityGuard(schema, documents)
     if args.update:
         from repro.xupdate.parser import parse_modifications

@@ -39,7 +39,6 @@ from repro.errors import (
     SimplificationError,
     UpdateApplicationError,
 )
-from repro.relational import incremental
 from repro.relational.shredder import shred, subtree_facts
 from repro.testing.failpoints import fail
 from repro.xtree.node import Document, Element
@@ -127,10 +126,6 @@ class _CheckerBase:
         self._listeners: list = []
         self._pre_commit = None
         self._pre_commit_abort = None
-        # attach incrementally-maintained column stores so planned
-        # checks can lower to the columnar backend
-        for document in self.documents:
-            incremental.attach(document)
 
     def subscribe(self, listener) -> None:
         """Register ``listener(update, decision)``, called after every

@@ -5,10 +5,18 @@ index-side hash keys (:func:`repro.xquery.optimizer.hash_keys`) of
 each atom of a downward path (``name/text()``, ``@year``, …), plus the
 inverted ``key → elements`` buckets the planner's hash joins and
 predicate-value filters probe.
-:class:`repro.relational.incremental.ColumnStore` owns the indexes of
-one document and keeps them current under mutation;
-:func:`chain_reaches` decides which ancestors' keys a mutation can
-change.
+
+A document owns its indexes
+(:attr:`repro.xtree.node.Document.value_indexes`).  :func:`value_index`
+is the one way to read one: it builds an index on its first read, and
+rebuilds every index of a document whose last delta faulted.  Every
+adopt/orphan patches the built ones from then on
+(:meth:`repro.xtree.node.Document._patch_value_indexes`), rekeying
+only the ancestors :func:`chain_reaches` says a mutation can change.
+An index is valid iff ``document.indexes_revision ==
+document.revision``, one integer comparison per read; every mutation
+path funnels through ``Document.adopt``/``orphan``, so a read never
+sees stale keys.
 
 Navigation reads no index: a ``//tag`` scan is the document's tag
 index and a child step is ``element.children`` on the DOM, which
@@ -18,14 +26,40 @@ document order.
 
 from __future__ import annotations
 
+from repro.testing.failpoints import fail
 from repro.xquery.optimizer import hash_keys
-from repro.xquery.planner import _eval_downpath
-from repro.xquery.values import atomize
-from repro.xtree.node import Element
+from repro.xquery.values import UntypedAtomic, atomize
+from repro.xtree.node import Document, Element, Text
 
 Downpath = tuple[tuple[str, str], ...]
 """A relative downward path as ``((axis, nodetest), ...)`` — the same
 shape the planner's ``_downpath_steps`` produces."""
+
+
+def eval_downpath(steps: Downpath, element: Element) -> list:
+    """The items ``element/steps`` selects: text nodes, elements, or
+    attribute values as untyped atomics."""
+    current: list = [element]
+    for axis, nodetest in steps:
+        gathered: list = []
+        for item in current:
+            if not isinstance(item, Element):
+                continue
+            if axis == "child":
+                if nodetest == "text()":
+                    gathered.extend(child for child in item.children
+                                    if isinstance(child, Text))
+                else:
+                    gathered.extend(
+                        child for child in item.children
+                        if isinstance(child, Element)
+                        and child.tag == nodetest)
+            else:  # attribute
+                value = item.attributes.get(nodetest)
+                if value is not None:
+                    gathered.append(UntypedAtomic(value))
+        current = gathered
+    return current
 
 
 def chain_reaches(steps: Downpath, chain: tuple[str, ...]) -> bool:
@@ -59,9 +93,8 @@ class PathIndex:
     back to the elements owning the key and is looked up with
     probe-side keys (:func:`repro.xquery.optimizer.probe_keys`).  Key
     computation is exactly
-    ``atomize(_eval_downpath(steps, element))`` × ``hash_keys`` — the
-    formula of the planner's per-evaluation maps, so a probe here
-    answers the same question those builds answer, without the build.
+    ``atomize(eval_downpath(steps, element))`` × ``hash_keys``, so a
+    probe answers the general comparison ``element/steps = value``.
     """
 
     __slots__ = ("tag", "steps", "buckets", "atoms_of")
@@ -79,7 +112,12 @@ class PathIndex:
     def compute(self, element: Element) -> tuple[tuple[tuple, ...], ...]:
         """The per-atom key tuples of one element (pure)."""
         return tuple(tuple(hash_keys(atom)) for atom in
-                     atomize(_eval_downpath(self.steps, element)))
+                     atomize(eval_downpath(self.steps, element)))
+
+    def reaches(self, chain: tuple[str, ...]) -> bool:
+        """Whether a mutation at the end of ``chain`` can change this
+        index's keys (:func:`chain_reaches`)."""
+        return chain_reaches(self.steps, chain)
 
     def add(self, element: Element) -> None:
         node_id = element.node_id
@@ -132,3 +170,76 @@ class PathIndex:
         """All keys of one element (empty if not indexed)."""
         atoms = self.atoms_of.get(node_id, ())
         return frozenset(key for atom in atoms for key in atom)
+
+
+def value_index(document: Document, tag: str, steps: Downpath) -> PathIndex:
+    """The value index of ``document``'s ``//tag`` keyed by ``steps``.
+
+    Built on first read and delta-maintained by the document from then
+    on.  A dirty document (a delta faulted) has every index rebuilt
+    here first.
+    """
+    if document.indexes_revision != document.revision:
+        _rebuild(document)
+    by_steps = document.value_indexes.get(tag)
+    if by_steps is None:
+        by_steps = document.value_indexes[tag] = {}
+    index = by_steps.get(steps)
+    if index is None:
+        index = by_steps[steps] = _build(document, tag, steps)
+    return index
+
+
+def _build(document: Document, tag: str, steps: Downpath) -> PathIndex:
+    index = PathIndex(tag, steps)
+    for element in document.elements_by_tag(tag):
+        index.add(element)
+    return index
+
+
+def _rebuild(document: Document) -> None:
+    """Rebuild every materialized index of a dirty document.
+
+    The rebuild constructs into a fresh dict and swaps it in only on
+    success, so a fault mid-rebuild (``columns.rebuild``) fails the
+    read, leaves the document dirty, and the next read retries.
+    """
+    fail.point("columns.rebuild")
+    document.value_indexes = {
+        tag: {steps: _build(document, tag, steps) for steps in by_steps}
+        for tag, by_steps in document.value_indexes.items()}
+    document.index_rebuilds += 1
+    document.indexes_revision = document.revision
+
+
+def verify(document: Document) -> list[str]:
+    """Compare every materialized index against a cold build.
+
+    Returns a list of problem descriptions (empty = consistent).
+    Used by the faultcheck invariant battery: after a workload with
+    injected crashes, the delta-maintained indexes must equal what a
+    from-scratch build over the final DOM produces.
+    """
+    if document.indexes_revision != document.revision:
+        _rebuild(document)
+    problems: list[str] = []
+    for tag, by_steps in document.value_indexes.items():
+        for steps, index in by_steps.items():
+            cold = _build(document, tag, steps)
+            if index.atoms_of != cold.atoms_of:
+                problems.append(f"index {tag!r}/{_path_text(steps)} "
+                                "drifted from a cold rebuild (atoms)")
+            elif _bucket_ids(index) != _bucket_ids(cold):
+                problems.append(f"index {tag!r}/{_path_text(steps)} "
+                                "drifted from a cold rebuild (buckets)")
+    return problems
+
+
+def _bucket_ids(index: PathIndex) -> dict[tuple, frozenset]:
+    return {key: frozenset(bucket)
+            for key, bucket in index.buckets.items() if bucket}
+
+
+def _path_text(steps: Downpath) -> str:
+    return "/".join(nodetest if axis == "child" else f"@{nodetest}"
+                    for axis, nodetest in steps)

@@ -47,7 +47,12 @@ __all__ = ["RequestRefusedError", "ServerThread", "ShardedService",
 _REASONS = {200: "OK", 400: "Bad Request", 403: "Forbidden",
             404: "Not Found", 405: "Method Not Allowed",
             413: "Content Too Large", 422: "Unprocessable Entity",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error", 503: "Service Unavailable"}
+
+#: the longest header block the edge reads (asyncio's default stream
+#: limit); a longer one is refused with 431
+_HEADER_LIMIT = 1 << 16
 
 #: endpoint name → (worker op, retry-once-after-restart?)
 _ENDPOINTS: dict[str, tuple[str, bool]] = {
@@ -164,7 +169,8 @@ class ShardedService:
     async def start(self) -> None:
         await asyncio.to_thread(self.supervisor.start_all)
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port)
+            self._serve_connection, self.host, self.port,
+            limit=_HEADER_LIMIT)
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
@@ -238,8 +244,7 @@ class ShardedService:
                         "error": repr(error)}
                 writer.write(_response(status, payload))
                 await writer.drain()
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
+        except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
             writer.close()
@@ -254,15 +259,21 @@ class ShardedService:
     ) -> "tuple[str, str, bytes] | None":
         """One request, ``None`` on a clean EOF between requests.
 
-        The header block is read in one pass up to the blank line; a
+        The header block is read in one pass up to the blank line; one
+        longer than the stream limit is refused, and so is a
         ``Content-Length`` that is not a non-negative integer up to
-        ``MAX_FRAME`` is refused before any body byte is read."""
+        ``MAX_FRAME``, before any body byte is read."""
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as error:
             if not error.partial.strip():
                 return None
             raise
+        except asyncio.LimitOverrunError:
+            raise RequestRefusedError(
+                431, "headers-too-large",
+                f"header block exceeds the {_HEADER_LIMIT}-byte "
+                "limit") from None
         request_line, *headers = head.decode("latin-1").split("\r\n")
         parts = request_line.split()
         if len(parts) != 3:

@@ -8,13 +8,13 @@ and readers alike run one at a time on the live tree, and the
 underlying :class:`~repro.xupdate.apply.TransactionLog` makes each
 update all-or-nothing, so a reader never observes a torn state.
 
-That is the whole concurrency story.  The documents, their column
-stores and the checker are not thread-safe on their own (a read
+That is the whole concurrency story.  The documents (value indexes
+included) and the checker are not thread-safe on their own (a read
 fills lazy caches); the service is what makes them safe to share.
 Concurrent readers would buy nothing under the GIL, and the
 deployment that scales, ``repro serve``, runs single-threaded worker
 processes.  A commit costs the check, the write-ahead append (when
-durable), the apply and the delta-maintained column store — never a
+durable), the apply and the delta-maintained value indexes — never a
 copy of the document.
 
 The service also keeps a *commit log* — the updates that were actually
@@ -204,9 +204,9 @@ class CheckingService:
         self.snapshots = SnapshotManager()
         if isinstance(documents, DocumentStore):
             # the store may already be shared with running threads, and
-            # the guard walks the document list (root-tag routing,
-            # column-store attachment) — hold the mutex for the whole
-            # walk, not just the property access
+            # the guard walks the document list (root-tag routing) —
+            # hold the mutex for the whole walk, not just the property
+            # access
             self.store = documents
             with self.store.read_locked():
                 self.checker = IntegrityGuard(

@@ -2,8 +2,8 @@
 
 The transactional machinery grown around the paper's checkers —
 :class:`~repro.xupdate.apply.TransactionLog`, the guard's probe paths,
-the :class:`~repro.service.CheckingService` commit log, the column
-stores' delta maintenance — claims to keep the store consistent under
+the :class:`~repro.service.CheckingService` commit log, the documents'
+value-index deltas — claims to keep the store consistent under
 *any* mid-flight failure.  This module makes that claim testable: the
 instrumented modules call :meth:`fail.point(name) <FailPointRegistry.
 point>` at every seam of the update/check/commit path, and a test (or
@@ -129,16 +129,17 @@ SITES: dict[str, str] = {
         "check planner, while reading per-document statistics for a "
         "plan — the check keeps no plan and plans again next call",
     "columns.delta.apply":
-        "column store mutation listener, after the store is marked "
-        "dirty and before the delta patches any index — the store "
-        "self-heals with a full rebuild on the next read",
+        "Document.adopt/orphan value-index delta, after the indexes "
+        "are marked dirty and before the delta patches any index — "
+        "the indexes self-heal with a full rebuild on the next read",
     "columns.delta.settle":
-        "column store mutation listener, after the delta patched the "
-        "indexes and before the document revision is stamped back — "
-        "a fully-applied delta is discarded and rebuilt",
+        "Document.adopt/orphan value-index delta, after the delta "
+        "patched the indexes and before the document revision is "
+        "stamped back — a fully-applied delta is discarded and rebuilt",
     "columns.rebuild":
-        "column store validation, before a dirty store rebuilds its "
-        "materialized value indexes from the DOM",
+        "columns.value_index on a dirty document, before it rebuilds "
+        "the materialized value indexes from the DOM — the read (and "
+        "the check that made it) fails, and the next read retries",
     "persistence.pre_fsync":
         "DurableLog.append, between the record's first and last bytes "
         "reaching the file and before fsync — the process dies with a "

@@ -17,7 +17,7 @@ asserts the **invariant battery**:
    acquirable) after the workload;
 5. *caches cold-rebuild clean* — each document's incremental tag index
    agrees with a cold reparse of its serialized form, and the guard's
-   full check (through its checks' plans and the column stores)
+   full check (through its checks' plans and the value indexes)
    agrees with a fresh schema's check on the reparsed documents;
 6. *commit-log consistency* — the service commit log is exactly the
    accepted sequence, except for a possible suffix of entries whose
@@ -55,6 +55,7 @@ from repro.datagen.workload import (
     illegal_submission,
     legal_submission,
 )
+from repro.relational import columns
 from repro.service.store import CheckingService
 from repro.testing.failpoints import fail, parse_schedule
 from repro.xtree.node import Document
@@ -350,26 +351,23 @@ def _check_tag_indexes(documents: list[Document],
                     f"<{document.root.tag}>")
 
 
-def _check_column_stores(documents: list[Document],
+def _check_value_indexes(documents: list[Document],
                          report: FaultRunReport) -> None:
-    """Each column store must equal a cold rebuild over the final DOM.
+    """Each document's value indexes must equal a cold rebuild over
+    the final DOM.
 
     The delta-maintenance protocol self-heals after injected crashes
     (write-ahead invalidation, rebuild on next read), so after the
     workload — whatever faults fired — every materialized value index
     must equal a from-scratch build.
     """
-    from repro.relational.incremental import store_of
     for document in documents:
-        store = store_of(document)
-        if store is None:
-            continue
-        for problem in store.verify():
+        for problem in columns.verify(document):
             raise _violation(
                 report, "columns-cold-rebuild",
-                f"<{document.root.tag}> column store: {problem} "
-                f"(delta_failures={store.delta_failures}, "
-                f"rebuilds={store.rebuilds})")
+                f"<{document.root.tag}> value indexes: {problem} "
+                f"(delta_failures={document.index_delta_failures}, "
+                f"rebuilds={document.index_rebuilds})")
 
 
 def _run_oracle(seed: int, observed: list[tuple[str, bool]],
@@ -526,10 +524,10 @@ def _run_scenario_body(seed: int, name: str, spec_text: str,
             f"the accepted updates ({len(accepted_texts)} accepted)")
 
     _check_tag_indexes(service.store.documents, report)
-    _check_column_stores(service.store.documents, report)
+    _check_value_indexes(service.store.documents, report)
 
     # the guard's full check runs through its checks' plans and the
-    # column stores; state poisoned by a mid-fault must not change the
+    # value indexes; state poisoned by a mid-fault must not change the
     # verdict relative to a fresh schema (no plan) on reparsed documents
     live_violations = service.verify_consistency()
     cold_docs = [parse_document(text) for text in live]
@@ -689,7 +687,7 @@ def run_restart_scenario(seed: int, site: str,
     * the recovered documents are byte-identical to a fault-free
       sequential oracle replay of that commit log;
     * the full constraint check, the incremental tag indexes and the
-      column stores are clean on the recovered state;
+      value indexes are clean on the recovered state;
     * a second recovery from the same directory is deterministic
       (byte-identical state and commit log);
     * the recovered service still accepts new updates (liveness).
@@ -842,7 +840,7 @@ def _check_recovered_state(recovered: CheckingService,
             report, "restart-consistency",
             f"recovered store violates constraints: {violations}")
     _check_tag_indexes(recovered.store.documents, report)
-    _check_column_stores(recovered.store.documents, report)
+    _check_value_indexes(recovered.store.documents, report)
 
 
 def run_restart_matrix(seeds: "list[int]",

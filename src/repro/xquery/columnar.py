@@ -29,9 +29,8 @@ whole column of candidate rows —
   variables bound.
 
 Value indexes come from one accessor,
-:func:`repro.xquery.planner._value_index`: the attached column store's
-delta-maintained :class:`~repro.relational.columns.PathIndex`, or one
-built for the evaluation.
+:func:`repro.relational.columns.value_index`: the document's own
+delta-maintained :class:`~repro.relational.columns.PathIndex`.
 
 Conjuncts become filters.  An ``=`` between key-space sides — a bare
 variable, a plain downpath from one, an expression free of the
@@ -57,6 +56,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.relational import columns
 from repro.xquery import planner as _planner
 from repro.xquery.ast import BinaryOp, Expression, PathExpr, VarRef
 from repro.xquery.optimizer import (
@@ -65,7 +65,7 @@ from repro.xquery.optimizer import (
     matching_keys,
     probe_keys,
 )
-from repro.xquery.planner import _eval_downpath, _Runtime
+from repro.xquery.planner import _Runtime
 from repro.xquery.values import atomize
 from repro.xtree.node import Element, Text
 
@@ -82,8 +82,8 @@ class Bail(Exception):
     """Raised mid-run when vectorized evaluation cannot proceed."""
 
 
-def _index_of(rt: _Runtime, indexes: dict, element: Element,
-              tag: str | None, steps: Downpath):
+def _index_of(indexes: dict, element: Element, tag: str | None,
+              steps: Downpath):
     """The value index serving ``element/steps``, if one applies;
     ``indexes`` memoises it per document for one call."""
     document = element.document
@@ -91,8 +91,8 @@ def _index_of(rt: _Runtime, indexes: dict, element: Element,
         return None
     index = indexes.get(id(document))
     if index is None:
-        index = indexes[id(document)] = _planner._value_index(
-            rt, document, tag, steps)
+        index = indexes[id(document)] = columns.value_index(
+            document, tag, steps)
     return index
 
 
@@ -187,9 +187,10 @@ class _SidePath:
             if not isinstance(item, Element):
                 keys = frozenset()
             else:
-                index = _index_of(rt, indexes, item, tag, steps)
+                index = _index_of(indexes, item, tag, steps)
                 if index is None:
-                    keys = _keys(_eval_downpath(steps, item), probe)
+                    keys = _keys(
+                        columns.eval_downpath(steps, item), probe)
                 else:
                     keys = index.flat_keys(item.node_id or -1)
                     if probe:
@@ -337,15 +338,15 @@ class _Values:
                 if not isinstance(item, Element):
                     atoms: tuple = ()
                 else:
-                    index = _index_of(rt, indexes, item,
+                    index = _index_of(indexes, item,
                                       self.source_tag, self.steps)
                     if index is not None:
                         atoms = index.atoms_of.get(
                             item.node_id or -1, ())
                     else:
                         atoms = tuple(
-                            tuple(hash_keys(atom)) for atom in
-                            atomize(_eval_downpath(self.steps, item)))
+                            tuple(hash_keys(atom)) for atom in atomize(
+                                columns.eval_downpath(self.steps, item)))
                 key_sets = [frozenset(atom) for atom in atoms]
                 memo[id(item)] = key_sets
             for keys in key_sets:
@@ -455,8 +456,7 @@ class _Join:
 
     def expand(self, rt: _Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
-        indexes = [_planner._value_index(rt, document, self.tag,
-                                         self.steps)
+        indexes = [columns.value_index(document, self.tag, self.steps)
                    for document in rt.documents]
         keys_of = self.probe.keys_fn(rt, cols, True)  # type: ignore
         take: list[int] = []
@@ -519,8 +519,8 @@ class _Probe:
                 groups = groups_memo.get(keys)
                 if groups is None:
                     if indexes is None:
-                        indexes = [_planner._value_index(
-                            rt, document, self.tag, self.steps)
+                        indexes = [columns.value_index(
+                            document, self.tag, self.steps)
                             for document in rt.documents]
                     groups = groups_memo[keys] = {}
                     for element in _planner._probe(indexes, keys):
@@ -531,7 +531,8 @@ class _Probe:
                 children = [
                     child for child in parent.element_children(self.tag)
                     if not keys.isdisjoint(
-                        _keys(_eval_downpath(self.steps, child), False))]
+                        _keys(columns.eval_downpath(self.steps, child),
+                              False))]
             for child in children:
                 take.append(i)
                 values.append(child)

@@ -1,7 +1,7 @@
 """Static expression analysis and equality-key canonicalisation.
 
 What the planner (:mod:`repro.xquery.planner`), its vectorized
-executor (:mod:`repro.xquery.columnar`) and the column store's
+executor (:mod:`repro.xquery.columnar`) and the documents'
 :class:`~repro.relational.columns.PathIndex` share to detect and serve
 equality joins; who joins what, and how, is the planner's decision
 alone:

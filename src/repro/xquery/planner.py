@@ -7,7 +7,7 @@ the book — the reference engine's nested loops in source order
 document size; a real XQuery engine (eXist in the paper) answers such
 joins from value indexes.  This module is that stand-in: it plans and
 compiles each prepared check, and serves its equality joins from the
-column stores' :class:`~repro.relational.columns.PathIndex`:
+documents' value indexes (:class:`~repro.relational.columns.PathIndex`):
 
 * **statistics** — per-document, per-tag cardinalities, per-(parent
   tag, tag) child counts and distinct-value counts served by the
@@ -36,10 +36,12 @@ column stores' :class:`~repro.relational.columns.PathIndex`:
   :class:`~repro.xquery.engine.QueryContext`, so planned evaluation is
   *total*: every query the engine accepts runs, with identical
   verdicts;
-* **value indexes** — one accessor, :func:`_value_index`, serves the
-  frontier's joins and the probe steps: the attached column store's
-  delta-maintained index, or one built for the evaluation when no
-  store is attached or its rebuild faulted;
+* **value indexes** — one accessor,
+  :func:`repro.relational.columns.value_index`, serves the frontier's
+  joins and the probe steps: the document's own index, built on first
+  read and delta-maintained from then on.  A fault while rebuilding a
+  dirty document's indexes fails the evaluation, and the next read
+  retries;
 * **ownership** — this module keeps no plan.  A compiled plan holds
   no document, so the prepared check that asked for it keeps it
   (:meth:`repro.xquery.translate.TranslatedQuery.truth`, one plan per
@@ -57,10 +59,11 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from repro.errors import XQueryEvaluationError
-from repro.testing.failpoints import FailPointError, fail
+from repro.relational import columns
+from repro.testing.failpoints import fail
 from repro.xquery import engine, functions
 from repro.xquery.ast import (
     AxisStep,
@@ -94,9 +97,6 @@ from repro.xquery.values import (
     general_compare,
 )
 from repro.xtree.node import Document, Element, Node, Text
-
-if TYPE_CHECKING:
-    from repro.relational.columns import PathIndex
 
 __all__ = [
     "Statistics",
@@ -196,7 +196,8 @@ class Statistics:
             values = {tuple(hash_keys(atom))
                       for document in self.documents
                       for element in document.elements_by_tag(tag)
-                      for atom in atomize(_eval_downpath(steps, element))}
+                      for atom in atomize(
+                          columns.eval_downpath(steps, element))}
             count = self._key_distinct[key] = max(1.0, float(len(values)))
         return count
 
@@ -325,10 +326,11 @@ def _downpath_steps(
         expression: Expression) -> tuple[tuple[str, str], ...] | None:
     """A relative downward path as ((axis, nodetest), ...), or None.
 
-    The shape a per-element key evaluator (:func:`_eval_downpath`)
-    supports: child/attribute steps, named or ``text()``, no
-    predicates, no descendant jumps.  These paths read only the
-    element's own subtree, which is what lets a column store's
+    The shape a per-element key evaluator
+    (:func:`repro.relational.columns.eval_downpath`) supports:
+    child/attribute steps, named or ``text()``, no predicates, no
+    descendant jumps.  These paths read only the element's own
+    subtree, which is what lets a document's
     :class:`~repro.relational.columns.PathIndex` maintain the derived
     keys from mutation deltas.
     """
@@ -351,31 +353,6 @@ def _downpath_steps(
             return None
         steps.append((step.axis, step.nodetest))
     return tuple(steps)
-
-
-def _eval_downpath(steps: tuple[tuple[str, str], ...],
-                   element: Element) -> list:
-    current: list = [element]
-    for axis, nodetest in steps:
-        gathered: list = []
-        for item in current:
-            if not isinstance(item, Element):
-                continue
-            if axis == "child":
-                if nodetest == "text()":
-                    gathered.extend(child for child in item.children
-                                    if isinstance(child, Text))
-                else:
-                    gathered.extend(
-                        child for child in item.children
-                        if isinstance(child, Element)
-                        and child.tag == nodetest)
-            else:  # attribute
-                value = item.attributes.get(nodetest)
-                if value is not None:
-                    gathered.append(UntypedAtomic(value))
-        current = gathered
-    return current
 
 
 def _simple_descendant_tag(source: Expression) -> str | None:
@@ -472,7 +449,7 @@ class _Runtime:
     """
 
     __slots__ = ("documents", "env", "item", "position", "size",
-                 "profile", "cache", "backends", "fallback")
+                 "profile", "backends", "fallback")
 
     def __init__(self, documents: tuple[Document, ...],
                  env: dict[str, Sequence]) -> None:
@@ -489,8 +466,6 @@ class _Runtime:
         self.backends: list[tuple[int, str, str | None]] | None = None
         #: the evaluation error that sent this run to the engine
         self.fallback: str | None = None
-        #: value indexes built for this evaluation (:func:`_value_index`)
-        self.cache: dict = {}
 
     def context(self) -> QueryContext:
         return QueryContext(self.documents, self.env, self.item,
@@ -879,7 +854,7 @@ def _compile_step(step: AxisStep, descendant: bool,
             if documents is None:
                 return generic(rt, items)
             matched = _probe(
-                [_value_index(rt, document, tag, downpath)
+                [columns.value_index(document, tag, downpath)
                  for document in documents],
                 probe_keys(probe_fn(rt)))
             for filter_fn in filters:
@@ -1049,32 +1024,6 @@ def _parent_step(rt: _Runtime, items: Sequence) -> Sequence:
 # ---------------------------------------------------------------------------
 # Value indexes
 # ---------------------------------------------------------------------------
-
-def _value_index(rt: _Runtime, document: Document, tag: str,
-                 steps: tuple[tuple[str, str], ...]) -> "PathIndex":
-    """The value index of ``document``'s ``//tag`` keyed by ``steps``.
-
-    The one accessor for every index read: the attached column store's
-    delta-maintained index; or, when no store is attached (reads never
-    attach one) or an injected ``columns.*`` fault kills a dirty
-    store's rebuild, a store built for this evaluation only (memoised
-    in :attr:`_Runtime.cache`) — the attached store stays dirty and
-    heals on a later read.
-    """
-    store = document.column_store
-    if store is not None:
-        try:
-            return store.value_index(tag, steps)
-        except FailPointError:
-            pass
-    key = (id(document), tag, steps)
-    index = rt.cache.get(key)
-    if index is None:
-        from repro.relational.incremental import ColumnStore
-        index = rt.cache[key] = ColumnStore(document).value_index(
-            tag, steps)
-    return index
-
 
 def _probe(indexes: list, keys) -> list[Element]:
     """The elements the probe-side ``keys`` hit, each once."""

@@ -15,7 +15,12 @@ relies on (the Δ sets of section 5.1).
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
+
+from repro.testing.failpoints import fail
+
+if TYPE_CHECKING:
+    from repro.relational.columns import Downpath, PathIndex
 
 
 class Node:
@@ -272,16 +277,22 @@ class Document:
     query engines use the buckets to answer ``//tag`` steps without
     walking the tree.
 
+    It also keeps the *value indexes* the query planner probes
+    (:class:`repro.relational.columns.PathIndex`, one per tag and
+    downpath).  :func:`repro.relational.columns.value_index` builds
+    one on its first read; from then on every adopt/orphan patches it
+    from the mutation's delta (:meth:`_patch_value_indexes`).
+
     A document is not thread-safe on its own: even a read fills the
-    lazy document-order cache.  Callers that share one across threads
-    serialize every access, as :class:`repro.service.CheckingService`
-    does with its store's mutex.
+    lazy document-order cache, and may build or rebuild a value index.
+    Callers that share one across threads serialize every access, as
+    :class:`repro.service.CheckingService` does with its store's mutex.
     """
 
     __slots__ = ("root", "_next_id", "_nodes_by_id", "revision",
                  "_elements_by_tag", "_tag_order_cache",
-                 "_mutation_listeners",
-                 "column_store", "__weakref__")
+                 "value_indexes", "indexes_revision",
+                 "index_delta_failures", "index_rebuilds", "__weakref__")
 
     def __init__(self, root: Element) -> None:
         if root.parent is not None:
@@ -297,17 +308,16 @@ class Document:
         #: tag → document-ordered element list, dropped whenever an
         #: element of the tag is attached or detached
         self._tag_order_cache: dict[str, list[Element]] = {}
-        #: callables ``(kind, node, parent)`` invoked (after index
-        #: bookkeeping) for every adopt/orphan.  Listeners
-        #: must never raise: they run inside structural mutation, where
-        #: an escaping error would tear the mutation itself.  The
-        #: column store's listener swallows its own failures and falls
-        #: back to a cold rebuild instead.
-        self._mutation_listeners: list = []
-        #: the attached :class:`repro.relational.incremental.ColumnStore`
-        #: (or ``None``); a plain slot so the query planner can test for
-        #: columnar serviceability without importing the relational layer
-        self.column_store = None
+        #: tag → downpath → materialized value index
+        #: (:class:`repro.relational.columns.PathIndex`)
+        self.value_indexes: dict[str, dict[Downpath, PathIndex]] = {}
+        #: the revision the value indexes mirror; ``None`` = dirty, and
+        #: the next read rebuilds every one of them from the DOM
+        self.indexes_revision: int | None = 0
+        #: index deltas abandoned to a fault (the indexes self-healed)
+        self.index_delta_failures = 0
+        #: full rebuilds triggered by a dirty read
+        self.index_rebuilds = 0
         root.document = None  # adopt() sets it
         self.adopt(root)
 
@@ -328,16 +338,15 @@ class Document:
             if isinstance(current, Element):
                 self._index_element(current)
                 stack.extend(reversed(current.children))
-        for listener in self._mutation_listeners:
-            listener("adopt", node, node.parent)
+        self._patch_value_indexes(node, node.parent, adopted=True)
 
     def orphan(self, node: Node, parent: "Element | None" = None) -> None:
         """Unregister ``node`` and its subtree from the id index.
 
         ``parent`` is the element the node was detached from; callers
         that null ``node.parent`` before orphaning (``Element.remove``)
-        pass it so mutation listeners can still see where the change
-        happened.
+        pass it so the value-index delta can still see where the
+        change happened.
         """
         self.revision += 1
         if parent is None:
@@ -355,8 +364,78 @@ class Document:
                     self._tag_order_cache.pop(current.tag, None)
             if isinstance(current, Element):
                 stack.extend(reversed(current.children))
-        for listener in self._mutation_listeners:
-            listener("orphan", node, parent)
+        self._patch_value_indexes(node, parent, adopted=False)
+
+    # -- value indexes -------------------------------------------------------
+
+    def _patch_value_indexes(self, node: Node, parent: "Element | None",
+                             adopted: bool) -> None:
+        """Patch the materialized value indexes from one adopt/orphan.
+
+        Write-ahead invalidation: mark the indexes dirty, patch them,
+        stamp the revision back.  Never raises — it runs inside a
+        structural mutation, which an escaping error would tear (the
+        undo record of an insert is only created *after* the insert
+        returns).  A fault anywhere in the delta, the injected
+        ``columns.delta.*`` failpoints included, counts in
+        :attr:`index_delta_failures` and leaves the indexes dirty, and
+        the next read rebuilds them
+        (:func:`repro.relational.columns.value_index`).
+        """
+        indexes = self.value_indexes
+        if not indexes:
+            # nothing materialized yet: stay trivially in sync
+            self.indexes_revision = self.revision
+            return
+        if self.indexes_revision is None:
+            return  # already dirty; the next read rebuilds anyway
+        self.indexes_revision = None
+        try:
+            fail.point("columns.delta.apply")
+            if isinstance(node, Element):
+                for element in node.iter_elements():
+                    by_steps = indexes.get(element.tag)
+                    if by_steps is None:
+                        continue
+                    for index in by_steps.values():
+                        if adopted:
+                            index.add(element)
+                        else:
+                            index.discard(element)
+            self._rekey_ancestors(node, parent)
+            fail.point("columns.delta.settle")
+        except Exception:
+            self.index_delta_failures += 1
+            return  # stays dirty
+        self.indexes_revision = self.revision
+
+    def _rekey_ancestors(self, node: Node,
+                         parent: "Element | None") -> None:
+        """Index keys of the ancestor chain of one adopted/orphaned node.
+
+        An inserted/removed subtree (or text node) can change the
+        downpath keys of ancestors — but only of ancestors whose tag
+        chain down to the mutated element spells a prefix of the
+        index's downpath
+        (:func:`repro.relational.columns.chain_reaches`).  The chain
+        starts with ``node``'s own tag when it is an element; a text
+        node adds nothing, since any ``text()`` step may select it.
+        Everything else is skipped: a ``sub`` inserted under a ``rev``
+        spells ``rev/sub`` at the ``track``, which its
+        ``rev/name/text()`` keys cannot see, so the write rekeys
+        nothing there.
+        """
+        chain: tuple[str, ...] = \
+            (node.tag,) if isinstance(node, Element) else ()
+        current = parent
+        while current is not None:
+            by_steps = self.value_indexes.get(current.tag)
+            if by_steps is not None:
+                for index in by_steps.values():
+                    if index.reaches(chain):
+                        index.rekey(current)
+            chain = (current.tag,) + chain
+            current = current.parent
 
     # -- element-by-tag index ------------------------------------------------
 

@@ -14,7 +14,7 @@ exact pre-call state.
 
 A select is resolved to its one element by :func:`resolve_select`: the
 dominant shape — absolute child steps with positional predicates — is
-a walk over ``element.children``, with or without a column store;
+a walk over ``element.children``, which reads no value index;
 every other select is evaluated by the reference engine.
 
 An insert whose content would nest the document deeper than the

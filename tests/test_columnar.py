@@ -31,7 +31,7 @@ from repro.core.guard import BruteForceChecker, IntegrityGuard
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.datagen.workload import legal_submission
 from repro.errors import AmbiguousSelectError, UpdateApplicationError
-from repro.relational.incremental import attach, store_of
+from repro.relational.columns import value_index, verify
 from repro.xquery import parse_query
 from repro.xquery.engine import evaluate_query, query_truth
 from repro.xquery.planner import (
@@ -63,12 +63,6 @@ SCHEMA = make_schema()
 CONFLICT_QUERY = QUERIES[0]
 
 
-def _attach_all(documents):
-    for document in documents:
-        attach(document)
-    return documents
-
-
 def _two_way(query, documents):
     """(columnar, unplanned) verdict pair."""
     expression = parse_query(query) if isinstance(query, str) else query
@@ -79,20 +73,19 @@ def _two_way(query, documents):
 class TestVerdictDifferential:
     @pytest.mark.parametrize("query", QUERIES)
     def test_fixed_queries_agree(self, query, documents):
-        columnar, unplanned = _two_way(
-            query, _attach_all(documents))
+        columnar, unplanned = _two_way(query, documents)
         assert columnar == unplanned
 
     @pytest.mark.parametrize("query", QUERIES)
     def test_generated_corpus_agrees(self, query, small_corpus):
-        documents = _attach_all(list(small_corpus))
+        documents = list(small_corpus)
         columnar, unplanned = _two_way(query, documents)
         assert columnar == unplanned
 
     @given(random_corpora())
     @settings(max_examples=30)
     def test_hypothesis_corpora_agree(self, corpus):
-        documents = _attach_all(list(corpus))
+        documents = list(corpus)
         for query in QUERIES:
             columnar, unplanned = _two_way(query, documents)
             assert columnar == unplanned, query
@@ -100,7 +93,7 @@ class TestVerdictDifferential:
     @given(random_corpora())
     @settings(max_examples=15)
     def test_full_constraint_checks_agree(self, corpus):
-        documents = _attach_all(list(corpus))
+        documents = list(corpus)
         for constraint in SCHEMA.constraints:
             for query in constraint.full_queries:
                 columnar, unplanned = _two_way(
@@ -111,7 +104,7 @@ class TestVerdictDifferential:
     @given(random_corpora(names=NUMERIC_SPELLINGS))
     @settings(max_examples=30)
     def test_numeric_spellings_agree(self, corpus):
-        documents = _attach_all(list(corpus))
+        documents = list(corpus)
         queries = QUERIES + NAME_JOIN_QUERIES + [
             query.prepared for constraint in SCHEMA.constraints
             for query in constraint.full_queries]
@@ -163,7 +156,6 @@ class TestEqualityKeys:
                                             expected):
         document = parse_document(
             f"<r><a><v>{left}</v></a><b><v>{right}</v></b></r>")
-        store_of(document)
         assert _two_way(query, [document]) == (expected, expected)
 
     @pytest.mark.parametrize("query, expected", [
@@ -178,7 +170,6 @@ class TestEqualityKeys:
     def test_numbers_still_match_every_spelling(self, query, expected):
         document = parse_document(
             "<r><a><v>1</v></a><b><v>1.0</v></b></r>")
-        store_of(document)
         assert _two_way(query, [document]) == (expected, expected)
 
     @pytest.mark.parametrize("author, legal", [("7.0", True), ("7", False)])
@@ -229,9 +220,7 @@ class TestUpdateWorkloadDifferential:
                                ablated_guard.documents):
             assert serialize(left) == serialize(right)
         for document in columnar_guard.documents:
-            store = store_of(document)
-            assert store is not None
-            assert store.verify() == []
+            assert verify(document) == []
         return columnar_decisions
 
     def test_mixed_updates_agree(self, rng):
@@ -275,18 +264,17 @@ class TestUpdateWorkloadDifferential:
 
 class TestExplainBackend:
     def test_columnar_backend_reported(self, documents):
-        _attach_all(documents)
         text = explain_query(CONFLICT_QUERY, documents)
         assert "backend: columnar" in text
         assert "est~" in text and "examined=" in text
 
     def test_detached_documents_fall_back(self, documents):
-        # no store attached: the frontier reads value indexes built
-        # for the evaluation, and the read attaches nothing
+        # no checker wraps the documents: the frontier reads the value
+        # indexes the documents build on first read and keep
         text = explain_query(CONFLICT_QUERY, documents)
         assert "backend: columnar" in text
-        assert all(document.column_store is None
-                   for document in documents)
+        assert any(document.value_indexes for document in documents)
+        assert all(verify(document) == [] for document in documents)
 
     @pytest.mark.parametrize("query, cap, reason", [
         # a frontier over the row cap
@@ -373,18 +361,17 @@ DOWN_CHAIN_QUERIES = [
 
 class TestChildStep:
     """``_Down`` chains read ``element.children``: same-tag children
-    only, of that parent only — also after a remove that the column
-    store maintains by delta."""
+    only, of that parent only — also after a remove that the document
+    maintains its value indexes through by delta."""
 
     @pytest.fixture()
     def after_remove(self):
         document = parse_document(INTERLEAVED_XML)
-        store = attach(document)
-        store.value_index("c", (("child", "text()"),))
+        value_index(document, "c", (("child", "text()"),))
         first_a = document.root.children[0]
         first_a.remove(first_a.first_child("b"))
-        assert not store.dirty
-        assert store.verify() == []
+        assert document.indexes_revision == document.revision
+        assert verify(document) == []
         return document
 
     @pytest.mark.parametrize("query, expected", DOWN_CHAIN_QUERIES)
@@ -491,22 +478,17 @@ class TestSelectResolution:
         assert raised.type is (AmbiguousSelectError if expected
                                else UpdateApplicationError), select
 
-    @pytest.mark.parametrize("attached", [True, False])
     @pytest.mark.parametrize("select", POSITIONAL_SELECTS)
-    def test_matches_engine(self, select, attached, documents):
-        if attached:
-            _attach_all(documents)
+    def test_matches_engine(self, select, documents):
         self._assert_agrees(self._document_for(documents, select), select)
 
-    @given(random_corpora(), st.booleans(),
+    @given(random_corpora(),
            st.lists(positional_selects(), min_size=1, max_size=4),
            st.lists(sibling_mutations(), max_size=3))
     @settings(max_examples=40)
     def test_walk_matches_engine_across_sibling_updates(
-            self, corpus, attached, selects, mutations):
-        pub, rev = corpus
-        if attached:
-            IntegrityGuard(SCHEMA, [pub, rev])
+            self, corpus, selects, mutations):
+        _pub, rev = corpus
         for select in selects:
             self._assert_agrees(rev, select)
         for operation in mutations:
@@ -526,26 +508,23 @@ class TestSelectResolution:
         monkeypatch.setattr(xupdate_apply, "evaluate_query",
                             engine_entered)
         document = self._document_for(documents, select)
-        assert store_of(document) is None
         try:
             resolve_select(document, select)
         except UpdateApplicationError:
             pass  # no match / ambiguous: decided without the engine
+        assert document.value_indexes == {}  # the walk reads none
 
     @pytest.mark.parametrize("select", FALLBACK_SELECTS)
     def test_fallback_shapes_defer_to_engine(self, select, documents):
-        _attach_all(documents)
         document = self._document_for(documents, select)
         assert _walk_select(document, parsed_select(select)) is None
 
     def test_out_of_range_positional_raises_like_engine(self, documents):
-        _attach_all(documents)
         document = self._document_for(documents, "/review/track[9]")
         with pytest.raises(UpdateApplicationError):
             resolve_select(document, "/review/track[9]")
 
     def test_resolution_survives_updates(self, documents):
-        _attach_all(documents)
         rev = self._document_for(documents, "/review")
         target = resolve_select(rev, "/review/track[2]/rev[1]")
         track = resolve_select(rev, "/review/track[1]")

@@ -8,17 +8,20 @@ differentials):
 * :class:`~repro.relational.columns.PathIndex` key maintenance
   (add, discard, rekeying) and the
   :func:`~repro.relational.columns.chain_reaches` reachability filter;
-* :class:`~repro.relational.incremental.ColumnStore` delta
-  maintenance under a seeded mixed update workload (the faultcheck
-  harness's step vocabulary) and under random element/text appends
-  and removes (a hypothesis property), asserting after every step
-  that the incrementally-patched indexes equal a cold rebuild over the
-  live documents;
+* the documents' value-index delta maintenance
+  (:meth:`~repro.xtree.node.Document._patch_value_indexes`) under a
+  seeded mixed update workload (the faultcheck harness's step
+  vocabulary) and under random element/text appends and removes (a
+  hypothesis property), asserting after every step that the
+  incrementally-patched indexes equal a cold rebuild over the live
+  documents;
 * exact deltas: a ``sub`` append or remove rekeys no index entry, and
   its key computations do not grow with the corpus;
 * the write-ahead invalidation protocol: an injected fault inside the
-  delta leaves the store dirty and the next read self-heals with a
-  full rebuild.
+  delta leaves the indexes dirty and the next read self-heals with a
+  full rebuild;
+* documents no checker wraps: planned queries build each index once
+  and keep it exact.
 """
 
 from __future__ import annotations
@@ -34,11 +37,15 @@ from repro.core.guard import IntegrityGuard
 from repro.datagen import generate_corpus, spec_for_size
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.datagen.workload import _normal_reviewer_targets
-from repro.relational.columns import PathIndex, chain_reaches
-from repro.relational.incremental import attach, store_of
+from repro.relational.columns import (
+    PathIndex,
+    chain_reaches,
+    value_index,
+    verify,
+)
 from repro.service.store import CheckingService
 from repro.testing import harness
-from repro.testing.failpoints import fail
+from repro.testing.failpoints import FailPointError, fail
 from repro.xquery import parse_query
 from repro.xquery.engine import query_truth
 from repro.xquery.optimizer import probe_keys
@@ -81,9 +88,13 @@ def schema():
 def documents(schema):
     pub = parse_document(PUB_XML)
     rev = parse_document(REV_XML)
-    # attaching through the guard is the production path
+    # a guard wraps the documents on the production path
     IntegrityGuard(schema, [pub, rev])
     return pub, rev
+
+
+def _dirty(document: Document) -> bool:
+    return document.indexes_revision != document.revision
 
 
 class TestChainReaches:
@@ -128,9 +139,7 @@ class TestChainReaches:
 class TestPathIndex:
     def test_probe_roundtrip(self, documents, schema):
         _pub, rev = documents
-        store = store_of(rev)
-        assert store is not None
-        index = store.value_index("rev", NAME_TEXT)
+        index = value_index(rev, "rev", NAME_TEXT)
         (key,) = probe_keys(["Alice"])
         assert [el.tag for el in index.probe(key)] == ["rev"]
         (absent,) = probe_keys(["Nobody"])
@@ -138,27 +147,23 @@ class TestPathIndex:
 
     def test_rekey_moves_buckets(self, documents, schema):
         _pub, rev = documents
-        store = store_of(rev)
-        assert store is not None
-        index = store.value_index("rev", NAME_TEXT)
+        index = value_index(rev, "rev", NAME_TEXT)
         rev_el = rev.elements_by_tag("rev")[0]
         name = rev_el.first_child("name")
         assert name is not None
         name.remove(name.children[0])
         name.append(Text("Brianna"))
-        # the mutation listener rekeys through chain_reaches
+        # the document's delta rekeys through chain_reaches
         (old_key,) = probe_keys(["Alice"])
         (new_key,) = probe_keys(["Brianna"])
         assert index.probe(old_key) == []
         assert index.probe(new_key) == [rev_el]
-        assert store.verify() == []
+        assert verify(rev) == []
 
     def test_element_valued_index_follows_text_mutations(
             self, documents, schema):
         _pub, rev = documents
-        store = store_of(rev)
-        assert store is not None
-        index = store.value_index("rev", (("child", "name"),))
+        index = value_index(rev, "rev", (("child", "name"),))
         rev_el = rev.elements_by_tag("rev")[0]
         name = rev_el.first_child("name")
         assert name is not None
@@ -166,7 +171,7 @@ class TestPathIndex:
         name.append(Text("Brianna"))
         (key,) = probe_keys(["Brianna"])
         assert index.probe(key) == [rev_el]
-        assert store.verify() == []
+        assert verify(rev) == []
 
     def test_discard_unbuckets(self):
         index = PathIndex("aut", NAME_TEXT)
@@ -228,11 +233,9 @@ class TestWorkloadDifferential:
         # materialize a shallow and a deep index per document, so the
         # workload exercises real deltas and long ancestor chains
         for document in (pub_doc, rev_doc):
-            store = store_of(document)
-            assert store is not None
-            store.value_index("rev", NAME_TEXT)
-            store.value_index(document.root.tag,
-                              DEEP_INDEXES[document.root.tag])
+            value_index(document, "rev", NAME_TEXT)
+            value_index(document, document.root.tag,
+                        DEEP_INDEXES[document.root.tag])
         rng = random.Random(seed)
         accepted = 0
         for kind in harness._weighted_kinds(rng, 24):
@@ -250,9 +253,7 @@ class TestWorkloadDifferential:
                 if decision is not None and decision.applied:
                     accepted += 1
             for document in (pub_doc, rev_doc):
-                store = store_of(document)
-                assert store is not None
-                assert store.verify() == [], (seed, kind)
+                assert verify(document) == [], (seed, kind)
         assert accepted > 0  # the workload really mutated state
 
 
@@ -271,7 +272,7 @@ DELTA_XML = """<review>
  </track>
 </review>"""
 
-#: one index per downpath shape the store maintains: ending in
+#: one index per downpath shape the document maintains: ending in
 #: ``text()``, element-valued, on an attribute, and three steps deep
 DELTA_INDEXES = [
     ("rev", NAME_TEXT),
@@ -337,16 +338,15 @@ class TestExactDeltaProperty:
     @given(st.data())
     def test_random_mutations_keep_indexes_exact(self, data):
         document = parse_document(DELTA_XML)
-        store = attach(document)
         for tag, steps in DELTA_INDEXES:
-            store.value_index(tag, steps)
+            value_index(document, tag, steps)
         for _ in range(data.draw(st.integers(1, 12), label="steps")):
             _delta_step(document, data)
-            # the delta itself kept the store in sync: no swallowed
+            # the delta itself kept the indexes in sync: no swallowed
             # fault and no rebuild to hide a missed rekey
-            assert store.delta_failures == 0
-            assert not store.dirty
-            assert store.verify() == []
+            assert document.index_delta_failures == 0
+            assert not _dirty(document)
+            assert verify(document) == []
 
 
 class TestExactDeltaCounts:
@@ -358,10 +358,8 @@ class TestExactDeltaCounts:
         pub, rev = generate_corpus(
             replace(spec_for_size(kib * 1024), seed=1))
         service = CheckingService(make_schema(), [pub, rev])
-        store = store_of(rev)
-        assert store is not None
         for tag, steps in (("rev", NAME_TEXT), ("track", REV_NAME_TEXT)):
-            store.value_index(tag, steps)
+            value_index(rev, tag, steps)
         track, rev_number, _ = _normal_reviewer_targets(rev)[0]
         subs = len(rev.root.element_children("track")[track - 1]
                    .element_children("rev")[rev_number - 1]
@@ -389,7 +387,7 @@ class TestExactDeltaCounts:
                 assert service.try_execute(text).applied
                 if round_number:
                     per_update.append(dict(counts))
-        assert store.verify() == []
+        assert verify(rev) == []
         monkeypatch.undo()
         return per_update
 
@@ -404,41 +402,37 @@ class TestExactDeltaCounts:
 class TestCrashConsistency:
     def test_delta_fault_leaves_dirty_then_self_heals(self, documents):
         _pub, rev = documents
-        store = store_of(rev)
-        assert store is not None
-        store.value_index("rev", NAME_TEXT)
-        failures = store.delta_failures
-        rebuilds = store.rebuilds
+        value_index(rev, "rev", NAME_TEXT)
+        failures = rev.index_delta_failures
+        rebuilds = rev.index_rebuilds
         with fail.armed({"columns.delta.apply": "count:1"}) as armed:
             rev.elements_by_tag("track")[0].append(
                 _text_el("name", "Ghost"))
             armed.assert_fired("columns.delta.apply")
-        assert store.delta_failures == failures + 1
-        assert store.dirty
+        assert rev.index_delta_failures == failures + 1
+        assert _dirty(rev)
         # the next read rebuilds from the DOM and is consistent again
-        index = store.value_index("rev", NAME_TEXT)
-        assert store.rebuilds == rebuilds + 1
-        assert not store.dirty
+        index = value_index(rev, "rev", NAME_TEXT)
+        assert rev.index_rebuilds == rebuilds + 1
+        assert not _dirty(rev)
         assert len(index) == len(rev.elements_by_tag("rev"))
-        assert store.verify() == []
+        assert verify(rev) == []
 
     def test_fault_in_rebuild_keeps_store_dirty(self, documents):
         _pub, rev = documents
-        store = store_of(rev)
-        assert store is not None
-        store.value_index("rev", NAME_TEXT)
+        value_index(rev, "rev", NAME_TEXT)
         with fail.armed({"columns.delta.settle": "count:1",
                          "columns.rebuild": "count:1"}) as armed:
             rev.elements_by_tag("track")[0].append(
                 _text_el("name", "Ghost"))
             with pytest.raises(Exception):
                 # the rebuild itself crashes
-                store.value_index("rev", NAME_TEXT)
+                value_index(rev, "rev", NAME_TEXT)
             armed.assert_fired("columns.delta.settle",
                                "columns.rebuild")
-        assert store.dirty  # swap never happened
-        store.value_index("rev", NAME_TEXT)  # second read succeeds
-        assert store.verify() == []
+        assert _dirty(rev)  # swap never happened
+        value_index(rev, "rev", NAME_TEXT)  # second read succeeds
+        assert verify(rev) == []
 
     #: the same witness question as a value-index probe step and as a
     #: quantifier (a frontier plan)
@@ -450,18 +444,15 @@ class TestCrashConsistency:
         "satisfies $r/name/text() = 'Ghost'",
     ]
 
-    def test_value_index_fault_degrades_to_per_evaluation_map(
-            self, schema):
-        # a planned check whose store crashes while rebuilding answers
-        # from an index built for the evaluation — the unplanned
-        # engine's verdict — and leaves the store dirty to heal on a
-        # later read
+    def test_rebuild_fault_fails_the_check_then_heals(self, schema):
+        # a planned check that hits a dirty document whose rebuild
+        # crashes fails like any other injected fault; the indexes stay
+        # dirty, and the next check rebuilds them and answers what the
+        # reference engine answers
         for text in self.GHOST_QUERIES:
             pub = parse_document(PUB_XML)
             rev = parse_document(REV_XML)
             IntegrityGuard(schema, [pub, rev])
-            store = store_of(rev)
-            assert store is not None
             query = parse_query(text)
             assert query_truth_planned(query, [pub, rev]) is False
             if "$t/rev" in text:
@@ -472,31 +463,90 @@ class TestCrashConsistency:
             with fail.armed({"columns.delta.apply": "count:1",
                              "columns.rebuild": "count:1"}) as armed:
                 rev.elements_by_tag("track")[0].append(ghost)
-                assert query_truth_planned(query, [pub, rev]) is True
+                with pytest.raises(FailPointError):
+                    query_truth_planned(query, [pub, rev])
                 armed.assert_fired("columns.delta.apply",
                                    "columns.rebuild")
-            assert query_truth(query, [pub, rev]) is True
-            assert store.dirty
+            assert _dirty(rev)
+            rebuilds = rev.index_rebuilds
             assert query_truth_planned(query, [pub, rev]) is True
-            assert not store.dirty
-            assert store.verify() == []
+            assert query_truth(query, [pub, rev]) is True
+            assert rev.index_rebuilds == rebuilds + 1
+            assert not _dirty(rev)
+            assert verify(rev) == []
 
     def test_unmaterialized_store_stays_trivially_synced(self):
         document = parse_document("<zoo><animal/></zoo>")
-        store = attach(document)
         document.root.append(Element("animal"))
-        assert not store.dirty
-        assert store.rebuilds == 0
+        assert not _dirty(document)
+        assert document.index_rebuilds == 0
+        assert document.value_indexes == {}
 
 
-class TestAttachDetach:
-    def test_attach_reuses_equivalent_store(self, documents):
-        # a second guard over the same document shares its store and
-        # registers no second mutation listener
+class TestDocumentOwnsItsIndexes:
+    def test_second_checker_keeps_the_indexes(self, documents):
+        # a second guard over the same documents serves the indexes
+        # the first one's checks built: nothing rebuilds or replaces
         pub, rev = documents
-        store = store_of(pub)
-        listeners = list(pub._mutation_listeners)
-        assert attach(pub) is store
+        index = value_index(pub, "aut", NAME_TEXT)
         IntegrityGuard(make_schema(), [pub, rev])
-        assert store_of(pub) is store
-        assert pub._mutation_listeners == listeners
+        assert value_index(pub, "aut", NAME_TEXT) is index
+        assert pub.index_rebuilds == 0
+
+    #: planned queries that read value indexes: a probe step and a
+    #: hash join
+    BARE_QUERIES = [
+        "exists(//aut[name/text() = 'Carol'])",
+        "some $s in //sub, $p in //pub "
+        "satisfies $s/title/text() = $p/title/text()",
+    ]
+
+    def test_bare_document_builds_each_index_once(self, monkeypatch):
+        # no checker wraps the documents: repeated planned queries
+        # build each index on the first read only, and the deltas keep
+        # them exact across appends and removes
+        pub = parse_document(PUB_XML)
+        rev = parse_document(REV_XML)
+        built: list[tuple] = []
+        init = PathIndex.__init__
+
+        def counting(self, tag, steps):
+            built.append((tag, steps))
+            init(self, tag, steps)
+
+        monkeypatch.setattr(PathIndex, "__init__", counting)
+        queries = [parse_query(text) for text in self.BARE_QUERIES]
+
+        def verdicts() -> list[bool]:
+            planned = [query_truth_planned(query, [pub, rev])
+                       for query in queries]
+            assert planned == [query_truth(query, [pub, rev])
+                               for query in queries]
+            return planned
+
+        assert verdicts() == [True, False]
+        first = list(built)
+        # one build per (document, tag, downpath) the queries read
+        assert first and len(first) == sum(
+            len(by_steps) for document in (pub, rev)
+            for by_steps in document.value_indexes.values())
+        assert verdicts() == [True, False]
+        assert built == first
+        # a pub titled like the sub, by an aut that the aut index files
+        added = Element("pub")
+        added.append(_text_el("title", "Streams"))
+        aut = Element("aut")
+        aut.append(_text_el("name", "Zed"))
+        added.append(aut)
+        pub.root.append(added)
+        (key,) = probe_keys(["Zed"])
+        assert value_index(pub, "aut", NAME_TEXT).probe(key) == [aut]
+        assert verdicts() == [True, True]
+        pub.root.remove(added)
+        assert value_index(pub, "aut", NAME_TEXT).probe(key) == []
+        assert verdicts() == [True, False]
+        assert built == first
+        for document in (pub, rev):
+            assert document.index_rebuilds == 0
+            assert not _dirty(document)
+            assert verify(document) == []

@@ -11,7 +11,8 @@ _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "count_calls.py"
 
 TARGETS = (
     "repro.xquery.columnar:_Eval.expand",
-    "repro.relational.incremental:ColumnStore.value_index",
+    "repro.relational.columns:value_index",
+    "repro.relational.columns:PathIndex.rekey",
     "repro.xtree.node:Document.elements_by_tag",
     "repro.core.guard:IntegrityGuard.try_execute",
 )

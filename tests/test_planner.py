@@ -21,7 +21,7 @@ from repro.core.guard import IntegrityGuard
 from repro.datagen import CorpusSpec, generate_corpus
 from repro.datagen.running_example import make_schema, submission_xupdate
 from repro.datagen.workload import legal_submission
-from repro.relational.incremental import attach, store_of
+from repro.relational.columns import value_index, verify
 from repro.service.store import CheckingService, DocumentStore
 from repro.testing.failpoints import FailPointError, fail
 from repro.xquery import parse_query
@@ -189,14 +189,14 @@ class TestDifferentialQueries:
     @pytest.mark.parametrize("stored", [0, 1], ids=["pub", "rev"])
     @pytest.mark.parametrize("query", QUERIES)
     def test_one_store_agrees(self, query, stored, documents):
-        # one document answers from its store's delta-maintained
-        # indexes, the other (no store) from indexes built for the
-        # evaluation: a probe spanning both must not care
-        attach(documents[stored])
+        # one document answers from the indexes an earlier read built
+        # (and its deltas kept), the other from indexes this read
+        # builds: a probe spanning both must not care
         expression = parse_query(query)
+        query_truth_planned(expression, [documents[stored]])
+        assert documents[1 - stored].value_indexes == {}
         assert query_truth_planned(expression, documents) \
             == query_truth(expression, documents)
-        assert store_of(documents[1 - stored]) is None
 
     @given(random_corpora())
     @settings(max_examples=40)
@@ -687,24 +687,19 @@ def _mid_update_expressions(title):
     ]
 
 
-def _mid_update_documents(attached):
+def _mid_update_documents(guarded):
     documents = _fresh_documents()
-    if attached:
+    if guarded:
         IntegrityGuard(SCHEMA, documents)
     return documents
 
 
-def _assert_indexes_settled(documents, attached):
-    """Guard-attached: the served ``PathIndex`` equals a cold rebuild
-    and files every element once, attached to its document.  Bare:
-    evaluating attached nothing."""
+def _assert_indexes_settled(documents):
+    """The served ``PathIndex`` equals a cold rebuild and files every
+    element once, attached to its document."""
     for document in documents:
-        store = store_of(document)
-        if not attached:
-            assert store is None
-            continue
-        assert store.verify() == []
-        index = store.value_index("sub", _SUB_TITLE)
+        assert verify(document) == []
+        index = value_index(document, "sub", _SUB_TITLE)
         for bucket in index.buckets.values():
             elements = list(bucket.values())
             assert len({id(element) for element in elements}) \
@@ -713,15 +708,15 @@ def _assert_indexes_settled(documents, attached):
                        for element in elements)
 
 
-@pytest.mark.parametrize("attached", [True, False],
+@pytest.mark.parametrize("guarded", [True, False],
                          ids=["guard-attached", "bare"])
 class TestMidUpdateIndexes:
-    def test_rejected_mid_update_rebuild_is_dropped(self, attached):
+    def test_rejected_mid_update_rebuild_is_dropped(self, guarded):
         # a check evaluated while an update is partially applied sees
         # the inserted nodes; after the update rolls back those nodes
         # are detached, and no index may resurrect them as phantom
         # witnesses
-        documents = _mid_update_documents(attached)
+        documents = _mid_update_documents(guarded)
         rev_doc = documents[1]
         operation = parse_modifications(
             submission_xupdate(1, 1, "Phantom", "Nobody Known"))[0]
@@ -734,13 +729,13 @@ class TestMidUpdateIndexes:
                 log.rollback()
             assert query_truth(expression, documents) is False
             assert query_truth_planned(expression, documents) is False
-        _assert_indexes_settled(documents, attached)
+        _assert_indexes_settled(documents)
 
-    def test_applied_mid_update_rebuild_is_dropped(self, attached):
+    def test_applied_mid_update_rebuild_is_dropped(self, guarded):
         # a check evaluated after the update's first operation already
         # saw that operation's elements; committing the whole update
         # must not file them twice
-        documents = _mid_update_documents(attached)
+        documents = _mid_update_documents(guarded)
         rev_doc = documents[1]
         operations = parse_modifications(_multi_submission([
             (1, 2, "Dup", "Nobody A"), (2, 1, "Dup", "Nobody B")]))
@@ -757,7 +752,7 @@ class TestMidUpdateIndexes:
         for expression in expressions:
             assert query_truth_planned(expression, documents) is True
             assert query_truth(expression, documents) is True
-        _assert_indexes_settled(documents, attached)
+        _assert_indexes_settled(documents)
 
 
 class TestIndexedSteps:

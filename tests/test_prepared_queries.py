@@ -30,7 +30,7 @@ from repro.datagen.workload import (
     legal_submission,
 )
 from repro.errors import CompilationError
-from repro.relational.incremental import store_of
+from repro.relational.columns import value_index
 from repro.xquery import parser, planner
 from repro.xquery.translate import PARAM_VARIABLE_PREFIX
 from repro.xtree import parse_document, serialize
@@ -282,10 +282,10 @@ _AUT_NAME = (("child", "name"), ("child", "text()"))
 
 
 class TestValueIndex:
-    """The column store's ``PathIndex`` is the one value index that
+    """The document's ``PathIndex`` is the one value index, and it
     outlives an evaluation."""
 
-    def _attached(self):
+    def _guarded(self):
         schema = make_schema()
         documents = list(generate_corpus(spec_for_size(32 * 1024)))
         IntegrityGuard(schema, documents)
@@ -293,11 +293,11 @@ class TestValueIndex:
         return documents, query
 
     def _served(self, documents):
-        return [store_of(document).value_index("aut", _AUT_NAME)
+        return [value_index(document, "aut", _AUT_NAME)
                 for document in documents]
 
     def test_value_index_survives_unrelated_updates(self):
-        documents, query = self._attached()
+        documents, query = self._guarded()
         assert query.truth(documents) is False
         served = self._served(documents)
         # an update touching only <title> elements keeps the same
@@ -313,14 +313,14 @@ class TestValueIndex:
         (added,) = planner._probe(served, [("str", "Brand New")])
         assert added.tag == "aut" and added.document is documents[0]
         assert query.truth(documents) is False
-        assert all(store_of(document).rebuilds == 0
+        assert all(document.index_rebuilds == 0
                    for document in documents)
 
     def test_check_probes_the_store_after_a_write(self, monkeypatch):
-        # the hash join probes the store's index: a submission (new
+        # the hash join probes the document's index: a submission (new
         # sub/auts/name elements, no aut) triggers no O(|aut|) index
         # build
-        documents, query = self._attached()
+        documents, query = self._guarded()
         fetched: list[str] = []
         elements_by_tag = Document.elements_by_tag
 
@@ -338,7 +338,7 @@ class TestValueIndex:
         assert "aut" not in fetched
         assert all(after is before for after, before
                    in zip(self._served(documents), served))
-        assert all(store_of(document).rebuilds == 0
+        assert all(document.index_rebuilds == 0
                    for document in documents)
 
 

@@ -339,6 +339,19 @@ class TestEdgeConnection:
         assert payload["ok"] is False
         assert payload["code"] in ("bad-request", "too-large")
 
+    def test_oversized_header_block_gets_431_then_closes(self, edge):
+        big = (b"POST /update HTTP/1.1\r\nX-Padding: " + b"a" * 70_000
+               + b"\r\nContent-Length: 0\r\n\r\n")
+        writer = _serve(edge, self._NOT_FOUND + big + self._NOT_FOUND)
+        first, _, refusal = bytes(writer.data).partition(
+            b"HTTP/1.1 431 Request Header Fields Too Large\r\n")
+        assert first.startswith(b"HTTP/1.1 404 Not Found\r\n")
+        assert b"Connection: close\r\n" in refusal
+        assert b"HTTP/1.1" not in refusal  # nothing after the refusal
+        payload = json.loads(refusal.partition(b"\r\n\r\n")[2])
+        assert payload == {"ok": False, "code": "headers-too-large",
+                           "error": payload["error"]}
+
     def test_eof_mid_request_closes_silently(self, edge):
         writer = _serve(edge, self._NOT_FOUND[:-3])
         assert writer.data == b""
@@ -400,13 +413,13 @@ def _two_author_append(track: int, rev: int, tag: str) -> str:
 
 class TestShardWorkerReadsLiveTree:
     """A shard worker's durable services work on the live documents:
-    past first touch and recovery nothing attaches a column store, so
-    every commit pays for its delta only, and the reads answer exactly
-    what the in-process oracle answers."""
+    every value index is built on a live document and never rebuilt,
+    so every commit pays for its delta only, and the reads answer
+    exactly what the in-process oracle answers."""
 
     def test_commits_publish_nothing_and_match_snapshot_oracle(
             self, tmp_path, monkeypatch):
-        from repro.relational import incremental
+        from repro.relational import columns
         from repro.service.net.worker import ShardWorker
 
         config = make_config()
@@ -414,16 +427,23 @@ class TestShardWorkerReadsLiveTree:
         oracle = make_oracle(config)
         uid = "main"
 
-        attached: list = []
+        built: list = []
         spying = False
-        real_attach = incremental.attach
+        real_build = columns._build
 
-        def spy_attach(document):
+        def spy_build(document, tag, steps):
             if spying:
-                attached.append(document)
-            return real_attach(document)
+                built.append(document)
+            return real_build(document, tag, steps)
 
-        monkeypatch.setattr(incremental, "attach", spy_attach)
+        monkeypatch.setattr(columns, "_build", spy_build)
+
+        def built_on_live_documents_only() -> None:
+            live = worker.services[uid].store.documents
+            assert all(any(document is doc for doc in live)
+                       for document in built)
+            assert all(document.index_rebuilds == 0 for document in live)
+            built.clear()
 
         def call(request: dict) -> dict:
             nonlocal spying
@@ -447,10 +467,11 @@ class TestShardWorkerReadsLiveTree:
                     "log": [canonical_update_text(entry.update)
                             for entry in oracle.committed_updates()]}
 
-        # first touch: opens the shard (its guard attaches the live
-        # documents' column stores) — and, from here on, nothing does
+        # first touch: opens the shard, and the full check builds the
+        # indexes it reads on the live documents
         check_and_read()
-        attached.clear()
+        assert built
+        built_on_live_documents_only()
 
         (t1, r1, _, subs1), (t2, r2, name2, subs2) = _reviewers()[:2]
         # legal appends and removes
@@ -473,23 +494,21 @@ class TestShardWorkerReadsLiveTree:
         update(_two_author_append(t1, r1, "probe"))
         update(_removal(t1, r1, subs1 + 1))
         check_and_read()
-        assert attached == []
+        built_on_live_documents_only()
 
-        # forced from-disk recovery: the only attach is the new guard's
-        # on the recovered live documents, never on a copy
+        # forced from-disk recovery: indexes are built on the recovered
+        # live documents, never on a copy
         response = call({"op": "recover", "uid": uid})
         recovered = worker.services[uid]
         assert response["ok"] is True
         assert response["violations"] == oracle.verify_consistency()
         assert response["committed"] == len(oracle.committed_updates())
-        live = recovered.store.documents
-        assert [id(d) for d in attached] == [id(d) for d in live]
-        attached.clear()
+        built_on_live_documents_only()
 
         update(submission_xupdate(t2, r2, "After Recover", "Late Author"))
         update(_removal(t2, r2, subs2 + 1))
         check_and_read()
-        assert attached == []
+        built_on_live_documents_only()
         assert worker.services[uid].snapshot() == oracle.snapshot()
         worker.close()
 
