@@ -478,9 +478,20 @@ class TestSelectResolution:
         assert raised.type is (AmbiguousSelectError if expected
                                else UpdateApplicationError), select
 
+    @pytest.mark.parametrize("indexed", [True, False])
     @pytest.mark.parametrize("select", POSITIONAL_SELECTS)
-    def test_matches_engine(self, select, documents):
-        self._assert_agrees(self._document_for(documents, select), select)
+    def test_matches_engine(self, select, indexed, documents):
+        # indexed: a columnar query has left the documents' value
+        # indexes materialized; the walk must agree either way and
+        # leave the indexes as it found them
+        if indexed:
+            query_truth_planned(parse_query(CONFLICT_QUERY), documents)
+            assert any(document.value_indexes for document in documents)
+        document = self._document_for(documents, select)
+        before = dict(document.value_indexes)
+        self._assert_agrees(document, select)
+        assert document.value_indexes == before
+        assert verify(document) == []
 
     @given(random_corpora(),
            st.lists(positional_selects(), min_size=1, max_size=4),
