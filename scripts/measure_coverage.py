@@ -2,8 +2,9 @@
 """Approximate line coverage of the gated packages, without pytest-cov.
 
 CI gates ``src/repro/xupdate``, ``src/repro/core``,
-``src/repro/service``, ``src/repro/relational``, ``src/repro/analysis``
-and ``src/repro/xtree`` with pytest-cov's ``--cov-fail-under``; this
+``src/repro/service``, ``src/repro/relational``, ``src/repro/analysis``,
+``src/repro/xtree`` and ``src/repro/xquery`` with pytest-cov's
+``--cov-fail-under``; this
 script reproduces the measurement with nothing but the standard
 library (a ``sys.settrace`` line collector against ``co_lines()``
 executable-line sets), for environments where pytest-cov is not
@@ -34,6 +35,8 @@ GATED = [
     REPO / "src" / "repro" / "analysis",
     # the documents' value-index delta maintenance lives here
     REPO / "src" / "repro" / "xtree",
+    # the check planner, its frontier executor and the engine
+    REPO / "src" / "repro" / "xquery",
 ]
 
 #: mirrored from ``[tool.coverage.run] omit`` in pyproject.toml: the

@@ -3,8 +3,9 @@
 :class:`PathIndex` is a value index over one tag: element → the
 index-side hash keys (:func:`repro.xquery.optimizer.hash_keys`) of
 each atom of a downward path (``name/text()``, ``@year``, …), plus the
-inverted ``key → elements`` buckets the planner's hash joins and
-predicate-value filters probe.
+inverted ``key → elements`` buckets.  :func:`probe` is the one walk
+over those buckets, for the planner's predicate-value filters and the
+frontier's hash joins and correlated probes.
 
 A document owns its indexes
 (:attr:`repro.xtree.node.Document.value_indexes`).  :func:`value_index`
@@ -33,7 +34,7 @@ from repro.xtree.node import Document, Element, Text
 
 Downpath = tuple[tuple[str, str], ...]
 """A relative downward path as ``((axis, nodetest), ...)`` — the same
-shape the planner's ``_downpath_steps`` produces."""
+shape :func:`repro.xquery.optimizer.downpath_steps` produces."""
 
 
 def eval_downpath(steps: Downpath, element: Element) -> list:
@@ -188,6 +189,23 @@ def value_index(document: Document, tag: str, steps: Downpath) -> PathIndex:
     if index is None:
         index = by_steps[steps] = _build(document, tag, steps)
     return index
+
+
+def probe(indexes: list[PathIndex], keys) -> list[Element]:
+    """The elements the probe-side ``keys`` hit in any of ``indexes``,
+    each once."""
+    matched: list[Element] = []
+    seen: set[int] = set()
+    for key in keys:
+        for index in indexes:
+            bucket = index.buckets.get(key)
+            if not bucket:
+                continue
+            for element in bucket.values():
+                if id(element) not in seen:
+                    seen.add(id(element))
+                    matched.append(element)
+    return matched
 
 
 def _build(document: Document, tag: str, steps: Downpath) -> PathIndex:

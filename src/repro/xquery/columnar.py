@@ -1,10 +1,9 @@
 """Set-at-a-time evaluation of planned quantifiers: the planner's one
 way to evaluate a ``some``.
 
-The planner chooses a binding order
-(:func:`repro.xquery.planner._choose_order`); this module lowers it to
-a *frontier* pipeline in which each level is one operation over a
-whole column of candidate rows —
+The planner (:mod:`repro.xquery.planner`) chooses a binding order;
+this module lowers it to a *frontier* pipeline in which each level is
+one operation over a whole column of candidate rows —
 
 * ``_Down`` — a chain of child steps,
   :meth:`~repro.xtree.node.Element.element_children`: the DOM's
@@ -50,6 +49,13 @@ refuses only a quantifier that binds one name twice, and a frontier
 beyond :data:`_FRONTIER_CAP` rows raises :class:`Bail`; the planner
 sends either to the reference engine (verdict parity is the
 differential suite's job).
+
+The dependency runs one way: the planner imports this module, and this
+module imports nothing from the planner.  :func:`lower_some` takes the
+closures it needs from the plan it is handed (``pl.compile(expr)`` for
+a value, ``pl.truth(expr)`` for an effective boolean value, ``pl.stats``
+for the cost gate), and :class:`Runtime`, the state every compiled
+closure runs on, lives here.
 """
 
 from __future__ import annotations
@@ -57,17 +63,20 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.relational import columns
-from repro.xquery import planner as _planner
 from repro.xquery.ast import BinaryOp, Expression, PathExpr, VarRef
+from repro.xquery.engine import QueryContext
 from repro.xquery.optimizer import (
+    SIMPLE_STEP_NODETESTS,
     free_variables,
     hash_keys,
+    join_equality,
     matching_keys,
     probe_keys,
+    simple_descendant_tag,
+    var_downpath,
 )
-from repro.xquery.planner import _Runtime
-from repro.xquery.values import atomize
-from repro.xtree.node import Element, Text
+from repro.xquery.values import Sequence, atomize
+from repro.xtree.node import Document, Element, Text
 
 #: frontiers beyond this many rows raise :class:`Bail`, and the
 #: quantifier is evaluated by the reference engine instead
@@ -80,6 +89,37 @@ Downpath = tuple[tuple[str, str], ...]
 
 class Bail(Exception):
     """Raised mid-run when vectorized evaluation cannot proceed."""
+
+
+class Runtime:
+    """Mutable evaluation state threaded through compiled closures.
+
+    Where the engine copies a frozen context per binding, compiled
+    plans share one environment dict and set/restore keys around each
+    loop level.  :meth:`context` bridges into the reference engine for
+    constructs outside the compiled fragment — the engine's
+    copy-on-write variable handling makes sharing the dict safe.
+    """
+
+    __slots__ = ("documents", "env", "item", "profile", "backends",
+                 "fallback")
+
+    def __init__(self, documents: tuple[Document, ...],
+                 env: dict[str, Sequence]) -> None:
+        self.documents = documents
+        self.env = env
+        self.item: object | None = None
+        #: (quantifier, binding) key → [items examined, tuples passed];
+        #: populated by explain runs only
+        self.profile: dict[tuple, list[int]] | None = None
+        #: (quantifier index, backend, reason) records; populated when
+        #: an explain run sets it to a list
+        self.backends: list[tuple[int, str, str | None]] | None = None
+        #: the evaluation error that sent this run to the engine
+        self.fallback: str | None = None
+
+    def context(self) -> QueryContext:
+        return QueryContext(self.documents, self.env, self.item)
 
 
 def _index_of(indexes: dict, element: Element, tag: str | None,
@@ -126,7 +166,7 @@ class _SideVar:
     def refs(self) -> frozenset[str]:
         return frozenset((self.name,))
 
-    def keys_fn(self, rt: _Runtime, cols: dict[str, list],
+    def keys_fn(self, rt: Runtime, cols: dict[str, list],
                 probe: bool) -> Callable[[int], frozenset]:
         column = cols[self.name]
         if self.is_keys:
@@ -171,7 +211,7 @@ class _SidePath:
     def refs(self) -> frozenset[str]:
         return frozenset((self.name,))
 
-    def keys_fn(self, rt: _Runtime, cols: dict[str, list],
+    def keys_fn(self, rt: Runtime, cols: dict[str, list],
                 probe: bool) -> Callable[[int], frozenset]:
         column = cols[self.name]
         memo: dict[int, frozenset] = {}
@@ -212,7 +252,7 @@ class _SideConst:
     def refs(self) -> frozenset[str]:
         return frozenset()
 
-    def keys_fn(self, rt: _Runtime, cols: dict[str, list],
+    def keys_fn(self, rt: Runtime, cols: dict[str, list],
                 probe: bool) -> Callable[[int], frozenset]:
         keys = _keys(self.closure(rt), probe)
         return lambda i: keys
@@ -230,7 +270,7 @@ class _RowFilter:
     def refs(self) -> frozenset[str]:
         return frozenset(self.names)
 
-    def holds_fn(self, rt: _Runtime,
+    def holds_fn(self, rt: Runtime,
                  cols: dict[str, list]) -> Callable[[int], bool]:
         """Row → truth, with the row's variables bound in ``rt.env``
         for the call (the caller restores the environment)."""
@@ -245,12 +285,12 @@ class _RowFilter:
         return holds
 
 
-def _bound_env(rt: _Runtime, names) -> dict:
+def _bound_env(rt: Runtime, names) -> dict:
     """The environment entries that binding ``names`` will overwrite."""
     return {name: rt.env.get(name, _MISSING) for name in names}
 
 
-def _restore_env(rt: _Runtime, saved: dict) -> None:
+def _restore_env(rt: Runtime, saved: dict) -> None:
     for name, value in saved.items():
         if value is _MISSING:
             rt.env.pop(name, None)
@@ -277,7 +317,7 @@ class _Down:
     def refs(self) -> frozenset[str]:
         return frozenset((self.source,))
 
-    def expand(self, rt: _Runtime, cols: dict[str, list],
+    def expand(self, rt: Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
         column = cols[self.source]
         take: list[int] = []
@@ -324,7 +364,7 @@ class _Values:
     def refs(self) -> frozenset[str]:
         return frozenset((self.source,))
 
-    def expand(self, rt: _Runtime, cols: dict[str, list],
+    def expand(self, rt: Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
         column = cols[self.source]
         take: list[int] = []
@@ -368,7 +408,7 @@ class _Parent:
     def refs(self) -> frozenset[str]:
         return frozenset((self.source,))
 
-    def expand(self, rt: _Runtime, cols: dict[str, list],
+    def expand(self, rt: Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
         column = cols[self.source]
         take: list[int] = []
@@ -403,7 +443,7 @@ class _Eval:
     def refs(self) -> frozenset[str]:
         return frozenset(self.names)
 
-    def expand(self, rt: _Runtime, cols: dict[str, list],
+    def expand(self, rt: Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
         if not self.names:
             items = list(self.closure(rt))
@@ -454,7 +494,7 @@ class _Join:
     def refs(self) -> frozenset[str]:
         return self.probe.refs()  # type: ignore[attr-defined]
 
-    def expand(self, rt: _Runtime, cols: dict[str, list],
+    def expand(self, rt: Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
         indexes = [columns.value_index(document, self.tag, self.steps)
                    for document in rt.documents]
@@ -466,7 +506,7 @@ class _Join:
             keys = keys_of(i)
             matched = matched_memo.get(keys)
             if matched is None:
-                matched = matched_memo[keys] = _planner._probe(
+                matched = matched_memo[keys] = columns.probe(
                     indexes, keys)
             for element in matched:
                 take.append(i)
@@ -501,7 +541,7 @@ class _Probe:
     def refs(self) -> frozenset[str]:
         return self.probe.refs() | {self.source}  # type: ignore
 
-    def expand(self, rt: _Runtime, cols: dict[str, list],
+    def expand(self, rt: Runtime, cols: dict[str, list],
                count: int) -> tuple[list[int], list]:
         column = cols[self.source]
         keys_of = self.probe.keys_fn(rt, cols, True)  # type: ignore
@@ -523,7 +563,7 @@ class _Probe:
                             document, self.tag, self.steps)
                             for document in rt.documents]
                     groups = groups_memo[keys] = {}
-                    for element in _planner._probe(indexes, keys):
+                    for element in columns.probe(indexes, keys):
                         groups.setdefault(id(element.parent),
                                           []).append(element)
                 children = groups.get(id(parent), ())
@@ -569,7 +609,7 @@ class _Level:
         self.carry = carry
         self.typed = typed
 
-    def apply(self, rt: _Runtime, cols: dict[str, list], count: int,
+    def apply(self, rt: Runtime, cols: dict[str, list], count: int,
               qindex: int, level: int) -> tuple[dict[str, list], int]:
         take, values = self.op.expand(rt, cols, count)
         total = len(values)
@@ -640,7 +680,7 @@ class _Level:
                 count = len(rows)
         return projected, count
 
-    def _any_row(self, rt: _Runtime, expanded: dict[str, list],
+    def _any_row(self, rt: Runtime, expanded: dict[str, list],
                  total: int) -> bool:
         """Whether any row survives every filter (early exit)."""
         sides = [(left.keys_fn(rt, expanded, False),
@@ -687,7 +727,7 @@ class VectorSome:
         self.levels = levels
         self.qindex = qindex
 
-    def run(self, rt: _Runtime) -> bool:
+    def run(self, rt: Runtime) -> bool:
         """Existential truth by frontier evaluation.
 
         Raises :class:`Bail` when the frontier outgrows the cap; the
@@ -713,8 +753,10 @@ def lower_some(bindings, name_set: frozenset[str], qindex: int,
     ``bindings`` is ``(name, source, factors, (estimate, rows))`` per
     binding, in the planner's chosen order: the conjuncts that become
     decidable once it is bound, the source's estimated cardinality
-    and the frontier rows estimated to reach it.  Returns
-    ``(plan, None)`` or ``(None, reason)``.
+    and the frontier rows estimated to reach it.  ``pl`` is the
+    planner's compilation context: ``pl.compile``/``pl.truth`` give
+    the source and row-filter closures, ``pl.stats`` the statistics.
+    Returns ``(plan, None)`` or ``(None, reason)``.
     """
     names = [name for name, _, _, _ in bindings]
     if len(set(names)) != len(names):
@@ -750,7 +792,7 @@ def lower_some(bindings, name_set: frozenset[str], qindex: int,
                                      for side in sides))
             else:
                 checks.append(_RowFilter(
-                    _planner._compile_truth(factor, pl),
+                    pl.truth(factor),
                     tuple(sorted(free_variables(factor) & name_set))))
         lowered.append((op, filters, checks))
     needed: frozenset[str] = frozenset()
@@ -785,7 +827,7 @@ def _key_sides(factor: Expression, name_set: frozenset[str]
             continue
         root = _path_root(side, name_set)
         if root is not None:
-            if _planner._var_downpath(side, root) is None:
+            if var_downpath(side, root) is None:
                 return None
             continue
         if free_variables(side) & name_set:
@@ -807,9 +849,9 @@ def _lower_side(side: Expression, kinds: dict, name_set: frozenset[str],
         return _SideVar(side.name, kinds[side.name][0] == "keys")
     root = _path_root(side, name_set)
     if root is not None:
-        return _SidePath(root, _planner._var_downpath(side, root),
+        return _SidePath(root, var_downpath(side, root),
                          kinds[root][1])
-    return _SideConst(_planner._compile(side, pl))
+    return _SideConst(pl.compile(side))
 
 
 def _lower_binding(name: str, source: Expression, factors: list,
@@ -820,7 +862,7 @@ def _lower_binding(name: str, source: Expression, factors: list,
     ``keys`` (hash-key sets), ``nodes`` (of a known tag, or None) or
     ``items`` (anything a source yields)."""
     correlated = free_variables(source) & name_set
-    tag = _planner._simple_descendant_tag(source)
+    tag = simple_descendant_tag(source)
     if tag is not None and not correlated:
         kinds[name] = ("nodes", tag)
         keyed = _key_equality(name, factors, bound, name_set)
@@ -828,7 +870,7 @@ def _lower_binding(name: str, source: Expression, factors: list,
             factor, steps, probe = keyed
             return _Join(name, tag, steps,
                          _lower_side(probe, kinds, name_set, pl)), factor
-        return _Eval(name, _planner._compile(source, pl), ()), None
+        return _Eval(name, pl.compile(source), ()), None
     probed = _lower_probe(name, source, factors, bound, kinds, name_set,
                           pl, estimates)
     if probed is not None:
@@ -837,7 +879,7 @@ def _lower_binding(name: str, source: Expression, factors: list,
     if op is not None:
         return op, None
     kinds[name] = ("items", None)
-    return _Eval(name, _planner._compile(source, pl),
+    return _Eval(name, pl.compile(source),
                  tuple(sorted(correlated))), None
 
 
@@ -861,7 +903,7 @@ def _lower_probe(name: str, source: Expression, factors: list,
     step = source.steps[0]
     if kinds.get(root, ("",))[0] != "nodes" or step.axis != "child" \
             or step.predicates \
-            or step.nodetest in _planner._SIMPLE_STEP_NODETESTS:
+            or step.nodetest in SIMPLE_STEP_NODETESTS:
         return None
     keyed = _key_equality(name, factors, bound, name_set)
     if keyed is None:
@@ -882,10 +924,10 @@ def _key_equality(name: str, factors: list, bound: set[str],
     """``(factor, steps, probe side)``: the key-space ``=`` conjunct
     that keys ``$name`` by a plain downpath ``steps`` against values
     already ``bound``, or None."""
-    equality = _planner._join_equality(name, bound, name_set, factors)
+    equality = join_equality(name, bound, name_set, factors)
     if equality is None or _key_sides(equality[0], name_set) is None:
         return None
-    steps = _planner._var_downpath(equality[1], name)
+    steps = var_downpath(equality[1], name)
     if steps is None:
         return None
     return equality[0], steps, equality[2]
@@ -908,7 +950,7 @@ def _lower_navigation(name: str, source: Expression, kinds: dict,
             and not any(source.descendant_flags):
         kinds[name] = ("nodes", None)
         return _Parent(name, root)
-    downpath = _planner._var_downpath(source, root)
+    downpath = var_downpath(source, root)
     if downpath is None:
         return None
     last_axis, last_test = downpath[-1]

@@ -8,9 +8,14 @@ This is the oracle the differential suites compare the planner
 (:mod:`repro.xquery.planner`) against, so it evaluates by the book:
 quantifiers and FLWORs are depth-first nested loops in source order,
 and ``=`` is decided by :func:`repro.xquery.values.compare_atomics`
-alone.  It knows nothing about joins, value indexes or hash keys —
-production checks never run here (the planner borrows the step
-helpers below and falls back on an evaluation error); slower is fine.
+alone.  It knows nothing about joins, value indexes or hash keys, and
+slower is fine: a production check runs a quantifier here only when
+the planner's frontier for it bails.  The
+planner borrows the step helpers below (every compiled path step is
+:func:`_axis_candidates` plus :func:`_filter_predicate`), hands
+:func:`_evaluate` the constructs its closure compiler leaves out
+(``or``, ``if``, sequences, FLWOR, …), and re-runs a planned
+evaluation here when it raises.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ from repro.xquery.values import (
     is_node,
     to_number,
 )
-from repro.xtree.node import Document, Element, Node, Text
+from repro.xtree.node import Document, Element, Text
 
 
 @dataclass(frozen=True)
@@ -246,14 +251,14 @@ def _axis_candidates(step: AxisStep, item: object) -> Sequence:
         raise XQueryEvaluationError(
             "position() step requires an element context")
     if axis == "child":
-        children: list[Node]
         if isinstance(item, Document):
-            children = [item.root]
-        elif isinstance(item, Element):
-            children = item.children
-        else:
+            return [item.root] if _matches(nodetest, item.root) else []
+        if not isinstance(item, Element):
             return []
-        return [child for child in children if _matches(nodetest, child)]
+        if nodetest in ("*", "node()", "text()"):
+            return [child for child in item.children
+                    if _matches(nodetest, child)]
+        return item.element_children(nodetest)
     if axis == "attribute":
         if isinstance(item, Element):
             if nodetest == "*":

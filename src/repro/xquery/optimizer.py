@@ -1,7 +1,7 @@
 """Static expression analysis and equality-key canonicalisation.
 
-What the planner (:mod:`repro.xquery.planner`), its vectorized
-executor (:mod:`repro.xquery.columnar`) and the documents'
+What the planner (:mod:`repro.xquery.planner`), its frontier executor
+(:mod:`repro.xquery.columnar`) and the documents'
 :class:`~repro.relational.columns.PathIndex` share to detect and serve
 equality joins; who joins what, and how, is the planner's decision
 alone:
@@ -9,6 +9,10 @@ alone:
 * :func:`conjuncts`, :func:`free_variables`, :func:`focus_free` —
   static facts about an expression (its ``and`` factors, the variables
   it reads, whether it reads the focus);
+* :func:`downpath_steps`, :func:`var_downpath`,
+  :func:`simple_descendant_tag`, :func:`join_equality` — the AST shapes
+  an index can serve: a plain downpath (an index key), a bare
+  ``//tag`` source, the ``=`` conjunct that keys a binding;
 * :func:`hash_keys`, :func:`probe_keys`, :func:`matching_keys` — the
   one key format every value index is built and probed with.  The
   reference engine (:mod:`repro.xquery.engine`) decides ``=`` with
@@ -150,6 +154,88 @@ def focus_free(expression: Expression) -> bool:
                    for _, source in expression.bindings) \
             and focus_free(expression.condition)
     return False
+
+
+#: child-step nodetests that name no element tag
+SIMPLE_STEP_NODETESTS = ("*", "node()", "text()", "position()")
+
+
+def downpath_steps(
+        expression: Expression) -> tuple[tuple[str, str], ...] | None:
+    """A relative downward path as ((axis, nodetest), ...), or None.
+
+    The shape a per-element key evaluator
+    (:func:`repro.relational.columns.eval_downpath`) supports:
+    child/attribute steps, named or ``text()``, no predicates, no
+    descendant jumps.  These paths read only the element's own
+    subtree, which is what lets a document's
+    :class:`~repro.relational.columns.PathIndex` maintain the derived
+    keys from mutation deltas.
+    """
+    if not isinstance(expression, PathExpr) \
+            or not isinstance(expression.start, ContextItem):
+        return None
+    if any(expression.descendant_flags):
+        return None
+    steps: list[tuple[str, str]] = []
+    for step in expression.steps:
+        if step.predicates:
+            return None
+        if step.axis == "child":
+            if step.nodetest in ("*", "node()", "position()"):
+                return None
+        elif step.axis == "attribute":
+            if step.nodetest == "*":
+                return None
+        else:
+            return None
+        steps.append((step.axis, step.nodetest))
+    return tuple(steps)
+
+
+def var_downpath(key_side: Expression,
+                 name: str) -> tuple[tuple[str, str], ...] | None:
+    """``key_side`` as a downward path rooted at ``$name``, else None."""
+    if not isinstance(key_side, PathExpr) \
+            or not isinstance(key_side.start, VarRef) \
+            or key_side.start.name != name:
+        return None
+    return downpath_steps(PathExpr(ContextItem(), key_side.steps,
+                                   key_side.descendant_flags))
+
+
+def simple_descendant_tag(source: Expression) -> str | None:
+    """The tag of a bare ``//tag`` source, else None."""
+    if not isinstance(source, PathExpr) or source.start is not None:
+        return None
+    if len(source.steps) != 1 or source.descendant_flags != (True,):
+        return None
+    step = source.steps[0]
+    if step.axis != "child" or step.predicates \
+            or step.nodetest in SIMPLE_STEP_NODETESTS:
+        return None
+    return step.nodetest
+
+
+def join_equality(name: str, bound: set[str], name_set: frozenset[str],
+                  factors: list[Expression]) -> tuple | None:
+    """The ``=`` conjunct that makes ``$name`` hash-joinable, if any.
+
+    ``(factor, key side, probe side)``: one side mentions ``$name``
+    alone among the quantifier's variables (``name_set``), the other
+    only variables already ``bound`` (outer variables are always
+    bound).
+    """
+    for factor in factors:
+        if not (isinstance(factor, BinaryOp) and factor.op == "="):
+            continue
+        left = free_variables(factor.left) & name_set
+        right = free_variables(factor.right) & name_set
+        if left == {name} and right <= bound:
+            return factor, factor.left, factor.right
+        if right == {name} and left <= bound:
+            return factor, factor.right, factor.left
+    return None
 
 
 def hash_keys(item: object) -> list[tuple]:

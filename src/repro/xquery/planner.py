@@ -26,16 +26,21 @@ documents' value indexes (:class:`~repro.relational.columns.PathIndex`):
   equality predicates on ``//tag`` steps are turned into value-index
   probes;
 * **compilation** — the plan is compiled to Python closures over a
-  mutable variable environment.  Every quantifier is lowered to one
-  set-at-a-time frontier plan (:mod:`repro.xquery.columnar`; ``every``
-  as ``not(some … satisfies not(…))``) whose conjuncts are key-set
-  filters or per-row truth closures; a frontier beyond the row cap,
+  mutable variable environment (:class:`repro.xquery.columnar.Runtime`).
+  Every quantifier is lowered to one set-at-a-time frontier plan
+  (:func:`repro.xquery.columnar.lower_some`; ``every`` as
+  ``not(some … satisfies not(…))``) whose conjuncts are key-set
+  filters or per-row truth closures that lowering asks the plan for
+  (``_Plan.compile``/``_Plan.truth``); a frontier beyond the row cap,
   and the rare shape lowering refuses, run in the reference engine.
-  Constructs outside the compiled fragment fall back to
-  :func:`repro.xquery.engine._evaluate` through a bridging
-  :class:`~repro.xquery.engine.QueryContext`, so planned evaluation is
-  *total*: every query the engine accepts runs, with identical
-  verdicts;
+  The closure compiler covers what the translated checks are made of —
+  ``some``, ``not``, ``and``, general comparisons, arithmetic, library
+  calls (``count``, ``sum``, ``distinct-values``, …) and paths, whose
+  steps run through the engine's own axis helpers.  Every other
+  construct falls back to :func:`repro.xquery.engine._evaluate`
+  through a bridging :class:`~repro.xquery.engine.QueryContext`, so
+  planned evaluation is *total*: every query the engine accepts runs,
+  with identical verdicts;
 * **value indexes** — one accessor,
   :func:`repro.relational.columns.value_index`, serves the frontier's
   joins and the probe steps: the document's own index, built on first
@@ -46,6 +51,12 @@ documents' value indexes (:class:`~repro.relational.columns.PathIndex`):
   no document, so the prepared check that asked for it keeps it
   (:meth:`repro.xquery.translate.TranslatedQuery.truth`, one plan per
   size class of its documents); ad-hoc queries are planned per call.
+
+The dependency is one-way: this module imports
+:mod:`repro.xquery.columnar`, which imports nothing from here; the AST
+shapes both read (downpaths, ``//tag`` sources, join equalities) live
+in :mod:`repro.xquery.optimizer`, and the one bucket walk over a value
+index is :func:`repro.relational.columns.probe`.
 
 Planned evaluation serves *truth* (effective-boolean-value) queries —
 the form every integrity check takes.  Sequence order is not part of
@@ -64,7 +75,7 @@ from typing import Callable
 from repro.errors import XQueryEvaluationError
 from repro.relational import columns
 from repro.testing.failpoints import fail
-from repro.xquery import engine, functions
+from repro.xquery import columnar, engine, functions
 from repro.xquery.ast import (
     AxisStep,
     BinaryOp,
@@ -81,22 +92,25 @@ from repro.xquery.ast import (
     VarRef,
     boolean_filter_safe,
 )
-from repro.xquery.engine import QueryContext
+from repro.xquery.columnar import Runtime
 from repro.xquery.optimizer import (
+    SIMPLE_STEP_NODETESTS,
     conjuncts,
+    downpath_steps,
     focus_free,
     free_variables,
     hash_keys,
+    join_equality,
     probe_keys,
+    var_downpath,
 )
 from repro.xquery.values import (
     Sequence,
-    UntypedAtomic,
     atomize,
     effective_boolean_value,
     general_compare,
 )
-from repro.xtree.node import Document, Element, Node, Text
+from repro.xtree.node import Document, Node
 
 __all__ = [
     "Statistics",
@@ -205,9 +219,6 @@ class Statistics:
 # ---------------------------------------------------------------------------
 # Cardinality estimation
 # ---------------------------------------------------------------------------
-
-_SIMPLE_STEP_NODETESTS = ("*", "node()", "text()", "position()")
-
 
 def _estimate(expression: Expression, stats: Statistics,
               anchors: dict[str, str]) -> float:
@@ -322,65 +333,6 @@ def _ebv_filter_safe(predicate: Expression) -> bool:
     return False
 
 
-def _downpath_steps(
-        expression: Expression) -> tuple[tuple[str, str], ...] | None:
-    """A relative downward path as ((axis, nodetest), ...), or None.
-
-    The shape a per-element key evaluator
-    (:func:`repro.relational.columns.eval_downpath`) supports:
-    child/attribute steps, named or ``text()``, no predicates, no
-    descendant jumps.  These paths read only the element's own
-    subtree, which is what lets a document's
-    :class:`~repro.relational.columns.PathIndex` maintain the derived
-    keys from mutation deltas.
-    """
-    if not isinstance(expression, PathExpr) \
-            or not isinstance(expression.start, ContextItem):
-        return None
-    if any(expression.descendant_flags):
-        return None
-    steps: list[tuple[str, str]] = []
-    for step in expression.steps:
-        if step.predicates:
-            return None
-        if step.axis == "child":
-            if step.nodetest in ("*", "node()", "position()"):
-                return None
-        elif step.axis == "attribute":
-            if step.nodetest == "*":
-                return None
-        else:
-            return None
-        steps.append((step.axis, step.nodetest))
-    return tuple(steps)
-
-
-def _simple_descendant_tag(source: Expression) -> str | None:
-    """The tag of a bare ``//tag`` source, else None."""
-    if not isinstance(source, PathExpr) or source.start is not None:
-        return None
-    if len(source.steps) != 1 or source.descendant_flags != (True,):
-        return None
-    step = source.steps[0]
-    if step.axis != "child" or step.predicates \
-            or step.nodetest in _SIMPLE_STEP_NODETESTS:
-        return None
-    return step.nodetest
-
-
-def _var_downpath(
-        key_side: Expression,
-        name: str) -> tuple[tuple[str, str], ...] | None:
-    """``key_side`` as a downward path rooted at ``$name``, else None."""
-    if not isinstance(key_side, PathExpr) \
-            or not isinstance(key_side.start, VarRef) \
-            or key_side.start.name != name:
-        return None
-    relative = PathExpr(ContextItem(), key_side.steps,
-                        key_side.descendant_flags)
-    return _downpath_steps(relative)
-
-
 def _probe_spec(
         predicate: Expression
 ) -> "tuple[tuple[tuple[str, str], ...], Expression] | None":
@@ -404,7 +356,7 @@ def _probe_spec(
     if isinstance(predicate, BinaryOp) and predicate.op == "=":
         for key_side, probe_side in ((predicate.left, predicate.right),
                                      (predicate.right, predicate.left)):
-            downpath = _downpath_steps(key_side)
+            downpath = downpath_steps(key_side)
             if downpath is not None and focus_free(probe_side):
                 return downpath, probe_side
         return None
@@ -415,12 +367,12 @@ def _probe_spec(
         steps = predicate.steps
         for step in steps[:-1]:
             if step.axis != "child" or step.predicates \
-                    or step.nodetest in _SIMPLE_STEP_NODETESTS:
+                    or step.nodetest in SIMPLE_STEP_NODETESTS:
                 return None
             outer.append(("child", step.nodetest))
         last = steps[-1]
         if last.axis != "child" or len(last.predicates) != 1 \
-                or last.nodetest in _SIMPLE_STEP_NODETESTS:
+                or last.nodetest in SIMPLE_STEP_NODETESTS:
             return None
         inner = last.predicates[0]
         if not (isinstance(inner, BinaryOp) and inner.op == "="):
@@ -434,46 +386,8 @@ def _probe_spec(
     return None
 
 
-# ---------------------------------------------------------------------------
-# Runtime
-# ---------------------------------------------------------------------------
-
-class _Runtime:
-    """Mutable evaluation state threaded through compiled closures.
-
-    Where the engine copies a frozen context per binding, compiled
-    plans share one environment dict and set/restore keys around each
-    loop level.  :meth:`context` bridges into the reference engine for
-    constructs outside the compiled fragment — the engine's
-    copy-on-write variable handling makes sharing the dict safe.
-    """
-
-    __slots__ = ("documents", "env", "item", "position", "size",
-                 "profile", "backends", "fallback")
-
-    def __init__(self, documents: tuple[Document, ...],
-                 env: dict[str, Sequence]) -> None:
-        self.documents = documents
-        self.env = env
-        self.item: object | None = None
-        self.position = 1
-        self.size = 1
-        #: (quantifier, binding) key → [items examined, tuples passed];
-        #: populated by :func:`explain_query` runs only
-        self.profile: dict[tuple, list[int]] | None = None
-        #: (quantifier index, backend, reason) records; populated when
-        #: :func:`explain_query` sets it to a list
-        self.backends: list[tuple[int, str, str | None]] | None = None
-        #: the evaluation error that sent this run to the engine
-        self.fallback: str | None = None
-
-    def context(self) -> QueryContext:
-        return QueryContext(self.documents, self.env, self.item,
-                            self.position, self.size)
-
-
-Closure = Callable[[_Runtime], Sequence]
-TruthClosure = Callable[[_Runtime], bool]
+Closure = Callable[[Runtime], Sequence]
+TruthClosure = Callable[[Runtime], bool]
 
 
 # ---------------------------------------------------------------------------
@@ -511,15 +425,23 @@ class _QuantifierInfo:
 
 
 class _Plan:
-    """Compilation context: chosen orders, statistics, explain info."""
+    """Compilation context: statistics, explain records, and the
+    closure compiler that lowering (:func:`columnar.lower_some`) calls
+    back into."""
 
-    __slots__ = ("orders", "stats", "infos")
+    __slots__ = ("stats", "infos")
 
     def __init__(self, stats: Statistics) -> None:
-        #: quantifier → chosen binding order, filled as compiled
-        self.orders: dict[Quantified, tuple[int, ...]] = {}
         self.stats = stats
         self.infos: list[_QuantifierInfo] = []
+
+    def compile(self, expression: Expression) -> Closure:
+        """A value closure for ``expression``."""
+        return _compile(expression, self)
+
+    def truth(self, expression: Expression) -> TruthClosure:
+        """An effective-boolean-value closure for ``expression``."""
+        return _compile_truth(expression, self)
 
 
 # ---------------------------------------------------------------------------
@@ -584,10 +506,10 @@ def _binding_cost(name: str, source: Expression, bound: set[str],
     card, anchor = _estimate_any(source, stats, anchors)
     if free_variables(source) & name_set:
         return card, card, anchor
-    equality = _join_equality(name, bound, name_set, factors)
+    equality = join_equality(name, bound, name_set, factors)
     if equality is None:
         return card, card, anchor
-    steps = _var_downpath(equality[1], name)
+    steps = var_downpath(equality[1], name)
     if anchor is None:
         denominator = 2.0
     elif steps is None:
@@ -597,47 +519,34 @@ def _binding_cost(name: str, source: Expression, bound: set[str],
     return card, max(card / denominator, 0.5), anchor
 
 
-def _join_equality(name: str, bound: set[str], name_set: frozenset[str],
-                   factors: list[Expression]) -> tuple | None:
-    """The ``=`` conjunct that makes ``$name`` hash-joinable, if any.
-
-    ``(factor, key side, probe side)``: one side mentions ``$name``
-    alone among the quantifier's variables, the other only variables
-    already ``bound`` (outer variables are always bound).
-    """
-    for factor in factors:
-        if not (isinstance(factor, BinaryOp) and factor.op == "="):
-            continue
-        left = free_variables(factor.left) & name_set
-        right = free_variables(factor.right) & name_set
-        if left == {name} and right <= bound:
-            return factor, factor.left, factor.right
-        if right == {name} and left <= bound:
-            return factor, factor.right, factor.left
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Compilation: general expressions
 # ---------------------------------------------------------------------------
 
 def _fallback(expression: Expression) -> Closure:
-    def run(rt: _Runtime) -> Sequence:
+    def run(rt: Runtime) -> Sequence:
         return engine._evaluate(expression, rt.context())
     return run
 
 
 def _compile(expression: Expression, pl: _Plan) -> Closure:
-    if isinstance(expression, (Literal, TextLiteral)):
+    """A value closure.  Compiled: what the translated checks are made
+    of — literals, variables, paths, comparisons, arithmetic, ``and``
+    and library calls.  Everything else (sequences, unary signs,
+    ``if``, ``or``, FLWOR, constructors, a quantifier in value
+    position, ``position()``/``last()``, unknown names and bad
+    arities) is evaluated by the engine, with the same values and the
+    same errors."""
+    if isinstance(expression, Literal):
         value = expression.value
 
-        def literal(rt: _Runtime) -> Sequence:
+        def literal(rt: Runtime) -> Sequence:
             return [value]
         return literal
     if isinstance(expression, VarRef):
         name = expression.name
 
-        def var(rt: _Runtime) -> Sequence:
+        def var(rt: Runtime) -> Sequence:
             try:
                 return rt.env[name]
             except KeyError:
@@ -645,113 +554,54 @@ def _compile(expression: Expression, pl: _Plan) -> Closure:
                     f"unbound variable ${name}") from None
         return var
     if isinstance(expression, ContextItem):
-        def item_fn(rt: _Runtime) -> Sequence:
+        def item_fn(rt: Runtime) -> Sequence:
             if rt.item is None:
                 raise XQueryEvaluationError("no context item")
             return [rt.item]
         return item_fn
-    if isinstance(expression, SequenceExpr):
-        parts = [_compile(item, pl) for item in expression.items]
-
-        def sequence(rt: _Runtime) -> Sequence:
-            result: Sequence = []
-            for part in parts:
-                result.extend(part(rt))
-            return result
-        return sequence
     if isinstance(expression, PathExpr):
         return _compile_path(expression, pl)
     if isinstance(expression, BinaryOp):
         return _compile_binary(expression, pl)
-    if isinstance(expression, UnaryOp):
-        operand = _compile(expression.operand, pl)
-        negate = expression.op == "-"
-
-        def unary(rt: _Runtime) -> Sequence:
-            atoms = atomize(operand(rt))
-            if not atoms:
-                return []
-            value = engine.to_number(atoms[0])
-            result = -value if negate else value
-            return [int(result)] if float(result).is_integer() \
-                else [result]
-        return unary
     if isinstance(expression, FunctionCall):
         return _compile_call(expression, pl)
-    if isinstance(expression, Quantified):
-        truth = _compile_quantified_truth(expression, pl)
-
-        def quantified(rt: _Runtime) -> Sequence:
-            return [truth(rt)]
-        return quantified
-    if isinstance(expression, IfExpr):
-        condition = _compile_truth(expression.condition, pl)
-        then_branch = _compile(expression.then_branch, pl)
-        else_branch = _compile(expression.else_branch, pl)
-
-        def conditional(rt: _Runtime) -> Sequence:
-            return then_branch(rt) if condition(rt) else else_branch(rt)
-        return conditional
-    # FLWOR, element constructors: bridge into the engine
     return _fallback(expression)
 
 
 def _compile_binary(expression: BinaryOp, pl: _Plan) -> Closure:
     op = expression.op
-    if op in ("and", "or"):
+    if op == "and":
         truth = _compile_truth(expression, pl)
 
-        def boolean(rt: _Runtime) -> Sequence:
+        def boolean(rt: Runtime) -> Sequence:
             return [truth(rt)]
         return boolean
+    if op not in engine._GENERAL_OPS and op not in engine._ARITHMETIC_OPS:
+        return _fallback(expression)
     left = _compile(expression.left, pl)
     right = _compile(expression.right, pl)
     if op in engine._GENERAL_OPS:
-        def compare(rt: _Runtime) -> Sequence:
+        def compare(rt: Runtime) -> Sequence:
             return [general_compare(op, left(rt), right(rt))]
         return compare
-    if op in engine._ARITHMETIC_OPS:
-        def arithmetic(rt: _Runtime) -> Sequence:
-            return engine._arithmetic(op, left(rt), right(rt))
-        return arithmetic
-    return _fallback(expression)
+
+    def arithmetic(rt: Runtime) -> Sequence:
+        return engine._arithmetic(op, left(rt), right(rt))
+    return arithmetic
 
 
 def _compile_call(expression: FunctionCall, pl: _Plan) -> Closure:
-    name = expression.name
-    if name == "position":
-        return lambda rt: [rt.position]
-    if name == "last":
-        return lambda rt: [rt.size]
-    args = [_compile(argument, pl) for argument in expression.args]
-    if name == "count" and len(args) == 1:
-        argument = args[0]
-        return lambda rt: [len(argument(rt))]
-    if name == "exists" and len(args) == 1:
-        argument = args[0]
-        return lambda rt: [bool(argument(rt))]
-    if name == "empty" and len(args) == 1:
-        argument = args[0]
-        return lambda rt: [not argument(rt)]
-    if name == "not" and len(args) == 1:
-        inner = _compile_truth(expression.args[0], pl)
+    name, arguments = expression.name, expression.args
+    if name == "not" and len(arguments) == 1:
+        inner = _compile_truth(arguments[0], pl)
         return lambda rt: [not inner(rt)]
     entry = functions.REGISTRY.get(name)
-    if entry is None:
-        def unknown(rt: _Runtime) -> Sequence:
-            raise XQueryEvaluationError(f"unknown function {name}()")
-        return unknown
-    implementation, min_arity, max_arity = entry
-    if not min_arity <= len(args) <= max_arity:
-        count = len(args)
+    if entry is None or not entry[1] <= len(arguments) <= entry[2]:
+        return _fallback(expression)
+    implementation = entry[0]
+    args = [_compile(argument, pl) for argument in arguments]
 
-        def bad_arity(rt: _Runtime) -> Sequence:
-            raise XQueryEvaluationError(
-                f"{name}() expects between {min_arity} and {max_arity} "
-                f"arguments, got {count}")
-        return bad_arity
-
-    def call(rt: _Runtime) -> Sequence:
+    def call(rt: Runtime) -> Sequence:
         return implementation(*[argument(rt) for argument in args])
     return call
 
@@ -764,37 +614,17 @@ def _compile_truth(expression: Expression, pl: _Plan) -> TruthClosure:
             left = _compile_truth(expression.left, pl)
             right = _compile_truth(expression.right, pl)
             return lambda rt: left(rt) and right(rt)
-        if op == "or":
-            left = _compile_truth(expression.left, pl)
-            right = _compile_truth(expression.right, pl)
-            return lambda rt: left(rt) or right(rt)
         if op in engine._GENERAL_OPS:
             left_fn = _compile(expression.left, pl)
             right_fn = _compile(expression.right, pl)
             return lambda rt: general_compare(op, left_fn(rt),
                                               right_fn(rt))
-    if isinstance(expression, FunctionCall) and len(expression.args) == 1:
-        if expression.name == "not":
-            inner = _compile_truth(expression.args[0], pl)
-            return lambda rt: not inner(rt)
-        if expression.name == "exists":
-            inner_fn = _compile(expression.args[0], pl)
-            return lambda rt: bool(inner_fn(rt))
-        if expression.name == "empty":
-            inner_fn = _compile(expression.args[0], pl)
-            return lambda rt: not inner_fn(rt)
+    if isinstance(expression, FunctionCall) and expression.name == "not" \
+            and len(expression.args) == 1:
+        inner = _compile_truth(expression.args[0], pl)
+        return lambda rt: not inner(rt)
     if isinstance(expression, Quantified):
         return _compile_quantified_truth(expression, pl)
-    if isinstance(expression, IfExpr):
-        condition = _compile_truth(expression.condition, pl)
-        then_branch = _compile_truth(expression.then_branch, pl)
-        else_branch = _compile_truth(expression.else_branch, pl)
-        return lambda rt: then_branch(rt) if condition(rt) \
-            else else_branch(rt)
-    if isinstance(expression, Literal) \
-            and isinstance(expression.value, bool):
-        value = expression.value
-        return lambda rt: value
     fn = _compile(expression, pl)
     return lambda rt: effective_boolean_value(fn(rt))
 
@@ -816,7 +646,7 @@ def _compile_path(path: PathExpr, pl: _Plan) -> Closure:
         _compile_step(step, descendant, pl)
         for step, descendant in zip(path.steps, path.descendant_flags)]
 
-    def run(rt: _Runtime) -> Sequence:
+    def run(rt: Runtime) -> Sequence:
         items = start_fn(rt)
         for step_fn in step_fns:
             if not items:
@@ -826,14 +656,14 @@ def _compile_path(path: PathExpr, pl: _Plan) -> Closure:
     return run
 
 
-StepClosure = Callable[[_Runtime, Sequence], Sequence]
+StepClosure = Callable[[Runtime, Sequence], Sequence]
 
 
 def _compile_step(step: AxisStep, descendant: bool,
                   pl: _Plan) -> StepClosure:
-    generic = _compile_generic_step(step, descendant, pl)
+    generic = _compile_generic_step(step, descendant)
     if not descendant or step.axis != "child" \
-            or step.nodetest in _SIMPLE_STEP_NODETESTS:
+            or step.nodetest in SIMPLE_STEP_NODETESTS:
         return generic
     # ``//tag`` candidate: serve whole-document fetches from the tag
     # index, with an optional value-index probe for a leading equality
@@ -849,11 +679,11 @@ def _compile_step(step: AxisStep, descendant: bool,
         downpath, probe_expr = probe
         probe_fn = _compile(probe_expr, pl)
 
-        def probe_step(rt: _Runtime, items: Sequence) -> Sequence:
+        def probe_step(rt: Runtime, items: Sequence) -> Sequence:
             documents = _documents_only(items)
             if documents is None:
                 return generic(rt, items)
-            matched = _probe(
+            matched = columns.probe(
                 [columns.value_index(document, tag, downpath)
                  for document in documents],
                 probe_keys(probe_fn(rt)))
@@ -862,7 +692,7 @@ def _compile_step(step: AxisStep, descendant: bool,
             return matched
         return probe_step
 
-    def indexed_step(rt: _Runtime, items: Sequence) -> Sequence:
+    def indexed_step(rt: Runtime, items: Sequence) -> Sequence:
         documents = _documents_only(items)
         if documents is None:
             return generic(rt, items)
@@ -889,10 +719,10 @@ def _documents_only(items: Sequence) -> "list[Document] | None":
 
 def _compile_ebv_filter(
         predicate: Expression,
-        pl: _Plan) -> Callable[[_Runtime, Sequence], Sequence]:
+        pl: _Plan) -> Callable[[Runtime, Sequence], Sequence]:
     truth = _compile_truth(predicate, pl)
 
-    def filter_fn(rt: _Runtime, candidates: Sequence) -> Sequence:
+    def filter_fn(rt: Runtime, candidates: Sequence) -> Sequence:
         kept: Sequence = []
         saved = rt.item
         try:
@@ -906,22 +736,11 @@ def _compile_ebv_filter(
     return filter_fn
 
 
-def _compile_generic_step(step: AxisStep, descendant: bool,
-                          pl: _Plan) -> StepClosure:
-    axis, nodetest, predicates = step.axis, step.nodetest, step.predicates
-    if not predicates and not descendant:
-        if axis == "child" and nodetest not in _SIMPLE_STEP_NODETESTS:
-            return _named_child_step(nodetest)
-        if axis == "child" and nodetest == "text()":
-            return _text_step
-        if axis == "child" and nodetest == "position()":
-            return _position_step
-        if axis == "attribute" and nodetest != "*":
-            return _attribute_step(nodetest)
-        if axis == "parent":
-            return _parent_step
+def _compile_generic_step(step: AxisStep, descendant: bool) -> StepClosure:
+    """Any step, through the engine's axis and predicate helpers."""
+    predicates = step.predicates
 
-    def run(rt: _Runtime, items: Sequence) -> Sequence:
+    def run(rt: Runtime, items: Sequence) -> Sequence:
         if descendant:
             items = engine._descendant_or_self(items)
         context = rt.context() if predicates else None
@@ -943,109 +762,11 @@ def _compile_generic_step(step: AxisStep, descendant: bool,
     return run
 
 
-def _named_child_step(tag: str) -> StepClosure:
-    def run(rt: _Runtime, items: Sequence) -> Sequence:
-        if len(items) == 1:
-            item = items[0]
-            if isinstance(item, Element):
-                return [child for child in item.children
-                        if isinstance(child, Element) and child.tag == tag]
-            if isinstance(item, Document):
-                return [item.root] if item.root.tag == tag else []
-            return []
-        result: Sequence = []
-        seen: set[int] = set()
-        for item in items:
-            if id(item) in seen:
-                continue
-            seen.add(id(item))
-            if isinstance(item, Element):
-                result.extend(child for child in item.children
-                              if isinstance(child, Element)
-                              and child.tag == tag)
-            elif isinstance(item, Document) and item.root.tag == tag:
-                result.append(item.root)
-        return result
-    return run
-
-
-def _text_step(rt: _Runtime, items: Sequence) -> Sequence:
-    if len(items) == 1:
-        item = items[0]
-        if isinstance(item, Element):
-            return [child for child in item.children
-                    if isinstance(child, Text)]
-        return []
-    result: Sequence = []
-    seen: set[int] = set()
-    for item in items:
-        if id(item) in seen:
-            continue
-        seen.add(id(item))
-        if isinstance(item, Element):
-            result.extend(child for child in item.children
-                          if isinstance(child, Text))
-    return result
-
-
-def _position_step(rt: _Runtime, items: Sequence) -> Sequence:
-    result: Sequence = []
-    for item in items:
-        if not isinstance(item, Element):
-            raise XQueryEvaluationError(
-                "position() step requires an element context")
-        result.append(item.child_position)
-    return result
-
-
-def _attribute_step(name: str) -> StepClosure:
-    def run(rt: _Runtime, items: Sequence) -> Sequence:
-        result: Sequence = []
-        for item in items:
-            if isinstance(item, Element):
-                value = item.attributes.get(name)
-                if value is not None:
-                    result.append(UntypedAtomic(value))
-        return result
-    return run
-
-
-def _parent_step(rt: _Runtime, items: Sequence) -> Sequence:
-    result: Sequence = []
-    seen: set[int] = set()
-    for item in items:
-        if isinstance(item, (Element, Text)) and item.parent is not None \
-                and id(item.parent) not in seen:
-            seen.add(id(item.parent))
-            result.append(item.parent)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Value indexes
-# ---------------------------------------------------------------------------
-
-def _probe(indexes: list, keys) -> list[Element]:
-    """The elements the probe-side ``keys`` hit, each once."""
-    matched: list[Element] = []
-    seen: set[int] = set()
-    for key in keys:
-        for index in indexes:
-            bucket = index.buckets.get(key)
-            if not bucket:
-                continue
-            for element in bucket.values():
-                if id(element) not in seen:
-                    seen.add(id(element))
-                    matched.append(element)
-    return matched
-
-
 # ---------------------------------------------------------------------------
 # Compilation: quantifiers
 # ---------------------------------------------------------------------------
 
-def _note_backend(rt: _Runtime, index: int, backend: str,
+def _note_backend(rt: Runtime, index: int, backend: str,
                   reason: str | None) -> None:
     """Record which backend evaluated a quantifier (explain runs)."""
     if rt.backends is not None:
@@ -1068,12 +789,7 @@ def _compile_some(quantified: Quantified, shown: Quantified,
                   pl: _Plan) -> TruthClosure:
     """A ``some`` quantifier as a frontier plan (``shown`` is what
     explain prints: the quantifier as written)."""
-    from repro.xquery import columnar
-
-    order = pl.orders.get(quantified)
-    if order is None:
-        order = _choose_order(quantified, pl.stats)
-        pl.orders[quantified] = order
+    order = _choose_order(quantified, pl.stats)
     bindings = [quantified.bindings[index] for index in order]
     names = [name for name, _ in bindings]
     name_set = frozenset(names)
@@ -1122,7 +838,7 @@ def _compile_some(quantified: Quantified, shown: Quantified,
     quantifier_index = info.index
     in_engine = _fallback(quantified)
 
-    def truth(rt: _Runtime) -> bool:
+    def truth(rt: Runtime) -> bool:
         for check in pre_checks:
             if not check(rt):
                 return False
@@ -1159,7 +875,7 @@ def plan(expression: Expression,
 def run(truth_fn: TruthClosure, expression: Expression,
         documents: tuple[Document, ...],
         variables: dict[str, Sequence] | None = None,
-        rt: "_Runtime | None" = None) -> bool:
+        rt: "Runtime | None" = None) -> bool:
     """Evaluate a compiled plan of ``expression`` over ``documents``.
 
     ``rt`` is a runtime the caller prepared (explain's profiling run);
@@ -1167,7 +883,7 @@ def run(truth_fn: TruthClosure, expression: Expression,
     text is left in its ``fallback``.
     """
     if rt is None:
-        rt = _Runtime(documents, dict(variables) if variables else {})
+        rt = Runtime(documents, dict(variables) if variables else {})
     try:
         return truth_fn(rt)
     except XQueryEvaluationError as error:
@@ -1226,14 +942,14 @@ def explain_query(
     docs = tuple(documents)
     pl = _Plan(Statistics(docs))
     truth_fn = _compile_truth(query, pl)
-    rt = _Runtime(docs, dict(variables) if variables else {})
+    rt = Runtime(docs, dict(variables) if variables else {})
     rt.profile = {}
     rt.backends = []
     verdict = run(truth_fn, query, docs, variables, rt)
     lines: list[str] = []
     for info in pl.infos:
         lines.append(f"{info.kind} quantifier "
-                     f"#{info.index + 1}: {render(info.expression)}")
+                     f"#{info.index + 1}: {info.expression}")
         backend: tuple[str, str | None] | None = None
         for noted_index, noted_backend, noted_reason in rt.backends:
             if noted_index == info.index:
@@ -1250,7 +966,7 @@ def explain_query(
                 else f"  (was #{binding.original_index + 1})"
             lines.append(
                 f"  {rank}. ${binding.name} in "
-                f"{render(binding.source)}  [{binding.kind}]"
+                f"{binding.source}  [{binding.kind}]"
                 f"  est~{binding.estimate:g}"
                 f"  examined={counters[0]}  passed={counters[1]}"
                 f"{moved}")
@@ -1259,63 +975,3 @@ def explain_query(
     lines.append(f"verdict: {'true' if verdict else 'false'}")
     return "\n".join(lines)
 
-
-def render(expression: Expression) -> str:
-    """Compact, best-effort text rendering of an AST (for explain)."""
-    if isinstance(expression, Literal):
-        value = expression.value
-        if isinstance(value, bool):
-            return "true()" if value else "false()"
-        if isinstance(value, str):
-            return f'"{value}"'
-        return str(value)
-    if isinstance(expression, TextLiteral):
-        return f'"{expression.value}"'
-    if isinstance(expression, VarRef):
-        return f"${expression.name}"
-    if isinstance(expression, ContextItem):
-        return "."
-    if isinstance(expression, SequenceExpr):
-        return "(" + ", ".join(render(i) for i in expression.items) + ")"
-    if isinstance(expression, PathExpr):
-        parts: list[str] = []
-        if expression.start is None:
-            prefix = ""
-        elif isinstance(expression.start, ContextItem):
-            prefix = "."
-        else:
-            prefix = render(expression.start)
-        for step, descendant in zip(expression.steps,
-                                    expression.descendant_flags):
-            sep = "//" if descendant else "/"
-            if step.axis == "attribute":
-                text = "@" + step.nodetest
-            elif step.axis == "parent":
-                text = ".."
-            elif step.axis == "self":
-                text = "."
-            else:
-                text = step.nodetest
-            preds = "".join(f"[{render(p)}]" for p in step.predicates)
-            parts.append(sep + text + preds)
-        rendered = prefix + "".join(parts)
-        return rendered[2:] if rendered.startswith("./") else rendered
-    if isinstance(expression, BinaryOp):
-        return (f"{render(expression.left)} {expression.op} "
-                f"{render(expression.right)}")
-    if isinstance(expression, UnaryOp):
-        return f"{expression.op}{render(expression.operand)}"
-    if isinstance(expression, FunctionCall):
-        return (expression.name + "("
-                + ", ".join(render(a) for a in expression.args) + ")")
-    if isinstance(expression, Quantified):
-        bindings = ", ".join(
-            f"${name} in {render(source)}"
-            for name, source in expression.bindings)
-        return (f"{expression.kind} {bindings} satisfies "
-                f"{render(expression.condition)}")
-    if isinstance(expression, IfExpr):
-        return (f"if ({render(expression.condition)}) then "
-                f"{render(expression.then_branch)} else "
-                f"{render(expression.else_branch)}")
-    return repr(expression)

@@ -409,6 +409,45 @@ def test_no_second_array_library():
         check=True, timeout=60, env={"PYTHONPATH": str(source)})
 
 
+def _imported_modules(node: ast.AST, package: str) -> list[str]:
+    """Every module an import statement names, relative ones resolved
+    against ``package``: ``from a import b`` names ``a`` and ``a.b``."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = node.module or ""
+    if node.level:
+        anchor = package.rsplit(".", node.level - 1)[0] \
+            if node.level > 1 else package
+        base = f"{anchor}.{base}" if base else anchor
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def test_columnar_imports_nothing_from_the_planner():
+    """The boundary runs one way: the planner imports the frontier
+    executor at module top, and the executor, which takes its closures
+    from the plan it is handed, imports nothing from the planner."""
+    from repro.xquery import columnar, planner
+    tree = ast.parse(Path(columnar.__file__).read_text(encoding="utf-8"))
+    borrowed = [ast.unparse(node) for node in ast.walk(tree)
+                if any(name == "repro.xquery.planner"
+                       for name in _imported_modules(node, "repro.xquery"))]
+    assert borrowed == []
+    tree = ast.parse(Path(planner.__file__).read_text(encoding="utf-8"))
+    top = {name for node in tree.body
+           for name in _imported_modules(node, "repro.xquery")}
+    assert "repro.xquery.columnar" in top
+    local = [ast.unparse(node)
+             for function in ast.walk(tree)
+             if isinstance(function, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef))
+             for node in ast.walk(function)
+             if "repro.xquery.columnar"
+             in _imported_modules(node, "repro.xquery")]
+    assert local == []
+
+
 _CHAIN = ("review", "track", "rev", "sub", "auts")
 
 

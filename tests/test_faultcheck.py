@@ -83,6 +83,22 @@ class TestScheduleSites:
             f"{schedule!r} never fired {silent}: {report.summary()}"
 
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_chaos_fires_every_value_index_seam(self, seed):
+        """``chaos`` interleaves an index fault with the other seams'
+        faults on every CI seed: a delta fault leaves a document dirty
+        and its next read rebuilds, so the rebuild seam is reached."""
+        report = run_scenario(seed, "chaos", ops=40)
+        sites = [site for site in parse_schedule(SCHEDULES["chaos"])
+                 if site.startswith("columns.")]
+        assert sorted(sites) == ["columns.delta.apply",
+                                 "columns.delta.settle", "columns.rebuild"]
+        silent = [site for site in sites
+                  if report.site_counts.get(site, (0, 0))[1] == 0]
+        assert not silent, \
+            f"chaos never fired {silent}: {report.summary()}"
+
+
 class TestNoOrphanSites:
     def test_every_site_is_armed_somewhere(self):
         """A catalogued site no schedule or restart entry arms is never

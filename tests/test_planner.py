@@ -827,14 +827,13 @@ class TestCorrelatedProbeFallback:
         # a parent in no runtime document has no index to ask: its row
         # expands and filters, and agrees with the probed rows
         from repro.xquery import columnar
-        from repro.xquery.planner import _Runtime
         steps = (("child", "name"), ("child", "text()"))
         op = columnar._Probe(
             "a", "p", "aut", steps,
             columnar._SideConst(lambda rt: [UntypedAtomic("Carol")]))
         attached = pub_doc.elements_by_tag("pub")
         detached = parse_document(PUB_XML).elements_by_tag("pub")
-        rt = _Runtime((pub_doc,), {})
+        rt = columnar.Runtime((pub_doc,), {})
         take, values = op.expand(rt, {"p": attached + detached}, 6)
         assert take == [1, 2, 4, 5]
         assert [aut.document is pub_doc for aut in values] \

@@ -30,8 +30,9 @@ from repro.datagen.workload import (
     legal_submission,
 )
 from repro.errors import CompilationError
+from repro.relational import columns
 from repro.relational.columns import value_index
-from repro.xquery import parser, planner
+from repro.xquery import parser
 from repro.xquery.translate import PARAM_VARIABLE_PREFIX
 from repro.xtree import parse_document, serialize
 from repro.xtree.node import Document
@@ -308,9 +309,9 @@ class TestValueIndex:
                    in zip(self._served(documents), served))
         # a new aut/name key is probe-visible right after the update
         # that adds it, through the same objects
-        assert planner._probe(served, [("str", "Brand New")]) == []
+        assert columns.probe(served, [("str", "Brand New")]) == []
         apply_text(documents[0], _PUB_APPEND)
-        (added,) = planner._probe(served, [("str", "Brand New")])
+        (added,) = columns.probe(served, [("str", "Brand New")])
         assert added.tag == "aut" and added.document is documents[0]
         assert query.truth(documents) is False
         assert all(document.index_rebuilds == 0

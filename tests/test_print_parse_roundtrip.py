@@ -9,6 +9,7 @@ import pytest
 
 from repro.xpathlog.parser import parse_constraint
 from repro.xquery.parser import parse_query
+from tests.test_planner import QUERIES as PLANNER_QUERIES
 
 
 XPATHLOG_SOURCES = [
@@ -60,6 +61,10 @@ XQUERY_SOURCES = [
     "//sub[position() = last()]",
     "count((//a | //b)) = 2",
 ]
+# explain prints a planned query's quantifiers and binding sources with
+# ``str()``: the planner's differential corpus must round-trip too
+XQUERY_SOURCES += [query for query in PLANNER_QUERIES
+                   if query not in XQUERY_SOURCES]
 
 
 class TestXQueryRoundTrip:
